@@ -98,6 +98,7 @@ from .oracle import (
     TruncatedTree,
     cross_validate,
     exhaustive_tables,
+    literal_remainder_chain,
     sample_tables,
     truncated_guesser,
     truncated_remainder,

@@ -28,13 +28,18 @@ from .guesser import (
     NotGuessableError,
     check_bound,
     divergence_witness,
-    mind_change_rank,
     synthesize,
+    verify_on_up,
 )
 from .oracle import cross_validate, exhaustive_tables, sample_tables
 from .ordinal import to_text as ordinal_text
 from .remainder import remainder_chain
-from .space import AlphabetMismatchError, canonical_up_words, equivalent
+from .space import (
+    AlphabetMismatchError,
+    canonical_up_words,
+    complement,
+    equivalent,
+)
 
 DEFAULT_BUDGET = 100
 
@@ -65,9 +70,8 @@ def _rank_text(rank) -> str:
 def cmd_rank(args: argparse.Namespace) -> int:
     automaton = _load_automaton(args.automaton)
     trace = remainder_chain(automaton)
-    rank = mind_change_rank(automaton)
     print(f"guessable={'true' if trace.guessable else 'false'}")
-    print(f"rank={_rank_text(rank)}")
+    print(f"rank={_rank_text(trace.rank)}")
     print(f"alpha_S={ordinal_text(trace.alpha_s)}")
     if args.trace:
         for i, stage in enumerate(trace.chain):
@@ -122,8 +126,6 @@ def _verify(args: argparse.Namespace) -> int:
     budget = getattr(args, "budget", 0)
     if budget:
         # redundant spot check of the certificate on concrete words
-        from .guesser import verify_on_up
-
         words = canonical_up_words(automaton.alphabet, budget)
         for word in words:
             if not verify_on_up(guesser, automaton, word):
@@ -199,10 +201,8 @@ def cmd_diff_extract(args: argparse.Namespace) -> int:
         print(f"chain={chain_path}")
     else:
         print(f"chain=theta {outcome.chain.theta_int}")
-    from .space import complement as _complement
-
     target = (
-        automaton if outcome.side in (Side.SELF, Side.BOTH) else _complement(automaton)
+        automaton if outcome.side in (Side.SELF, Side.BOTH) else complement(automaton)
     )
     round_trip = equivalent(d_theta(outcome.chain), target)
     print(f"round_trip={'true' if round_trip else 'false'}")

@@ -108,11 +108,38 @@ def is_nontrivial(component: Sequence[Node], succ: Mapping) -> bool:
 
 def cycle_nodes(nodes: set, succ: Mapping) -> set:
     """Nodes lying on some cycle inside `nodes`."""
+    adj = _restricted(nodes, succ)
     out: set = set()
-    for comp in strongly_connected_components(nodes, succ):
-        if is_nontrivial(comp, _restricted(nodes, succ)):
+    for comp in strongly_connected_components(nodes, adj):
+        if is_nontrivial(comp, adj):
             out.update(comp)
     return out
+
+
+def cycle_parities(
+    nodes: set, succ: Mapping, priority: Callable[[Node], int]
+) -> set[int]:
+    """Parities (0/1) of the maximum priorities of the cycles inside
+    `nodes`.
+
+    A nontrivial SCC has a cycle through its top priority; every other
+    cycle in it avoids the top-priority nodes, so the search goes on
+    below the top until both parities are found or nothing cycles.
+    """
+    found: set[int] = set()
+    pending = [set(nodes)]
+    while pending and len(found) < 2:
+        sub = pending.pop()
+        adj = _restricted(sub, succ)
+        for comp in strongly_connected_components(sub, adj):
+            if not is_nontrivial(comp, adj):
+                continue
+            top = max(priority(n) for n in comp)
+            found.add(top % 2)
+            below = {n for n in comp if priority(n) < top}
+            if below:
+                pending.append(below)
+    return found
 
 
 def parity_cycle_nodes(

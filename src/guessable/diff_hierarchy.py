@@ -31,9 +31,9 @@ from .guesser import (
     RankedGuesser,
     check_bound,
     flip_outputs,
-    mind_change_rank,
     synthesize,
 )
+from .remainder import remainder_chain
 
 
 class ChainNotIncreasingError(ValueError):
@@ -336,13 +336,13 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
     reach = sorted(g.reachable_states())
     renumber = {q: i for i, q in enumerate(reach)}
     alpha_n = alpha.to_int()
+    delta = tuple(
+        tuple(renumber[g.delta[q][a]] for a in range(g.alphabet)) for q in reach
+    )
     members = []
     for eta in range(alpha_n):
-        target = [renumber[q] for q in reach if adjusted.bound[q] <= from_int(eta)]
-        delta = tuple(
-            tuple(renumber[g.delta[q][a]] for a in range(g.alphabet))
-            for q in reach
-        )
+        level = from_int(eta)
+        target = [renumber[q] for q in reach if adjusted.bound[q] <= level]
         members.append(
             make_open(g.alphabet, renumber[g.start], delta, target)
         )
@@ -365,10 +365,11 @@ def classify(s: ParitySet) -> Classification:
     guesser.  Reports BOTH when the opposite side is also certified by
     an explicit root-repaired construction; this preference is a
     policy of this artifact, not of the theory."""
-    rank = mind_change_rank(s)
+    trace = remainder_chain(s)
+    rank = trace.rank
     if rank is None:
         return Classification(rank=None, side=Side.NEITHER, chain=None)
-    canonical = synthesize(s)
+    canonical = synthesize(s, trace)
     alpha = max(rank.to_int() - 1, 1)
     wide = canonical.with_codomain(from_int(alpha + 1))
     root = canonical.guesser.output[canonical.guesser.start]

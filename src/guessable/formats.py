@@ -22,7 +22,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ordinal import OrdinalCNF, from_text as ordinal_from_text, to_text as ordinal_to_text
+from .ordinal import (
+    ZERO,
+    OrdinalCNF,
+    from_text as ordinal_from_text,
+    to_text as ordinal_to_text,
+)
 from .space import OpenSet, ParitySet, open_from_parity
 from .guesser import MooreGuesser, RankedGuesser
 from .diff_hierarchy import OpenChain
@@ -155,15 +160,16 @@ def parse_automaton(text: str) -> tuple[ParitySet, ParseNotes]:
         text, notes, want_outputs=False
     )
     n = _complete(alphabet, n, table, notes, sink_priority=priorities)
-    return (
-        ParitySet(
+    try:
+        automaton = ParitySet(
             alphabet=alphabet,
             start=start,
             delta=tuple(tuple(row) for row in table),
             priority=tuple(priorities[q] for q in range(n)),
-        ),
-        notes,
-    )
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    return automaton, notes
 
 
 def render_automaton(s: ParitySet) -> str:
@@ -184,18 +190,19 @@ def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], Par
         text, notes, want_outputs=True
     )
     n = _complete(alphabet, n, table, notes, sink_output=outputs)
-    guesser = MooreGuesser(
-        alphabet=alphabet,
-        start=start,
-        delta=tuple(tuple(row) for row in table),
-        output=tuple(outputs[q] for q in range(n)),
-    )
+    try:
+        guesser = MooreGuesser(
+            alphabet=alphabet,
+            start=start,
+            delta=tuple(tuple(row) for row in table),
+            output=tuple(outputs[q] for q in range(n)),
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     ranked = None
     if bounds or codomain is not None:
         if codomain is None:
             raise FormatError("bound lines need a codomain line")
-        from .ordinal import ZERO
-
         bound = tuple(bounds.get(q, ZERO) for q in range(n))
         ranked = RankedGuesser(guesser=guesser, bound=bound, codomain=codomain)
     return guesser, ranked, notes

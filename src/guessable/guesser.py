@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import (
-    can_reach_parity_cycle,
     forward_closure,
     is_nontrivial,
     shortest_word_path,
@@ -25,7 +24,7 @@ from .cycles import (
 )
 from .ordinal import OrdinalCNF, pred
 from .space import AlphabetMismatchError, ParitySet, UPWord, Word, membership_up
-from .remainder import remainder_chain
+from .remainder import RemainderTrace, remainder_chain
 
 
 class NotGuessableError(ValueError):
@@ -185,15 +184,12 @@ def mind_change_rank(s: ParitySet) -> Optional[OrdinalCNF]:
     """Least stage at which the word chain empties; None when the set is
     not guessable.  This equals the least alpha such that the set is
     guessable with fewer than alpha mind changes."""
-    trace = remainder_chain(s)
-    if not trace.guessable:
-        return None
-    rank = trace.state_rank[s.start]
-    assert isinstance(rank, OrdinalCNF)
-    return rank
+    return remainder_chain(s).rank
 
 
-def synthesize(s: ParitySet) -> RankedGuesser:
+def synthesize(
+    s: ParitySet, trace: Optional[RemainderTrace] = None
+) -> RankedGuesser:
     """Build the canonical guesser from the remainder chain.
 
     Per automaton state q with rank r, infinite continuations inside
@@ -202,33 +198,24 @@ def synthesize(s: ParitySet) -> RankedGuesser:
     output, realised by pairing states with the last output bit (the
     root with no continuations outputs 0).  The bound of a state is
     its rank minus one; the codomain is the stabilization index.
+    A trace of `s` already at hand can be passed in; it is not
+    recomputed.
     """
-    trace = remainder_chain(s)
+    if trace is None:
+        trace = remainder_chain(s)
     if not trace.guessable:
         raise NotGuessableError("fixpoint is nonempty; no guesser exists")
-    succ = s.successors()
-    prio = lambda q: s.priority[q]
 
-    survivors_cache: dict[int, tuple[set, set]] = {}
-
-    def continuations(stage_index: int) -> tuple[set, set]:
-        if stage_index not in survivors_cache:
-            stage = set(trace.stage(stage_index))
-            survivors_cache[stage_index] = (
-                can_reach_parity_cycle(stage, succ, prio, want=0),
-                can_reach_parity_cycle(stage, succ, prio, want=1),
-            )
-        return survivors_cache[stage_index]
-
+    # inside stage r-1 a state reaches an accepting cycle iff the best
+    # accepting rank below it is at least r
     decision: dict[int, Optional[int]] = {}
-    for q in trace.state_rank:
-        r = trace.state_rank[q]
-        assert isinstance(r, OrdinalCNF)
-        acc_set, rej_set = continuations(pred(r).to_int())
-        acc, rej = q in acc_set, q in rej_set
-        if acc and rej:
-            raise AssertionError("state past its rank keeps both continuations")
-        decision[q] = 1 if acc else 0 if rej else None
+    for q, r in trace.state_rank.items():
+        if trace.accept_rank[q] >= r:
+            decision[q] = 1
+        elif trace.reject_rank[q] >= r:
+            decision[q] = 0
+        else:
+            decision[q] = None
 
     def out_for(q: int, prev: int) -> int:
         d = decision[q]

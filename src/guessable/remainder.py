@@ -6,6 +6,13 @@ an accepting continuation and a rejecting one.  The chain strictly
 shrinks until it reaches its fixpoint; the set is guessable exactly
 when the fixpoint is empty.
 
+Every stage is closed under predecessors, so it drops whole strongly
+connected components, and a component's rank follows from the ranks
+of the components it reaches.  The ranks are therefore computed in one
+pass over the SCC condensation; only the cycle-parity test looks
+inside a component.  The literal stage-by-stage iteration survives
+only as the reference in the oracle module.
+
 The word-level meaning is recovered through a correspondence this
 module commits to and the oracle module cross-checks: a finite word
 belongs to the stage-beta set iff every state along its run (start
@@ -15,10 +22,16 @@ is the least stage at which some run state has fallen out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .cycles import can_reach_parity_cycle, cycle_nodes, forward_closure
+from .cycles import (
+    cycle_nodes,
+    cycle_parities,
+    forward_closure,
+    strongly_connected_components,
+)
 from .ordinal import INFINITY, OrdinalCNF, Rank, from_int
 from .space import ParitySet, Word
 
@@ -30,13 +43,19 @@ class RemainderTrace:
     `alpha_s` is the stabilization index: the least stage equal to its
     successor.  `state_rank` maps each reachable state to the least
     stage it does not survive, or INFINITY for fixpoint states; every
-    finite rank is a successor.
+    finite rank is a successor.  `accept_rank` and `reject_rank` map a
+    state to the highest rank of a state on an accepting (even maximum)
+    or rejecting (odd maximum) cycle reachable from it, or 0 when there
+    is none: inside stage i a state still reaches such a cycle iff the
+    value exceeds i.
     """
 
     subject: ParitySet
     chain: tuple[frozenset[int], ...]
     alpha_s: OrdinalCNF
     state_rank: Mapping[int, Rank]
+    accept_rank: Mapping[int, Rank]
+    reject_rank: Mapping[int, Rank]
 
     @property
     def fixpoint(self) -> frozenset[int]:
@@ -45,6 +64,16 @@ class RemainderTrace:
     @property
     def guessable(self) -> bool:
         return not self.fixpoint
+
+    @property
+    def rank(self) -> Optional[OrdinalCNF]:
+        """The mind-change rank: the start state's rank, or None when the
+        set is not guessable."""
+        if not self.guessable:
+            return None
+        rank = self.state_rank[self.subject.start]
+        assert isinstance(rank, OrdinalCNF)
+        return rank
 
     def stage(self, alpha: "OrdinalCNF | int") -> frozenset[int]:
         """The stage-alpha state set; indices beyond the fixpoint clamp."""
@@ -69,41 +98,64 @@ class RemainderTrace:
 
 
 def remainder_chain(s: ParitySet) -> RemainderTrace:
-    """Iterate the both-continuations step to its fixpoint.
+    """The chain and every rank in one pass over the SCC condensation.
 
     Unreachable states are pruned first; emptiness of the fixpoint is
     a statement about words, and words only see reachable states.
+    Tarjan emits components sinks first, so the best accepting and
+    rejecting ranks below a component are known when it is reached.
+    A mixed component never falls; an accepting one falls one stage
+    after the best rejecting component below it, a rejecting one one
+    stage after the best accepting one, and a transient one one stage
+    after the worse of the two.
     """
     reach = s.reachable_states()
     succ = s.successors()
-    prio = lambda q: s.priority[q]
-
-    chain = [frozenset(reach)]
-    current = frozenset(reach)
-    while True:
-        acc = can_reach_parity_cycle(set(current), succ, prio, want=0)
-        rej = can_reach_parity_cycle(set(current), succ, prio, want=1)
-        nxt = frozenset(acc & rej)
-        if nxt == current:
-            break
-        chain.append(nxt)
-        current = nxt
-
-    fixpoint = chain[-1]
-    ranks: dict[int, Rank] = {}
-    for q in reach:
-        if q in fixpoint:
-            ranks[q] = INFINITY
+    prio = s.priority.__getitem__
+    rank: dict[int, float] = {}
+    acc: dict[int, float] = {}
+    rej: dict[int, float] = {}
+    for comp in strongly_connected_components(reach, succ):
+        members = set(comp)
+        a = r = 0
+        for q in comp:
+            for nq in succ[q]:
+                if nq not in members:
+                    a = max(a, acc[nq])
+                    r = max(r, rej[nq])
+        kinds = cycle_parities(members, succ, prio)
+        if len(kinds) == 2:
+            rk = a = r = math.inf
+        elif 0 in kinds:
+            rk = a = 1 + r
+        elif 1 in kinds:
+            rk = r = 1 + a
         else:
-            for i, stage in enumerate(chain):
-                if q not in stage:
-                    ranks[q] = from_int(i)
-                    break
+            rk = 1 + min(a, r)
+        for q in comp:
+            rank[q], acc[q], rej[q] = rk, a, r
+
+    top = max((rk for rk in rank.values() if rk != math.inf), default=0)
+    by_rank: dict[float, list[int]] = {}
+    for q, rk in rank.items():
+        by_rank.setdefault(rk, []).append(q)
+    current = set(by_rank.get(math.inf, ()))
+    chain = [frozenset(current)]
+    for i in range(top, 0, -1):
+        current.update(by_rank.get(i, ()))
+        chain.append(frozenset(current))
+    chain.reverse()
+
+    ordinals = {math.inf: INFINITY}
+    for v in {*rank.values(), *acc.values(), *rej.values()} - {math.inf}:
+        ordinals[v] = from_int(v)
     return RemainderTrace(
         subject=s,
         chain=tuple(chain),
-        alpha_s=from_int(len(chain) - 1),
-        state_rank=ranks,
+        alpha_s=from_int(top),
+        state_rank={q: ordinals[rank[q]] for q in sorted(reach)},
+        accept_rank={q: ordinals[acc[q]] for q in sorted(reach)},
+        reject_rank={q: ordinals[rej[q]] for q in sorted(reach)},
     )
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .cycles import forward_closure, parity_cycle_nodes
+from .cycles import cycle_nodes, forward_closure, parity_cycle_nodes
 
 Word = tuple[int, ...]
 
@@ -551,8 +551,29 @@ def open_union(a: OpenSet, b: OpenSet) -> OpenSet:
 
 
 def open_subset(a: OpenSet, b: OpenSet) -> bool:
-    """True iff every point of a lies in b."""
-    return is_empty(product_boolean(a.to_parity(), b.to_parity(), "diff"))
+    """True iff every point of a lies in b.
+
+    Both targets are absorbing, so a point of a outside b has a run in
+    the plain pair product that eventually stays among pairs inside
+    a's target and outside b's; such a run exists iff those reachable
+    pairs carry a cycle.
+    """
+    k = _check_alphabets(a.automaton, b.automaton)
+    da, db = a.automaton.delta, b.automaton.delta
+    start = (a.automaton.start, b.automaton.start)
+    succ: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node in succ:
+            continue
+        qa, qb = node
+        succ[node] = tuple((da[qa][x], db[qb][x]) for x in range(k))
+        stack.extend(succ[node])
+    escaping = {
+        pair for pair in succ if pair[0] in a.target and pair[1] not in b.target
+    }
+    return not cycle_nodes(escaping, succ)
 
 
 def up_in_open(a: OpenSet, w: UPWord) -> int:

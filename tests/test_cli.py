@@ -71,6 +71,29 @@ class TestRank:
         code, _, err = run(capsys, ["rank", "/nonexistent/file.aut"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "alphabet 2\nstates 2\nstart 5\npriority 0 0\npriority 1 1\n",
+            "alphabet 2\nstates 2\nstart 0\npriority 0 0\npriority 1 -1\n",
+            "alphabet 1\nstates 1\nstart 0\npriority 0 0\ntrans 0 0 0\n",
+        ],
+        ids=["start-out-of-range", "negative-priority", "alphabet-1"],
+    )
+    def test_invalid_automaton_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.aut"
+        bad.write_text(text)
+        code, _, err = run(capsys, ["rank", str(bad)])
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_invalid_guesser_exits_2(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.guess"
+        bad.write_text("alphabet 2\nstates 1\nstart 3\noutput 0 0\n")
+        code, _, err = run(capsys, ["verify", str(bad), files["F_ONE"]])
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestRemainderTrace:
     def test_stage_lines(self, files, capsys):
