@@ -104,6 +104,4 @@ from .oracle import (
     truncated_remainder,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
-
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .cycles import explore
 from .space import (
     AlphabetMismatchError,
     ParitySet,
@@ -181,32 +182,25 @@ def cylinder_simulation(guesser: MooreGuesser, alphabet: int) -> BitGuesser:
     symbol 0; they never arise from real points.
     """
     k = alphabet
-    start = (guesser.start, 0, None)
-    index: dict[tuple[int, int, Optional[int]], int] = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        p, pos, decoded = order[i]
-        row = []
+
+    def successors(key: tuple[int, int, Optional[int]]):
+        p, pos, decoded = key
+        out = []
         for bit in (0, 1):
             dec = decoded
             if bit == 1 and dec is None:
                 dec = pos
             if pos + 1 == k:
                 symbol = dec if dec is not None else 0
-                key = (guesser.delta[p][symbol], 0, None)
+                out.append((guesser.delta[p][symbol], 0, None))
             else:
-                key = (p, pos + 1, dec)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            row.append(index[key])
-        rows.append(row)
-        i += 1
+                out.append((p, pos + 1, dec))
+        return out
+
+    order, rows = explore((guesser.start, 0, None), successors)
     return MooreGuesser(
         alphabet=2,
         start=0,
-        delta=tuple(tuple(r) for r in rows),
+        delta=tuple(rows),
         output=tuple(guesser.output[p] for p, _, _ in order),
     )

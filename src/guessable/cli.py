@@ -31,7 +31,12 @@ from .guesser import (
     synthesize,
     verify_on_up,
 )
-from .oracle import cross_validate, exhaustive_tables, sample_tables
+from .oracle import (
+    BudgetExceededError,
+    cross_validate,
+    exhaustive_tables,
+    sample_tables,
+)
 from .ordinal import to_text as ordinal_text
 from .remainder import remainder_chain
 from .space import (
@@ -115,7 +120,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     guesser, _ = _load_guesser(args.guesser)
     automaton = _load_automaton(args.set)
     witness = divergence_witness(guesser, automaton)
@@ -133,14 +138,6 @@ def _verify(args: argparse.Namespace) -> int:
                 return 1
         print(f"words={len(words)}")
     return 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    return _verify(args)
-
-
-def cmd_witness(args: argparse.Namespace) -> int:
-    return _verify(args)
 
 
 def _write_chain(chain, out_dir: str, stem: str) -> str:
@@ -244,6 +241,9 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.k < 2 or args.d < 0:
+        print("error: oracle check needs --k >= 2 and --d >= 0", file=sys.stderr)
+        return 2
     if args.exhaustive or args.samples == 0:
         tables = exhaustive_tables(args.k, args.d)
     else:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="search for a diverging point")
     p.add_argument("guesser")
     p.add_argument("set")
-    p.set_defaults(func=cmd_witness)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diff", help="difference hierarchy conversions")
     diff_sub = p.add_subparsers(dest="diff_command", required=True)
@@ -374,6 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (
         formats.FormatError,
         AlphabetMismatchError,
+        BudgetExceededError,
         ChainNotIncreasingError,
         OSError,
     ) as exc:

@@ -4,6 +4,12 @@ Everything here works on an explicit node set plus a successor map
 ``succ[node] -> iterable of nodes``; edges leaving the node set are
 ignored.  Nodes must be hashable and sortable so that all outputs are
 deterministic.
+
+`explore` is the one builder of reachable products: it numbers the
+keys reachable from a start key in breadth-first discovery order and
+returns the numbered transition rows, from which every product
+construction (boolean products, the canonical guesser, level sets,
+chain and bound conversions) assembles its machine.
 """
 
 from __future__ import annotations
@@ -11,6 +17,32 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Node = Hashable
+
+
+def explore(
+    start: Node, successors: Callable[[Node], Iterable[Node]]
+) -> tuple[list[Node], list[tuple[int, ...]]]:
+    """Number the keys reachable from `start` in breadth-first discovery
+    order.
+
+    `successors(key)` lists a key's successors in symbol order; it is
+    called exactly once per key, in numbering order, so it may record
+    per-key labels as it goes.  Returns `(order, rows)`: `order[i]` is
+    the key numbered i and `rows[i]` the numbers of its successors.
+    """
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for key in order:  # grows while it is walked
+        row = []
+        for nxt in successors(key):
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+        rows.append(tuple(row))
+    return order, rows
 
 
 def _restricted(nodes: set, succ: Mapping) -> dict:

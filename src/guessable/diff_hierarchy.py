@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import backward_closure, cycle_nodes
+from .cycles import backward_closure, cycle_nodes, explore
 from .ordinal import OrdinalCNF, congruent, from_int, parity, pred, succ
 from .space import (
     OpenSet,
@@ -96,42 +96,33 @@ def d_theta(chain: OpenChain) -> ParitySet:
     membership rule exactly.
     """
     theta = chain.theta_int
-    k = chain.alphabet
-    members = [m.automaton for m in chain.sets]
     targets = [m.target for m in chain.sets]
 
-    def least_index(profile: tuple[int, ...]) -> Optional[int]:
+    def prio(profile: tuple[int, ...]) -> int:
         for eta, q in enumerate(profile):
             if q in targets[eta]:
-                return eta
-        return None
+                return 2 if parity(from_int(eta)) != theta % 2 else 1
+        return 1
 
-    start = tuple(m.start for m in members)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    prio: list[int] = []
-    i = 0
-    while i < len(order):
-        profile = order[i]
-        eta = least_index(profile)
-        good = eta is not None and parity(from_int(eta)) != theta % 2
-        prio.append(2 if good else 1)
-        row = []
-        for a in range(k):
-            nxt = tuple(m.delta[q][a] for m, q in zip(members, profile))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-        i += 1
+    order, rows = _profiles(chain)
     return ParitySet(
-        alphabet=k,
+        alphabet=chain.alphabet,
         start=0,
-        delta=tuple(tuple(r) for r in rows),
-        priority=tuple(prio),
+        delta=tuple(rows),
+        priority=tuple(prio(profile) for profile in order),
     )
+
+
+def _profiles(chain: OpenChain) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The reachable product of the chain members, one state per member,
+    numbered by `explore`."""
+    deltas = [m.automaton.delta for m in chain.sets]
+    k = chain.alphabet
+
+    def successors(profile: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [tuple(d[q][a] for d, q in zip(deltas, profile)) for a in range(k)]
+
+    return explore(tuple(m.automaton.start for m in chain.sets), successors)
 
 
 def _forced_states(member: OpenSet) -> set[int]:
@@ -155,8 +146,6 @@ def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
     the codomain is theta+1.
     """
     theta = chain.theta_int
-    k = chain.alphabet
-    members = [m.automaton for m in chain.sets]
     forced = [_forced_states(m) for m in chain.sets]
 
     def eta_of(profile: tuple[int, ...]) -> Optional[int]:
@@ -165,23 +154,7 @@ def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
                 return eta
         return None
 
-    start = tuple(m.start for m in members)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        profile = order[i]
-        row = []
-        for a in range(k):
-            nxt = tuple(m.delta[q][a] for m, q in zip(members, profile))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-        i += 1
-
+    order, rows = _profiles(chain)
     outputs = []
     bounds = []
     for profile in order:
@@ -193,10 +166,7 @@ def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
             outputs.append(0 if eta % 2 == theta % 2 else 1)
             bounds.append(from_int(eta))
     guesser = MooreGuesser(
-        alphabet=k,
-        start=0,
-        delta=tuple(tuple(r) for r in rows),
-        output=tuple(outputs),
+        alphabet=chain.alphabet, start=0, delta=tuple(rows), output=tuple(outputs)
     )
     return RankedGuesser(
         guesser=guesser, bound=tuple(bounds), codomain=from_int(theta + 1)
@@ -215,32 +185,24 @@ def normalize_h(rg: RankedGuesser) -> RankedGuesser:
     if not check_bound(rg):
         raise BoundViolationError("input fails its bound conditions")
     g = rg.guesser
-    start_key = (g.start, rg.bound[g.start])
-    index = {start_key: 0}
-    order = [start_key]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        p, held = order[i]
-        row = []
-        for a in range(g.alphabet):
-            np = g.delta[p][a]
+
+    def successors(key: tuple[int, OrdinalCNF]) -> list[tuple[int, OrdinalCNF]]:
+        p, held = key
+        out = []
+        for np in g.delta[p]:
             if g.output[np] == g.output[p]:
                 value = held
             else:
                 raw = rg.bound[np]
                 value = raw if parity(raw) != parity(held) else succ(raw)
-            key = (np, value)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            row.append(index[key])
-        rows.append(row)
-        i += 1
+            out.append((np, value))
+        return out
+
+    order, rows = explore((g.start, rg.bound[g.start]), successors)
     guesser = MooreGuesser(
         alphabet=g.alphabet,
         start=0,
-        delta=tuple(tuple(r) for r in rows),
+        delta=tuple(rows),
         output=tuple(g.output[p] for p, _ in order),
     )
     out = RankedGuesser(
@@ -256,21 +218,7 @@ def normalize_h(rg: RankedGuesser) -> RankedGuesser:
 def bound_limit_on_up(rg: RankedGuesser, w: UPWord) -> OrdinalCNF:
     """Eventual bound value along an ultimately periodic word.  The
     bound never increases, so it is constant on the period cycle."""
-    g = rg.guesser
-    q = g.state_after(w.prefix)
-    seen = {q}
-    while True:
-        for a in w.period:
-            q = g.delta[q][a]
-        if q in seen:
-            break
-        seen.add(q)
-    values = set()
-    p = q
-    values.add(rg.bound[p])
-    for a in w.period:
-        p = g.delta[p][a]
-        values.add(rg.bound[p])
+    values = {rg.bound[q] for q in rg.guesser.period_window(w)}
     if len(values) != 1:
         raise AssertionError("bound oscillates on a cycle")
     return values.pop()
@@ -294,20 +242,26 @@ def make_anticongruent(rg: RankedGuesser) -> RankedGuesser:
         bumped = succ(h0)
         if not bumped < rg.codomain:
             raise AssertionError("root bump escaped the codomain")
-        n = g.n_states
-        delta = g.delta + (g.delta[g.start],)
-        output = g.output + (g0,)
-        bound = rg.bound + (bumped,)
-        rg = RankedGuesser(
-            guesser=MooreGuesser(
-                alphabet=g.alphabet, start=n, delta=delta, output=output
-            ),
-            bound=bound,
-            codomain=rg.codomain,
-        )
+        rg = _split_root(rg, g0, bumped)
         if not check_bound(rg):
             raise BoundViolationError("root adjustment broke the bound")
     return normalize_h(rg)
+
+
+def _split_root(rg: RankedGuesser, output: int, bound: OrdinalCNF) -> RankedGuesser:
+    """A copy of the start state with its own output and bound, made the
+    new start; the old start stays for the runs that come back to it."""
+    g = rg.guesser
+    return RankedGuesser(
+        guesser=MooreGuesser(
+            alphabet=g.alphabet,
+            start=g.n_states,
+            delta=g.delta + (g.delta[g.start],),
+            output=g.output + (output,),
+        ),
+        bound=rg.bound + (bound,),
+        codomain=rg.codomain,
+    )
 
 
 def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
@@ -404,20 +358,10 @@ def _attempt_root_zero_chain(
     by equivalence with the target, or give up."""
     g = rg.guesser
     if g.output[g.start] != 0:
-        n = g.n_states
         candidate = rg.bound[g.start]
         repaired = None
         while candidate < rg.codomain:
-            trial = RankedGuesser(
-                guesser=MooreGuesser(
-                    alphabet=g.alphabet,
-                    start=n,
-                    delta=g.delta + (g.delta[g.start],),
-                    output=g.output + (0,),
-                ),
-                bound=rg.bound + (candidate,),
-                codomain=rg.codomain,
-            )
+            trial = _split_root(rg, 0, candidate)
             if check_bound(trial):
                 repaired = trial
                 break

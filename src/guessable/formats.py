@@ -28,7 +28,7 @@ from .ordinal import (
     from_text as ordinal_from_text,
     to_text as ordinal_to_text,
 )
-from .space import OpenSet, ParitySet, open_from_parity
+from .space import Machine, OpenSet, ParitySet, open_from_parity
 from .guesser import MooreGuesser, RankedGuesser
 from .diff_hierarchy import OpenChain
 from .based_guessing import OracleFamily, cylinders_family, explicit_family
@@ -55,6 +55,11 @@ def _lines(text: str) -> list[list[str]]:
         if line:
             rows.append(line.split())
     return rows
+
+
+def _bad_line(row: list[str], exc: Exception) -> FormatError:
+    """A directive line with missing or malformed arguments."""
+    return FormatError(f"bad line {' '.join(row)!r}: {exc}")
 
 
 def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
@@ -91,23 +96,16 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
                 trans.append((int(args[0]), int(args[1]), int(args[2])))
             else:
                 raise FormatError(f"unknown directive {key!r}")
+        except FormatError:
+            raise
         except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"bad line {' '.join(row)!r}: {exc}") from exc
+            raise _bad_line(row, exc) from exc
     if alphabet is None or n_states is None:
         raise FormatError("missing alphabet or states directive")
     if acceptance not in ("max-even", "min-even"):
         raise FormatError(f"unknown acceptance convention {acceptance!r}")
-    table: list[list[Optional[int]]] = [
-        [None] * alphabet for _ in range(n_states)
-    ]
-    for q, a, nq in trans:
-        if not (0 <= q < n_states and 0 <= a < alphabet and 0 <= nq < n_states):
-            raise FormatError(f"transition {q} {a} {nq} out of range")
-        if table[q][a] is not None:
-            raise FormatError(f"duplicate transition for state {q} symbol {a}")
-        table[q][a] = nq
+    # every state needs its own label line, so a state count beyond the
+    # label lines fails here, before a table of that size is built
     if want_outputs:
         for q in range(n_states):
             if q not in outputs:
@@ -118,6 +116,15 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
         for q in range(n_states):
             if q not in priorities:
                 raise FormatError(f"missing priority for state {q}")
+    table: list[list[Optional[int]]] = [
+        [None] * alphabet for _ in range(n_states)
+    ]
+    for q, a, nq in trans:
+        if not (0 <= q < n_states and 0 <= a < alphabet and 0 <= nq < n_states):
+            raise FormatError(f"transition {q} {a} {nq} out of range")
+        if table[q][a] is not None:
+            raise FormatError(f"duplicate transition for state {q} symbol {a}")
+        table[q][a] = nq
     if acceptance == "min-even" and not want_outputs:
         top = max(priorities.values(), default=0)
         bound = top if top % 2 == 0 else top + 1
@@ -224,6 +231,18 @@ def render_guesser(
     return "\n".join(out) + "\n"
 
 
+def _load_member(
+    base_dir: str, words: list[str], notes: ParseNotes
+) -> tuple[str, ParitySet]:
+    """Parse the member automaton named by `words`, relative to the file
+    that names it; its notes are kept with its path in front."""
+    path = os.path.join(base_dir, " ".join(words))
+    with open(path, "r", encoding="utf-8") as handle:
+        automaton, sub_notes = parse_automaton(handle.read())
+    notes.messages.extend(f"{path}: {m}" for m in sub_notes.messages)
+    return path, automaton
+
+
 def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
     """Chain file: a `theta n` header then one `set <index> <path>` line
     per member, paths relative to the chain file."""
@@ -232,22 +251,24 @@ def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
     members: dict[int, OpenSet] = {}
     for row in _lines(text):
         key, args = row[0], row[1:]
-        if key == "theta":
-            theta = int(args[0])
-        elif key == "set":
-            idx = int(args[0])
-            path = os.path.join(base_dir, " ".join(args[1:]))
-            with open(path, "r", encoding="utf-8") as handle:
-                automaton, sub_notes = parse_automaton(handle.read())
-            notes.messages.extend(
-                f"{path}: {m}" for m in sub_notes.messages
-            )
-            try:
-                members[idx] = open_from_parity(automaton)
-            except ValueError as exc:
-                raise FormatError(f"{path}: not an open set automaton: {exc}")
-        else:
-            raise FormatError(f"unknown directive {key!r} in chain file")
+        try:
+            if key == "theta":
+                theta = int(args[0])
+            elif key == "set":
+                idx = int(args[0])
+                path, automaton = _load_member(base_dir, args[1:], notes)
+                try:
+                    members[idx] = open_from_parity(automaton)
+                except ValueError as exc:
+                    raise FormatError(
+                        f"{path}: not an open set automaton: {exc}"
+                    )
+            else:
+                raise FormatError(f"unknown directive {key!r} in chain file")
+        except FormatError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise _bad_line(row, exc) from exc
     if theta is None:
         raise FormatError("missing theta header")
     if sorted(members) != list(range(theta)):
@@ -267,26 +288,28 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
     <path>` member lines, or `family cylinders <k>`."""
     notes = ParseNotes()
     kind = None
-    k = None
+    cylinders: Optional[OracleFamily] = None
     prefix: list[ParitySet] = []
     cycle: list[ParitySet] = []
     for row in _lines(text):
         key, args = row[0], row[1:]
-        if key == "family":
-            kind = args[0]
-            if kind == "cylinders":
-                k = int(args[1])
-        elif key in ("prefix", "cycle"):
-            path = os.path.join(base_dir, " ".join(args))
-            with open(path, "r", encoding="utf-8") as handle:
-                automaton, sub_notes = parse_automaton(handle.read())
-            notes.messages.extend(f"{path}: {m}" for m in sub_notes.messages)
-            (prefix if key == "prefix" else cycle).append(automaton)
-        else:
-            raise FormatError(f"unknown directive {key!r} in family file")
+        try:
+            if key == "family":
+                kind = args[0]
+                if kind == "cylinders":
+                    cylinders = cylinders_family(int(args[1]))
+            elif key in ("prefix", "cycle"):
+                _, automaton = _load_member(base_dir, args, notes)
+                (prefix if key == "prefix" else cycle).append(automaton)
+            else:
+                raise FormatError(f"unknown directive {key!r} in family file")
+        except FormatError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise _bad_line(row, exc) from exc
     if kind == "cylinders":
-        assert k is not None
-        return cylinders_family(k), notes
+        assert cylinders is not None
+        return cylinders, notes
     if kind == "explicit":
         if not cycle:
             raise FormatError("explicit family needs at least one cycle member")
@@ -294,34 +317,27 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
     raise FormatError("missing or unknown family directive")
 
 
-def to_dot(s: ParitySet, name: str = "aut") -> str:
-    """GraphViz rendering with priorities as labels."""
+def _dot(m: Machine, name: str, labels: list[str]) -> str:
     out = [f"digraph {name} {{", "  rankdir=LR;", '  init [shape=point, label=""];']
-    for q in range(s.n_states):
-        out.append(f'  q{q} [shape=circle, label="q{q}\\np={s.priority[q]}"];')
-    out.append(f"  init -> q{s.start};")
-    for q in range(s.n_states):
+    for q in range(m.n_states):
+        out.append(f'  q{q} [shape=circle, label="q{q}\\n{labels[q]}"];')
+    out.append(f"  init -> q{m.start};")
+    for q in range(m.n_states):
         by_target: dict[int, list[int]] = {}
-        for a in range(s.alphabet):
-            by_target.setdefault(s.delta[q][a], []).append(a)
+        for a in range(m.alphabet):
+            by_target.setdefault(m.delta[q][a], []).append(a)
         for nq in sorted(by_target):
             label = ",".join(str(a) for a in by_target[nq])
             out.append(f'  q{q} -> q{nq} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def to_dot(s: ParitySet, name: str = "aut") -> str:
+    """GraphViz rendering with priorities as labels."""
+    return _dot(s, name, [f"p={p}" for p in s.priority])
 
 
 def guesser_to_dot(g: MooreGuesser, name: str = "guesser") -> str:
-    out = [f"digraph {name} {{", "  rankdir=LR;", '  init [shape=point, label=""];']
-    for q in range(g.n_states):
-        out.append(f'  q{q} [shape=circle, label="q{q}\\nout={g.output[q]}"];')
-    out.append(f"  init -> q{g.start};")
-    for q in range(g.n_states):
-        by_target: dict[int, list[int]] = {}
-        for a in range(g.alphabet):
-            by_target.setdefault(g.delta[q][a], []).append(a)
-        for nq in sorted(by_target):
-            label = ",".join(str(a) for a in by_target[nq])
-            out.append(f'  q{q} -> q{nq} [label="{label}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+    """GraphViz rendering with outputs as labels."""
+    return _dot(g, name, [f"out={b}" for b in g.output])

@@ -17,13 +17,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import (
-    forward_closure,
+    explore,
     is_nontrivial,
     shortest_word_path,
     strongly_connected_components,
 )
 from .ordinal import OrdinalCNF, pred
-from .space import AlphabetMismatchError, ParitySet, UPWord, Word, membership_up
+from .space import (
+    AlphabetMismatchError,
+    Machine,
+    ParitySet,
+    UPWord,
+    Word,
+    membership_up,
+)
 from .remainder import RemainderTrace, remainder_chain
 
 
@@ -32,56 +39,22 @@ class NotGuessableError(ValueError):
 
 
 @dataclass(frozen=True)
-class MooreGuesser:
+class MooreGuesser(Machine):
     """Deterministic machine with an output bit per state.
 
     The opinion on a word is the output of the state it reaches; the
     opinion at the empty word is the start state's output.
     """
 
-    alphabet: int
-    start: int
-    delta: tuple[tuple[int, ...], ...]
     output: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.delta)
-        if self.alphabet < 2:
-            raise ValueError("alphabet size must be >= 2")
+    def _check_label_count(self, n: int) -> None:
         if len(self.output) != n:
             raise ValueError("output map must cover every state")
-        if not 0 <= self.start < n:
-            raise ValueError("start state out of range")
-        for q, row in enumerate(self.delta):
-            if len(row) != self.alphabet:
-                raise ValueError(f"state {q} is missing transitions")
-            for nxt in row:
-                if not 0 <= nxt < n:
-                    raise ValueError(f"transition target {nxt} out of range")
+
+    def _check_label_values(self) -> None:
         if any(b not in (0, 1) for b in self.output):
             raise ValueError("outputs must be bits")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.delta)
-
-    def state_after(self, word: Word) -> int:
-        q = self.start
-        for a in word:
-            q = self.delta[q][a]
-        return q
-
-    def run_states(self, word: Word) -> list[int]:
-        q = self.start
-        states = [q]
-        for a in word:
-            q = self.delta[q][a]
-            states.append(q)
-        return states
-
-    def reachable_states(self) -> set[int]:
-        succ = {q: tuple(self.delta[q]) for q in range(self.n_states)}
-        return forward_closure([self.start], set(range(self.n_states)), succ)
 
 
 @dataclass(frozen=True)
@@ -117,31 +90,8 @@ def limit_on_up(g: MooreGuesser, w: UPWord) -> Optional[int]:
     """Eventual opinion along an ultimately periodic word: the constant
     output on the guesser's period cycle, or None when the outputs on
     the cycle disagree (the opinion diverges)."""
-    if w.max_symbol >= g.alphabet:
-        raise AlphabetMismatchError(
-            f"word uses symbol {w.max_symbol} outside alphabet {g.alphabet}"
-        )
-    q = g.state_after(w.prefix)
-    seen = {q: 0}
-    blocks = [q]
-    while True:
-        for a in w.period:
-            q = g.delta[q][a]
-        if q in seen:
-            first = seen[q]
-            break
-        seen[q] = len(blocks)
-        blocks.append(q)
-    outputs = set()
-    for block_start in blocks[first:]:
-        p = block_start
-        outputs.add(g.output[p])
-        for a in w.period:
-            p = g.delta[p][a]
-            outputs.add(g.output[p])
-    if len(outputs) == 1:
-        return outputs.pop()
-    return None
+    outputs = {g.output[q] for q in g.period_window(w)}
+    return outputs.pop() if len(outputs) == 1 else None
 
 
 def verify_on_up(g: MooreGuesser, s: ParitySet, w: UPWord) -> bool:
@@ -221,25 +171,11 @@ def synthesize(
         d = decision[q]
         return prev if d is None else d
 
-    root_out = out_for(s.start, 0)
-    start_key = (s.start, root_out)
-    index = {start_key: 0}
-    order = [start_key]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        q, b = order[i]
-        row = []
-        for a in range(s.alphabet):
-            nq = s.delta[q][a]
-            key = (nq, out_for(nq, b))
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            row.append(index[key])
-        rows.append(row)
-        i += 1
+    def successors(key: tuple[int, int]) -> list[tuple[int, int]]:
+        q, b = key
+        return [(nq, out_for(nq, b)) for nq in s.delta[q]]
 
+    order, rows = explore((s.start, out_for(s.start, 0)), successors)
     outputs = tuple(b for _, b in order)
     bounds = []
     for q, _ in order:
@@ -247,10 +183,7 @@ def synthesize(
         assert isinstance(r, OrdinalCNF)
         bounds.append(pred(r))
     guesser = MooreGuesser(
-        alphabet=s.alphabet,
-        start=0,
-        delta=tuple(tuple(r) for r in rows),
-        output=outputs,
+        alphabet=s.alphabet, start=0, delta=tuple(rows), output=outputs
     )
     return RankedGuesser(
         guesser=guesser, bound=tuple(bounds), codomain=trace.alpha_s

@@ -7,6 +7,13 @@ the set iff the maximum priority visited infinitely often along its
 run is even.  Membership is evaluated exactly on ultimately periodic
 words; arbitrary sequences are never sampled as if exact.
 
+Every machine, a parity automaton here or a guesser in the guesser
+module, is a `Machine`: one validated deterministic complete
+transition structure with its runs, its reachable states and
+`period_window`, the states a run visits infinitely often on an
+ultimately periodic word.  Exact membership and every other limit on
+such a word are reductions over that window.
+
 The restriction to finite alphabets is deliberate.  The underlying
 theory lives in the infinite-branching sequence space; every statement
 used here is alphabet agnostic, and finite branching is what makes all
@@ -19,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .cycles import cycle_nodes, forward_closure, parity_cycle_nodes
+from .cycles import cycle_nodes, explore, forward_closure, parity_cycle_nodes
 
 Word = tuple[int, ...]
 
@@ -90,22 +97,36 @@ class UPWord:
 
     @classmethod
     def from_literal(cls, text: str) -> "UPWord":
-        """Parse `u(v)`, e.g. `001(10)`; u may be empty: `(10)`."""
+        """Parse `u(v)`, e.g. `001(10)`; u may be empty: `(10)`.
+
+        One digit is one symbol unless the literal contains a `.`;
+        then every symbol is a decimal number followed by `.`, e.g.
+        `10.(1.)` is the symbol 10 followed by 1 forever.
+        """
         text = text.strip()
         if not text.endswith(")") or "(" not in text:
             raise ValueError(f"bad UP word literal {text!r}")
-        upart, vpart = text[:-1].split("(", 1)
-        if "(" in vpart or ")" in upart:
+        parts = text[:-1].split("(", 1)
+        if "." in text:
+            # each symbol ends with its ".", so each part ends in an empty field
+            fields = [part.split(".") for part in parts]
+            if any(f[-1] for f in fields):
+                raise ValueError(f"bad UP word literal {text!r}")
+            fields = [f[:-1] for f in fields]
+        else:
+            fields = [list(part) for part in parts]
+        if not fields[1] or not all(s.isdigit() for f in fields for s in f):
             raise ValueError(f"bad UP word literal {text!r}")
-        u = tuple(int(ch) for ch in upart) if upart else ()
-        if not vpart.isdigit():
-            raise ValueError(f"bad UP word literal {text!r}")
-        v = tuple(int(ch) for ch in vpart)
+        u, v = (tuple(int(s) for s in f) for f in fields)
         return cls(u, v)
 
     def __str__(self) -> str:
-        u = "".join(str(s) for s in self.prefix)
-        v = "".join(str(s) for s in self.period)
+        if self.max_symbol < 10:
+            u = "".join(str(s) for s in self.prefix)
+            v = "".join(str(s) for s in self.period)
+        else:
+            u = "".join(f"{s}." for s in self.prefix)
+            v = "".join(f"{s}." for s in self.period)
         return f"{u}({v})"
 
 
@@ -146,31 +167,27 @@ def canonical_up_words(alphabet: int, count: int) -> list[UPWord]:
     return out
 
 
-# -- parity automata ------------------------------------------------
+# -- machines -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ParitySet:
-    """Deterministic complete parity automaton over {0..alphabet-1}.
+class Machine:
+    """Deterministic complete machine over {0..alphabet-1}.
 
     States are 0..n-1; delta[q][a] is the successor of q on symbol a.
-    A sequence is in the set iff the maximum priority seen infinitely
-    often along its run is even.
+    Subclasses add one label per state and validate it through the
+    two hooks, the count before the transitions and the values after.
     """
 
     alphabet: int
     start: int
     delta: tuple[tuple[int, ...], ...]
-    priority: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.delta)
         if self.alphabet < 2:
             raise ValueError("alphabet size must be >= 2")
-        if n == 0:
-            raise ValueError("automaton needs at least one state")
-        if len(self.priority) != n:
-            raise ValueError("priority map must cover every state")
+        self._check_label_count(n)
         if not 0 <= self.start < n:
             raise ValueError("start state out of range")
         for q, row in enumerate(self.delta):
@@ -179,15 +196,17 @@ class ParitySet:
             for nxt in row:
                 if not 0 <= nxt < n:
                     raise ValueError(f"transition target {nxt} out of range")
-        if any(p < 0 for p in self.priority):
-            raise ValueError("priorities must be non-negative")
+        self._check_label_values()
+
+    def _check_label_count(self, n: int) -> None:
+        pass
+
+    def _check_label_values(self) -> None:
+        pass
 
     @property
     def n_states(self) -> int:
         return len(self.delta)
-
-    def step(self, q: int, a: int) -> int:
-        return self.delta[q][a]
 
     def state_after(self, word: Word) -> int:
         q = self.start
@@ -212,6 +231,56 @@ class ParitySet:
             [self.start], set(range(self.n_states)), self.successors()
         )
 
+    def period_window(self, w: UPWord) -> set[int]:
+        """The states the run on w visits infinitely often.
+
+        Runs the prefix, then whole periods until a period-start state
+        repeats; the periods from the first repeated start on are the
+        cycle the run stays on forever.
+        """
+        if w.max_symbol >= self.alphabet:
+            raise AlphabetMismatchError(
+                f"word uses symbol {w.max_symbol} outside alphabet {self.alphabet}"
+            )
+        delta, period = self.delta, w.period
+        q = self.state_after(w.prefix)
+        seen = {q: 0}
+        starts = [q]
+        while True:
+            for a in period:
+                q = delta[q][a]
+            if q in seen:
+                break
+            seen[q] = len(starts)
+            starts.append(q)
+        window = set()
+        for p in starts[seen[q]:]:
+            for a in period:
+                window.add(p)
+                p = delta[p][a]
+        return window
+
+
+@dataclass(frozen=True)
+class ParitySet(Machine):
+    """Deterministic complete parity automaton over {0..alphabet-1}.
+
+    A sequence is in the set iff the maximum priority seen infinitely
+    often along its run is even.
+    """
+
+    priority: tuple[int, ...]
+
+    def _check_label_count(self, n: int) -> None:
+        if n == 0:
+            raise ValueError("automaton needs at least one state")
+        if len(self.priority) != n:
+            raise ValueError("priority map must cover every state")
+
+    def _check_label_values(self) -> None:
+        if any(p < 0 for p in self.priority):
+            raise ValueError("priorities must be non-negative")
+
 
 def _check_alphabets(*sets: "ParitySet") -> int:
     k = sets[0].alphabet
@@ -234,35 +303,9 @@ def complement(s: ParitySet) -> ParitySet:
 
 
 def membership_up(s: ParitySet, w: UPWord) -> int:
-    """Exact membership of an ultimately periodic word.
-
-    Runs the prefix, then iterates period blocks until the block-start
-    state repeats; the states inside the repeating block window are
-    exactly those visited infinitely often.
-    """
-    if w.max_symbol >= s.alphabet:
-        raise AlphabetMismatchError(
-            f"word uses symbol {w.max_symbol} outside alphabet {s.alphabet}"
-        )
-    q = s.state_after(w.prefix)
-    seen = {q: 0}
-    states = [q]
-    while True:
-        for a in w.period:
-            q = s.delta[q][a]
-        if q in seen:
-            first = seen[q]
-            break
-        seen[q] = len(states)
-        states.append(q)
-    best = 0
-    for block_start in states[first:]:
-        p = block_start
-        best = max(best, s.priority[p])
-        for a in w.period:
-            p = s.delta[p][a]
-            best = max(best, s.priority[p])
-    return 1 if best % 2 == 0 else 0
+    """Exact membership of an ultimately periodic word: the parity of
+    the maximum priority in the run's period window."""
+    return 1 - max(s.priority[q] for q in s.period_window(w)) % 2
 
 
 def is_empty(s: ParitySet) -> bool:
@@ -345,32 +388,17 @@ def _intersection(s: ParitySet, t: ParitySet) -> ParitySet:
         moved = tuple(j for j in record if j in grants)
         return stay + moved
 
-    start = (s.start, t.start, tuple(range(npairs)))
-    index = {start: 0}
-    order = [start]
-    delta_rows: list[list[int]] = []
     prio: list[int] = []
-    i = 0
-    while i < len(order):
-        sq, tq, record = order[i]
+
+    def successors(key: tuple[int, int, tuple[int, ...]]):
+        sq, tq, record = key
         grants, requests = events(sq, tq)
         prio.append(emit(record, grants, requests))
         rec_next = advance(record, grants)
-        row = []
-        for a in range(k):
-            nxt = (s.delta[sq][a], t.delta[tq][a], rec_next)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        delta_rows.append(row)
-        i += 1
-    return ParitySet(
-        alphabet=k,
-        start=0,
-        delta=tuple(tuple(r) for r in delta_rows),
-        priority=tuple(prio),
-    )
+        return [(ns, nt, rec_next) for ns, nt in zip(s.delta[sq], t.delta[tq])]
+
+    _, rows = explore((s.start, t.start, tuple(range(npairs))), successors)
+    return ParitySet(alphabet=k, start=0, delta=tuple(rows), priority=tuple(prio))
 
 
 # -- clopen tables --------------------------------------------------
@@ -521,12 +549,8 @@ def make_open(
 def open_from_parity(s: ParitySet) -> OpenSet:
     """Reinterpret a parity automaton with absorbing even-priority class
     as an open set."""
-    target = frozenset(q for q in range(s.n_states) if s.priority[q] % 2 == 0)
-    priority = tuple(2 if q in target else 1 for q in range(s.n_states))
-    aut = ParitySet(
-        alphabet=s.alphabet, start=s.start, delta=s.delta, priority=priority
-    )
-    return OpenSet(automaton=aut, target=target)
+    target = [q for q in range(s.n_states) if s.priority[q] % 2 == 0]
+    return make_open(s.alphabet, s.start, s.delta, target)
 
 
 def open_union(a: OpenSet, b: OpenSet) -> OpenSet:

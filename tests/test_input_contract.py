@@ -1,0 +1,257 @@
+"""The input contract of the parsers and the command line: unusable
+input exits 2 with an `error:` line, never a traceback, and nothing is
+allocated at a size an input declares before the input is validated."""
+
+import contextlib
+import io
+import os
+import tempfile
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from guessable.cli import main
+from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
+from guessable.formats import (
+    FormatError,
+    parse_automaton,
+    parse_guesser,
+    render_automaton,
+    render_guesser,
+)
+from guessable.guesser import synthesize
+from guessable.space import UPWord
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture()
+def open_files(tmp_path):
+    for name, member in (("f11.aut", OPEN_FACTOR_11), ("one.aut", OPEN_ONE)):
+        (tmp_path / name).write_text(render_automaton(member.to_parity()))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["theta x\nset 0 one.aut\n", "theta 1\nset x one.aut\n", "theta\n", "set\n"],
+)
+def test_bad_chain_lines_exit_2(open_files, text):
+    chain = open_files / "bad.chain"
+    chain.write_text(text)
+    code, _, err = run(["diff", "build", str(chain)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["family cylinders\n", "family cylinders 1\n", "family cylinders x\n", "family\n"],
+)
+def test_bad_family_lines_exit_2(open_files, text):
+    family = open_files / "bad.fam"
+    family.write_text(text)
+    guesser = open_files / "g.guess"
+    guesser.write_text(render_guesser(synthesize(FIXTURES["F_ONE"]).guesser))
+    aut = open_files / "one.aut"
+    code, _, err = run(["based", "verify", str(family), str(guesser), str(aut)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_chain_member_notes_carry_their_path(open_files):
+    (open_files / "partial.aut").write_text(
+        "alphabet 2\nstates 2\npriority 0 1\npriority 1 2\n"
+        "trans 0 1 1\ntrans 1 0 1\ntrans 1 1 1\n"
+    )
+    chain = open_files / "c.chain"
+    chain.write_text("theta 1\nset 0 partial.aut\n")
+    code, _, err = run(["diff", "build", str(chain)])
+    assert code == 0
+    path = os.path.join(str(open_files), "partial.aut")
+    assert f"note: {path}: completed 1 missing transitions" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d", "5"],
+        ["--k", "1"],
+        ["--k", "-2"],
+        ["--d", "-1"],
+        ["--k", "0", "--d", "-2"],
+    ],
+)
+def test_oracle_check_domain_errors_exit_2(argv):
+    code, _, err = run(["oracle", "check", *argv])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("want_outputs", [False, True])
+def test_declared_state_count_is_checked_before_allocation(want_outputs):
+    label = "output 0 1" if want_outputs else "priority 0 1"
+    text = f"alphabet 2\nstates 200000\n{label}\n"
+    parse = parse_guesser if want_outputs else parse_automaton
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="missing .* for state 1"):
+            parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_digit_literals_are_unchanged():
+    assert str(UPWord((0, 1), (1, 0))) == "01(10)"
+    assert str(UPWord((), (9,))) == "(9)"
+    assert str(UPWord((10,), (1,))) == "10.(1.)"
+    assert UPWord.from_literal("10.(1.)") == UPWord((10,), (1,))
+    assert UPWord.from_literal("10(1)") == UPWord((1, 0), (1,))
+    for bad in ("10.(1)", "(1.2)", "1.((2.)", "(.)", "()"):
+        with pytest.raises(ValueError):
+            UPWord.from_literal(bad)
+
+
+@PROPERTY
+@given(
+    st.integers(2, 16).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(0, k - 1), max_size=5),
+            st.lists(st.integers(0, k - 1), min_size=1, max_size=5),
+        )
+    )
+)
+def test_up_literal_round_trip(parts):
+    w = UPWord(tuple(parts[0]), tuple(parts[1]))
+    assert UPWord.from_literal(str(w)) == w
+
+
+# -- command line fuzz ---------------------------------------------------
+
+INT = st.integers(-2, 40)
+WORD = st.one_of(INT.map(str), st.sampled_from(["w", "+", "min-even", "max-even"]))
+MACHINE_KEYS = [
+    "alphabet", "states", "start", "acceptance", "priority",
+    "output", "bound", "codomain", "trans", "bogus",
+]
+MEMBERS = ["set.aut", "f11.aut", "one.aut", "missing.aut"]
+
+
+def _mostly(good):
+    """Usually a value from `good`, sometimes any integer in [-2, 40]."""
+    return st.one_of(good, good, good, INT)
+
+
+def _line(key, args):
+    return " ".join([key, *args])
+
+
+def _extra_lines(keys):
+    """Usually none, sometimes a few arbitrary directive lines."""
+    line = st.builds(_line, st.sampled_from(keys), st.lists(WORD, max_size=3))
+    return st.one_of(st.just([]), st.just([]), st.lists(line, max_size=3))
+
+
+@st.composite
+def machine_file(draw, label):
+    """A skeleton with one label line per state and some transitions,
+    in range in about half the files, plus the odd arbitrary directive."""
+    mostly = _mostly if draw(st.booleans()) else (lambda good: good)
+    k = draw(mostly(st.sampled_from([2, 2, 3])))
+    n = draw(mostly(st.integers(1, 4)))
+    lines = [f"alphabet {k}", f"states {n}", f"start {draw(mostly(st.just(0)))}"]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append("acceptance min-even")
+    values = st.integers(0, 1) if label == "output" else st.integers(0, 4)
+    for q in range(min(n, 40)):
+        lines.append(f"{label} {q} {draw(mostly(values))}")
+    for q in range(min(n, 4)):
+        for a in range(min(k, 4)):
+            if draw(st.integers(0, 3)):
+                lines.append(f"trans {q} {a} {draw(mostly(st.integers(0, n - 1)))}")
+    if label == "output" and draw(st.booleans()):
+        lines += [f"bound {q} {draw(mostly(st.integers(0, 3)))}" for q in range(n)]
+        lines.append(f"codomain {draw(mostly(st.integers(1, 4)))}")
+    lines += draw(_extra_lines(MACHINE_KEYS))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def chain_file(draw):
+    sets = draw(st.lists(st.sampled_from(MEMBERS), min_size=1, max_size=3))
+    lines = [f"theta {draw(_mostly(st.just(len(sets))))}"]
+    lines += [f"set {i} {name}" for i, name in enumerate(sets)]
+    lines += draw(_extra_lines(["theta", "set", "bogus"]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def family_file(draw):
+    kind = draw(st.sampled_from(["explicit", "explicit", "cylinders", ""]))
+    lines = [f"family {kind}"]
+    if kind == "cylinders":
+        lines[0] += f" {draw(_mostly(st.just(2)))}"
+    for _ in range(draw(st.integers(1, 3))):
+        role = draw(st.sampled_from(["cycle", "prefix", "cycle"]))
+        lines.append(f"{role} {draw(st.sampled_from(MEMBERS))}")
+    lines += draw(_extra_lines(["family", "prefix", "cycle", "bogus"]))
+    return "\n".join(lines) + "\n"
+
+
+COMMANDS = [
+    ["rank", "{set}", "--trace"],
+    ["remainder", "{set}", "--trace", "--gaps"],
+    ["synthesize", "{set}"],
+    ["verify", "{guesser}", "{set}", "--budget", "3"],
+    ["witness", "{guesser}", "{set}"],
+    ["diff", "build", "{chain}", "--emit", "both"],
+    ["diff", "extract", "{set}"],
+    ["classify", "{set}"],
+    ["based", "verify", "{family}", "{guesser}", "{set}", "--budget", "3"],
+    ["export-dot", "{set}"],
+    ["export-dot", "{guesser}"],
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    machine_file("priority"),
+    machine_file("output"),
+    chain_file(),
+    family_file(),
+    st.integers(-2, 2),
+    st.sampled_from([-2, -1, 0, 1, 2, 5]),
+)
+def test_cli_never_raises(set_text, guesser_text, chain_text, family_text, k, d):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, name, text in (
+            ("set", "set.aut", set_text),
+            ("guesser", "g.guess", guesser_text),
+            ("chain", "c.chain", chain_text),
+            ("family", "f.fam", family_text),
+        ):
+            paths[key] = os.path.join(tmp, name)
+            with open(paths[key], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for name, member in (("f11.aut", OPEN_FACTOR_11), ("one.aut", OPEN_ONE)):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(render_automaton(member.to_parity()))
+        oracle = ["oracle", "check", "--k", str(k), "--d", str(d), "--words", "2"]
+        for command in COMMANDS + [oracle]:
+            argv = [arg.format(**paths) for arg in command]
+            code, _, err = run(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.startswith("error:") or "\nerror:" in err, argv
