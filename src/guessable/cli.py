@@ -244,6 +244,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.k < 2 or args.d < 0:
         print("error: oracle check needs --k >= 2 and --d >= 0", file=sys.stderr)
         return 2
+    if args.samples < 0:
+        print("error: oracle check needs --samples >= 0", file=sys.stderr)
+        return 2
     if args.exhaustive or args.samples == 0:
         tables = exhaustive_tables(args.k, args.d)
     else:

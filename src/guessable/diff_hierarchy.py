@@ -184,6 +184,11 @@ def normalize_h(rg: RankedGuesser) -> RankedGuesser:
     """
     if not check_bound(rg):
         raise BoundViolationError("input fails its bound conditions")
+    return _normalize_h(rg)
+
+
+def _normalize_h(rg: RankedGuesser) -> RankedGuesser:
+    """`normalize_h` on a guesser whose bound is already checked."""
     g = rg.guesser
 
     def successors(key: tuple[int, OrdinalCNF]) -> list[tuple[int, OrdinalCNF]]:
@@ -231,6 +236,11 @@ def make_anticongruent(rg: RankedGuesser) -> RankedGuesser:
     codomain, equal otherwise."""
     if not check_bound(rg):
         raise BoundViolationError("input fails its bound conditions")
+    return _make_anticongruent(rg)
+
+
+def _make_anticongruent(rg: RankedGuesser) -> RankedGuesser:
+    """`make_anticongruent` on a guesser whose bound is already checked."""
     g = rg.guesser
     g0 = g.output[g.start]
     h0 = rg.bound[g.start]
@@ -245,7 +255,7 @@ def make_anticongruent(rg: RankedGuesser) -> RankedGuesser:
         rg = _split_root(rg, g0, bumped)
         if not check_bound(rg):
             raise BoundViolationError("root adjustment broke the bound")
-    return normalize_h(rg)
+    return _normalize_h(rg)
 
 
 def _split_root(rg: RankedGuesser, output: int, bound: OrdinalCNF) -> RankedGuesser:
@@ -272,6 +282,12 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
     a successor codomain alpha+1.  When alpha is 0 the codomain is
     widened to 2 so the chain has a member; the guesser still
     witnesses the wider budget.
+
+    The bound is checked once.  Every reachable state is bucketed by
+    its (finite) bound, and member eta's target is the union of the
+    buckets 0..eta; states bounded by alpha itself stay out of every
+    member.  The members share one skeleton with nested targets, so
+    `OpenChain` validates each adjacent pair by target inclusion.
     """
     if rg.guesser.output[rg.guesser.start] != 0:
         raise RootNotZeroError(
@@ -285,7 +301,7 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
     if alpha.is_zero:
         alpha = from_int(1)
         rg = rg.with_codomain(from_int(2))
-    adjusted = make_anticongruent(rg)
+    adjusted = _make_anticongruent(rg)
     g = adjusted.guesser
     reach = sorted(g.reachable_states())
     renumber = {q: i for i, q in enumerate(reach)}
@@ -293,13 +309,16 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
     delta = tuple(
         tuple(renumber[g.delta[q][a]] for a in range(g.alphabet)) for q in reach
     )
+    buckets: list[list[int]] = [[] for _ in range(alpha_n)]
+    for i, q in enumerate(reach):
+        level = adjusted.bound[q].to_int()
+        if level < alpha_n:
+            buckets[level].append(i)
     members = []
-    for eta in range(alpha_n):
-        level = from_int(eta)
-        target = [renumber[q] for q in reach if adjusted.bound[q] <= level]
-        members.append(
-            make_open(g.alphabet, renumber[g.start], delta, target)
-        )
+    target: list[int] = []
+    for bucket in buckets:
+        target.extend(bucket)
+        members.append(make_open(g.alphabet, renumber[g.start], delta, target))
     return OpenChain(tuple(members))
 
 

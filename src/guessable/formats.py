@@ -34,6 +34,11 @@ from .diff_hierarchy import OpenChain
 from .based_guessing import OracleFamily, cylinders_family, explicit_family
 
 
+# transitions a machine file may declare (states x alphabet); missing
+# transitions are filled in, so the table is not bounded by the file
+TABLE_CELL_BUDGET = 1 << 18
+
+
 class FormatError(ValueError):
     """Raised on malformed input files."""
 
@@ -116,6 +121,11 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
         for q in range(n_states):
             if q not in priorities:
                 raise FormatError(f"missing priority for state {q}")
+    if n_states * alphabet > TABLE_CELL_BUDGET:
+        raise FormatError(
+            f"{n_states} states x {alphabet} symbols exceeds the table budget"
+            f" of {TABLE_CELL_BUDGET} transitions"
+        )
     table: list[list[Optional[int]]] = [
         [None] * alphabet for _ in range(n_states)
     ]

@@ -29,7 +29,30 @@ from .space import ClopenTable, ParitySet, Word, compile_clopen, words_up_to
 
 
 class BudgetExceededError(ValueError):
-    """Raised when an exhaustive sweep would enumerate too many tables."""
+    """Raised when a sweep would build too many tables or too large a one."""
+
+
+# cells in one table: 2^16 tables for an exhaustive sweep, and a
+# sampled table small enough to compile and cross-check
+ENUMERATION_CELL_BUDGET = 16
+SAMPLE_CELL_BUDGET = 4096
+
+
+def _cells(alphabet: int, depth: int, budget: int, what: str) -> int:
+    """alphabet**depth, checked against a cell budget before anything of
+    that size is built."""
+    if depth * (alphabet.bit_length() - 1) > 5000:
+        # at least 2^5000 cells: over any budget, and the power is not
+        # computed, since it may be too long to print
+        raise BudgetExceededError(
+            f"{alphabet}^{depth} cells exceeds the {what} budget"
+        )
+    cells = alphabet**depth
+    if cells > budget:
+        raise BudgetExceededError(
+            f"{alphabet}^{depth} = {cells} cells exceeds the {what} budget"
+        )
+    return cells
 
 
 @dataclass(frozen=True)
@@ -149,11 +172,7 @@ def _guess_at(
 
 def exhaustive_tables(alphabet: int, depth: int) -> Iterator[ClopenTable]:
     """Every depth-d table once; budget-limited to 2^(k^d) <= 2^16."""
-    cells = alphabet**depth
-    if cells > 16:
-        raise BudgetExceededError(
-            f"{alphabet}^{depth} = {cells} cells exceeds the enumeration budget"
-        )
+    cells = _cells(alphabet, depth, ENUMERATION_CELL_BUDGET, "enumeration")
     for values in itertools.product((0, 1), repeat=cells):
         yield ClopenTable(alphabet=alphabet, depth=depth, values=values)
 
@@ -161,9 +180,10 @@ def exhaustive_tables(alphabet: int, depth: int) -> Iterator[ClopenTable]:
 def sample_tables(
     alphabet: int, depth: int, count: int, seed: int = 0
 ) -> list[ClopenTable]:
-    """Seeded random depth-d tables (with replacement)."""
+    """Seeded random depth-d tables (with replacement), each within
+    the sampling budget of cells."""
+    cells = _cells(alphabet, depth, SAMPLE_CELL_BUDGET, "sampling")
     rng = random.Random(seed)
-    cells = alphabet**depth
     out = []
     for _ in range(count):
         values = tuple(rng.randint(0, 1) for _ in range(cells))

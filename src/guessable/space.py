@@ -581,10 +581,15 @@ def open_subset(a: OpenSet, b: OpenSet) -> bool:
     the plain pair product that eventually stays among pairs inside
     a's target and outside b's; such a run exists iff those reachable
     pairs carry a cycle.
+
+    On one skeleton (same start, equal transitions) both runs are the
+    same, so nested targets settle it without the product.
     """
     k = _check_alphabets(a.automaton, b.automaton)
     da, db = a.automaton.delta, b.automaton.delta
     start = (a.automaton.start, b.automaton.start)
+    if a.target <= b.target and start[0] == start[1] and da == db:
+        return True
     succ: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     stack = [start]
     while stack:

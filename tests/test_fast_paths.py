@@ -1,25 +1,30 @@
-"""The one-pass remainder trace and the pair-product open-subset check,
-each against the slow definition it replaces."""
+"""The one-pass remainder trace, the pair-product open-subset check and
+the bucketed chain extraction, each against the slow definition it
+replaces."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import guessable.diff_hierarchy
 import guessable.guesser
-from guessable.diff_hierarchy import classify
+from guessable.cycles import forward_closure
+from guessable.diff_hierarchy import classify, guesser_to_chain, make_anticongruent
 from guessable.guesser import (
+    RankedGuesser,
     check_bound,
     divergence_witness,
+    flip_outputs,
     mind_change_rank,
     synthesize,
 )
 from guessable.oracle import literal_remainder_chain
-from guessable.ordinal import from_int
+from guessable.ordinal import from_int, pred
 from guessable.randgen import random_parity_set
 from guessable.remainder import remainder_chain
 from guessable.space import (
     ParitySet,
+    complement,
     is_empty,
     make_open,
     open_subset,
@@ -145,3 +150,114 @@ def test_one_trace_per_verdict(monkeypatch):
         built.clear()
         verdict(s)
         assert len(built) == 1, verdict.__name__
+
+
+def root_zero_guessers(s):
+    """The synthesized guesser of s with root output 0 (flipped when the
+    root says 1), once with its own codomain and once widened as
+    `classify` widens it; nothing when s is not guessable."""
+    trace = remainder_chain(s)
+    if not trace.guessable:
+        return []
+    canonical = synthesize(s, trace)
+    g = canonical.guesser
+    if g.output[g.start]:
+        canonical = RankedGuesser(flip_outputs(g), canonical.bound, canonical.codomain)
+    wide = from_int(max(trace.rank.to_int() - 1, 1) + 1)
+    return [
+        canonical.with_codomain(codomain)
+        for codomain in (canonical.codomain, wide)
+        if codomain.is_successor
+    ]
+
+
+def literal_sublevel_targets(rg):
+    """{q reachable : bound[q] <= eta} of the anticongruent bound, for
+    eta below alpha, renumbered in reachable order."""
+    alpha = pred(rg.codomain)
+    if alpha.is_zero:
+        alpha, rg = from_int(1), rg.with_codomain(from_int(2))
+    adjusted = make_anticongruent(rg)
+    reach = sorted(adjusted.guesser.reachable_states())
+    renumber = {q: i for i, q in enumerate(reach)}
+    return [
+        frozenset(renumber[q] for q in reach if adjusted.bound[q] <= from_int(eta))
+        for eta in range(alpha.to_int())
+    ]
+
+
+def assert_chain_is_sublevel_sets(s):
+    for rg in root_zero_guessers(s):
+        chain = guesser_to_chain(rg)
+        assert [m.target for m in chain.sets] == literal_sublevel_targets(rg)
+
+
+@PROPERTY
+@given(parity_sets(max_states=8, max_priority=5))
+def test_chain_members_are_literal_sublevel_sets(s):
+    assert_chain_is_sublevel_sets(s)
+
+
+def test_chain_members_are_literal_sublevel_sets_on_seeded_corpus():
+    rng = random.Random(4)
+    for _ in range(300):
+        s = random_parity_set(
+            rng, alphabet=rng.choice([2, 3]), max_states=8, max_priority=5
+        )
+        assert_chain_is_sublevel_sets(s)
+    for m in range(7):
+        assert_chain_is_sublevel_sets(counter_set(m))
+        assert_chain_is_sublevel_sets(complement(counter_set(m)))
+
+
+@st.composite
+def skeleton_pairs(draw):
+    """Two open sets on one transition table with arbitrary absorbing
+    targets, nested or not; the second start may differ."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    delta = tuple(draw(st.lists(st.tuples(*[state] * k), min_size=n, max_size=n)))
+    succ = dict(enumerate(delta))
+    seeds_a, seeds_b = draw(st.sets(state)), draw(st.sets(state))
+    target_a = forward_closure(seeds_a, set(range(n)), succ)
+    if draw(st.booleans()):
+        seeds_b |= target_a
+    target_b = forward_closure(seeds_b, set(range(n)), succ)
+    start = draw(state)
+    start_b = start if draw(st.booleans()) else draw(state)
+    # an equal table that is not the same object
+    a = make_open(k, start, delta, target_a)
+    b = make_open(k, start_b, tuple(list(delta)), target_b)
+    return a, b
+
+
+# nested targets on one table, but from different starts: not a subset
+LOOPS = ((0, 0), (1, 1))
+
+
+@PROPERTY
+@given(skeleton_pairs())
+@example((make_open(2, 0, LOOPS, {0}), make_open(2, 1, LOOPS, {0})))
+def test_open_subset_on_one_skeleton_agrees_with_iar_difference(pair):
+    for a, b in (pair, pair[::-1]):
+        iar = is_empty(product_boolean(a.to_parity(), b.to_parity(), "diff"))
+        assert open_subset(a, b) == iar
+
+
+def test_bound_checks_per_classify(monkeypatch):
+    calls = []
+
+    def counting(rg):
+        calls.append(rg)
+        return check_bound(rg)
+
+    monkeypatch.setattr(guessable.diff_hierarchy, "check_bound", counting)
+    counts = set()
+    for m in (8, 40):
+        for s in (counter_set(m), complement(counter_set(m))):
+            calls.clear()
+            classify(s)
+            counts.add(len(calls))
+    assert len(counts) == 1
+    assert counts.pop() <= 3

@@ -21,6 +21,7 @@ from guessable.formats import (
     render_guesser,
 )
 from guessable.guesser import synthesize
+from guessable.oracle import SAMPLE_CELL_BUDGET, BudgetExceededError, sample_tables
 from guessable.space import UPWord
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -89,6 +90,10 @@ def test_chain_member_notes_carry_their_path(open_files):
         ["--k", "-2"],
         ["--d", "-1"],
         ["--k", "0", "--d", "-2"],
+        ["--k", "100", "--d", "3000"],
+        ["--samples", "-3"],
+        ["--samples", "1", "--k", "2", "--d", "13"],
+        ["--samples", "1", "--k", "40", "--d", "40"],
     ],
 )
 def test_oracle_check_domain_errors_exit_2(argv):
@@ -110,6 +115,27 @@ def test_declared_state_count_is_checked_before_allocation(want_outputs):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("want_outputs", [False, True])
+def test_declared_alphabet_is_checked_before_allocation(want_outputs):
+    label = "output 0 1" if want_outputs else "priority 0 1"
+    text = f"alphabet {10**9}\nstates 1\n{label}\n"
+    parse = parse_guesser if want_outputs else parse_automaton
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="table budget"):
+            parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_sampled_table_size_is_checked_before_allocation():
+    with pytest.raises(BudgetExceededError, match="sampling budget"):
+        sample_tables(40, 40, 1)
+    assert len(sample_tables(2, 12, 1)[0].values) == SAMPLE_CELL_BUDGET
 
 
 def test_digit_literals_are_unchanged():
