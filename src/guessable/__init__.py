@@ -97,6 +97,7 @@ from .oracle import (
     BudgetExceededError,
     TruncatedTree,
     cross_validate,
+    draw_tables,
     exhaustive_tables,
     literal_remainder_chain,
     sample_tables,

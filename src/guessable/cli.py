@@ -34,8 +34,8 @@ from .guesser import (
 from .oracle import (
     BudgetExceededError,
     cross_validate,
+    draw_tables,
     exhaustive_tables,
-    sample_tables,
 )
 from .ordinal import to_text as ordinal_text
 from .remainder import remainder_chain
@@ -250,7 +250,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.exhaustive or args.samples == 0:
         tables = exhaustive_tables(args.k, args.d)
     else:
-        tables = sample_tables(args.k, args.d, args.samples, seed=args.seed)
+        tables = draw_tables(args.k, args.d, args.samples, seed=args.seed)
     report = cross_validate(tables, word_length=args.words)
     for line in report.summary_lines():
         print(line)

@@ -10,6 +10,12 @@ keys reachable from a start key in breadth-first discovery order and
 returns the numbered transition rows, from which every product
 construction (boolean products, the canonical guesser, level sets,
 chain and bound conversions) assembles its machine.
+
+`cycle_parities` and `even_odd_cycle` answer which kinds of cycle a
+graph carries by Emerson-Lei refinement: split into SCCs, drop the
+nodes of a top priority that no wanted cycle can pass through, and
+split what is left again.  Emptiness, equivalence and the remainder
+ranks are decided this way, without a parity product.
 """
 
 from __future__ import annotations
@@ -172,6 +178,42 @@ def cycle_parities(
             if below:
                 pending.append(below)
     return found
+
+
+def even_odd_cycle(
+    nodes: set,
+    succ: Mapping,
+    kinds: Sequence[tuple[Callable[[Node], int], Callable[[Node], int]]],
+) -> bool:
+    """True iff some cycle inside `nodes` is of one of the `kinds`: for
+    a kind `(even, odd)`, its maximum `even` priority is even and its
+    maximum `odd` priority is odd.
+
+    Emerson-Lei refinement, one SCC pass shared by all kinds: in a
+    nontrivial SCC whose top `even` priority is odd, or whose top `odd`
+    priority is even, no cycle of that kind passes through those top
+    nodes, so they are dropped and the rest is searched again for that
+    kind; an SCC with both tops of the wanted parity has a cycle
+    through all of its nodes, which is a witness.
+    """
+    pending = [(set(nodes), kinds)]
+    while pending:
+        sub, kinds = pending.pop()
+        for comp in strongly_connected_components(sub, succ):
+            if not is_nontrivial(comp, succ):
+                continue
+            for even, odd in kinds:
+                top = max(even(n) for n in comp)
+                if top % 2 == 0:
+                    label, top = odd, max(odd(n) for n in comp)
+                    if top % 2 == 1:
+                        return True
+                else:
+                    label = even
+                below = {n for n in comp if label(n) < top}
+                if below:
+                    pending.append((below, [(even, odd)]))
+    return False
 
 
 def parity_cycle_nodes(

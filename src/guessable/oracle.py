@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cycles import can_reach_parity_cycle
 from .guesser import evaluate, synthesize
@@ -177,18 +177,28 @@ def exhaustive_tables(alphabet: int, depth: int) -> Iterator[ClopenTable]:
         yield ClopenTable(alphabet=alphabet, depth=depth, values=values)
 
 
+def draw_tables(
+    alphabet: int, depth: int, count: int, seed: int = 0
+) -> Iterator[ClopenTable]:
+    """Seeded random depth-d tables (with replacement), each drawn when
+    it is read; the sampling budget of cells is checked at the call."""
+    cells = _cells(alphabet, depth, SAMPLE_CELL_BUDGET, "sampling")
+    rng = random.Random(seed)
+    return (
+        ClopenTable(
+            alphabet=alphabet,
+            depth=depth,
+            values=tuple(rng.randint(0, 1) for _ in range(cells)),
+        )
+        for _ in range(count)
+    )
+
+
 def sample_tables(
     alphabet: int, depth: int, count: int, seed: int = 0
 ) -> list[ClopenTable]:
-    """Seeded random depth-d tables (with replacement), each within
-    the sampling budget of cells."""
-    cells = _cells(alphabet, depth, SAMPLE_CELL_BUDGET, "sampling")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        values = tuple(rng.randint(0, 1) for _ in range(cells))
-        out.append(ClopenTable(alphabet=alphabet, depth=depth, values=values))
-    return out
+    """The tables of `draw_tables`, as a list."""
+    return list(draw_tables(alphabet, depth, count, seed))
 
 
 @dataclass
@@ -216,7 +226,7 @@ class CrossValidationReport:
 
 
 def cross_validate(
-    tables: "Iterator[ClopenTable] | list[ClopenTable]",
+    tables: Iterable[ClopenTable],
     word_length: int = 4,
 ) -> CrossValidationReport:
     """For each table, compare word ranks and guesser outputs between

@@ -26,7 +26,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .cycles import cycle_nodes, explore, forward_closure, parity_cycle_nodes
+from .cycles import (
+    cycle_nodes,
+    cycle_parities,
+    even_odd_cycle,
+    explore,
+    forward_closure,
+)
 
 Word = tuple[int, ...]
 
@@ -310,35 +316,62 @@ def membership_up(s: ParitySet, w: UPWord) -> int:
 
 def is_empty(s: ParitySet) -> bool:
     """True iff no point is in the set: no reachable cycle has an even
-    maximum priority."""
+    maximum priority, found by refining the reachable SCCs below their
+    top priorities."""
     reach = s.reachable_states()
-    succ = s.successors()
-    good = parity_cycle_nodes(reach, succ, lambda q: s.priority[q], want=0)
-    return not good
+    return 0 not in cycle_parities(reach, s.successors(), s.priority.__getitem__)
 
 
 def equivalent(s: ParitySet, t: ParitySet) -> bool:
-    """True iff both sets contain exactly the same points, via emptiness
-    of both difference products."""
+    """True iff both sets contain exactly the same points.
+
+    A point lies in one set and not the other iff its run in the plain
+    pair product ends on a cycle whose maximum s-priority and maximum
+    t-priority differ in parity, so one exploration of the reachable
+    pairs and one refinement search, for both directions at once,
+    decide it.
+    """
     _check_alphabets(s, t)
-    return is_empty(product_boolean(s, t, "diff")) and is_empty(
-        product_boolean(t, s, "diff")
-    )
+    succ = _pair_product(s, t)
+    ps, pt = s.priority, t.priority
+    on_s = lambda pair: ps[pair[0]]
+    on_t = lambda pair: pt[pair[1]]
+    return not even_odd_cycle(set(succ), succ, [(on_s, on_t), (on_t, on_s)])
+
+
+def _pair_product(
+    s: ParitySet, t: ParitySet
+) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """The pairs of states reachable from the two starts, each with its
+    successor pairs in symbol order."""
+    ds, dt = s.delta, t.delta
+    start = (s.start, t.start)
+    succ: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node in succ:
+            continue
+        succ[node] = nxt = tuple(zip(ds[node[0]], dt[node[1]]))
+        stack.extend(nxt)
+    return succ
 
 
 # -- boolean products -----------------------------------------------
 #
-# Complement is free (bump priorities).  Intersection is the real
-# construction: the conjunction of two max-even parity conditions is a
-# Streett condition (one pair per odd priority per side), and a
-# deterministic Streett condition turns back into a parity condition
-# with an index appearance record.  The record keeps pair indices
-# ordered by how recently they were granted; a request strictly in
-# front of every grant is a suspicious event and emits an odd
-# priority, a grant at the frontmost touched position emits an even
-# one.  Union, difference and xor reduce to intersection and
-# complement.  Pointwise correctness on all UP words is exercised
-# exhaustively in the test suite.
+# The reference construction that the tests compare the decision
+# procedures against; no decision procedure builds it.  Complement is
+# free (bump priorities).  Intersection is the real construction: the
+# conjunction of two max-even parity conditions is a Streett condition
+# (one pair per odd priority per side), and a deterministic Streett
+# condition turns back into a parity condition with an index
+# appearance record, whose size is factorial in the number of
+# priorities.  The record keeps pair indices ordered by how recently
+# they were granted; a request strictly in front of every grant is a
+# suspicious event and emits an odd priority, a grant at the frontmost
+# touched position emits an even one.  Union, difference and xor
+# reduce to intersection and complement.  Pointwise correctness on all
+# UP words is exercised exhaustively in the test suite.
 
 BooleanOp = Literal["and", "or", "xor", "diff"]
 
@@ -585,20 +618,14 @@ def open_subset(a: OpenSet, b: OpenSet) -> bool:
     On one skeleton (same start, equal transitions) both runs are the
     same, so nested targets settle it without the product.
     """
-    k = _check_alphabets(a.automaton, b.automaton)
-    da, db = a.automaton.delta, b.automaton.delta
-    start = (a.automaton.start, b.automaton.start)
-    if a.target <= b.target and start[0] == start[1] and da == db:
+    _check_alphabets(a.automaton, b.automaton)
+    if (
+        a.target <= b.target
+        and a.automaton.start == b.automaton.start
+        and a.automaton.delta == b.automaton.delta
+    ):
         return True
-    succ: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node in succ:
-            continue
-        qa, qb = node
-        succ[node] = tuple((da[qa][x], db[qb][x]) for x in range(k))
-        stack.extend(succ[node])
+    succ = _pair_product(a.automaton, b.automaton)
     escaping = {
         pair for pair in succ if pair[0] in a.target and pair[1] not in b.target
     }

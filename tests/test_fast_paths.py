@@ -1,15 +1,27 @@
-"""The one-pass remainder trace, the pair-product open-subset check and
-the bucketed chain extraction, each against the slow definition it
-replaces."""
+"""The one-pass remainder trace, the pair-product open-subset check,
+the bucketed chain extraction and pair-product equivalence and
+emptiness, each against the slow definition it replaces."""
 
+import contextlib
+import io
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
 import guessable.diff_hierarchy
 import guessable.guesser
-from guessable.cycles import forward_closure
+import guessable.space
+from guessable.cli import main
+from guessable.cycles import forward_closure, parity_cycle_nodes
 from guessable.diff_hierarchy import classify, guesser_to_chain, make_anticongruent
+from guessable.fixtures import (
+    FIXTURES,
+    OPEN_EMPTY,
+    OPEN_FACTOR_11,
+    OPEN_FULL,
+    OPEN_ONE,
+)
+from guessable.formats import render_automaton
 from guessable.guesser import (
     RankedGuesser,
     check_bound,
@@ -20,11 +32,12 @@ from guessable.guesser import (
 )
 from guessable.oracle import literal_remainder_chain
 from guessable.ordinal import from_int, pred
-from guessable.randgen import random_parity_set
+from guessable.randgen import duplicate_state, random_parity_set
 from guessable.remainder import remainder_chain
 from guessable.space import (
     ParitySet,
     complement,
+    equivalent,
     is_empty,
     make_open,
     open_subset,
@@ -36,8 +49,8 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 @st.composite
-def parity_sets(draw, max_states=10, max_priority=7):
-    k = draw(st.sampled_from([2, 3]))
+def parity_sets(draw, max_states=10, max_priority=7, alphabets=(2, 3)):
+    k = draw(st.sampled_from(alphabets))
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     delta = draw(st.lists(st.tuples(*[state] * k), min_size=n, max_size=n))
@@ -261,3 +274,125 @@ def test_bound_checks_per_classify(monkeypatch):
             counts.add(len(calls))
     assert len(counts) == 1
     assert counts.pop() <= 3
+
+
+def literal_is_empty(s):
+    """Emptiness by one SCC scan per even priority: no reachable cycle
+    has an even maximum."""
+    reach = s.reachable_states()
+    return not parity_cycle_nodes(reach, s.successors(), s.priority.__getitem__, 0)
+
+
+def iar_equivalent(s, t):
+    """Equivalence by emptiness of both index-appearance-record
+    difference products."""
+    return literal_is_empty(product_boolean(s, t, "diff")) and literal_is_empty(
+        product_boolean(t, s, "diff")
+    )
+
+
+def assert_agrees_with_iar(s, t):
+    assert equivalent(s, t) == equivalent(t, s) == iar_equivalent(s, t)
+    for x in (s, t, product_boolean(s, t, "diff")):
+        assert is_empty(x) == literal_is_empty(x)
+
+
+def dense_set(rng, n):
+    """n states on a symbol-0 cycle through all of them, random symbol-1
+    edges and the distinct priorities 0..n-1."""
+    order = rng.sample(range(n), n)
+    delta = [None] * n
+    for i, q in enumerate(order):
+        delta[q] = (order[(i + 1) % n], rng.randrange(n))
+    return ParitySet(
+        alphabet=2,
+        start=order[0],
+        delta=tuple(delta),
+        priority=tuple(rng.sample(range(n), n)),
+    )
+
+
+@st.composite
+def parity_pairs(draw):
+    """Two sets over one alphabet: unrelated, a twin with a duplicated
+    state (equal), or the complement (different)."""
+    s = draw(parity_sets(max_states=6, max_priority=5))
+    relation = draw(st.sampled_from(["other", "twin", "complement"]))
+    if relation == "twin":
+        return s, duplicate_state(s, random.Random(draw(st.integers(0, 99))))
+    if relation == "complement":
+        return s, complement(s)
+    return s, draw(parity_sets(max_states=6, max_priority=5, alphabets=[s.alphabet]))
+
+
+@PROPERTY
+@given(parity_pairs())
+def test_equivalence_and_emptiness_agree_with_iar(pair):
+    assert_agrees_with_iar(*pair)
+
+
+def test_equivalence_and_emptiness_agree_with_iar_on_seeded_corpus():
+    rng = random.Random(6)
+    verdicts = []
+    for _ in range(300):
+        k = rng.choice([2, 3])
+        s = random_parity_set(rng, alphabet=k, max_states=6, max_priority=5)
+        t = random_parity_set(rng, alphabet=k, max_states=6, max_priority=5)
+        twin = duplicate_state(s, rng)
+        assert equivalent(s, twin) and equivalent(twin, s)
+        assert not equivalent(s, complement(s))
+        assert_agrees_with_iar(s, twin)
+        assert_agrees_with_iar(s, complement(s))
+        assert_agrees_with_iar(s, t)
+        verdicts.append(equivalent(s, t))
+    for _ in range(60):
+        s, t = dense_set(rng, rng.randint(1, 8)), dense_set(rng, rng.randint(1, 8))
+        assert_agrees_with_iar(s, t)
+        assert_agrees_with_iar(s, duplicate_state(s, rng))
+        verdicts.append(equivalent(s, t))
+    # the unrelated pairs are not all decided one way
+    assert True in verdicts and False in verdicts
+
+
+def test_no_decision_builds_the_iar_product(monkeypatch, tmp_path):
+    built = []
+
+    def refuse(s, t):
+        built.append((s, t))
+        raise AssertionError("index-appearance-record product built")
+
+    monkeypatch.setattr(guessable.space, "_intersection", refuse)
+    opens = (OPEN_EMPTY, OPEN_FULL, OPEN_ONE, OPEN_FACTOR_11)
+    for a in opens:
+        for b in opens:
+            open_subset(a, b)
+    for name, s in FIXTURES.items():
+        is_empty(s)
+        equivalent(s, s)
+        equivalent(s, complement(s))
+        classify(s)
+        path = tmp_path / f"{name}.aut"
+        path.write_text(render_automaton(s))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["diff", "extract", str(path)]) in (0, 1)
+    assert built == []
+
+
+def test_equivalence_builds_one_plain_pair_product(monkeypatch):
+    pair_product = guessable.space._pair_product
+    sizes = []
+
+    def counting(s, t):
+        succ = pair_product(s, t)
+        sizes.append((len(succ), s.n_states * t.n_states))
+        return succ
+
+    monkeypatch.setattr(guessable.space, "_pair_product", counting)
+    rng = random.Random(14)
+    for _ in range(10):
+        s, t = dense_set(rng, 14), dense_set(rng, 14)
+        assert equivalent(s, duplicate_state(s, rng))
+        assert not equivalent(s, complement(s))
+        equivalent(s, t)
+    assert len(sizes) == 30
+    assert all(built <= bound for built, bound in sizes)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guessable.fixtures import F_NO11, F_ONE, FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
@@ -13,8 +14,64 @@ from guessable.formats import (
     render_guesser,
     to_dot,
 )
-from guessable.guesser import synthesize
-from guessable.space import equivalent, membership_up
+from guessable.guesser import MooreGuesser, RankedGuesser, synthesize
+from guessable.ordinal import add, from_int, omega_power
+from guessable.space import ParitySet, equivalent, membership_up
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+ORDINALS = st.recursive(
+    st.integers(0, 30).map(from_int),
+    lambda inner: st.builds(
+        lambda exp, coef, rest: add(omega_power(exp, coef), rest),
+        inner,
+        st.integers(1, 4),
+        inner,
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def machines(draw, labels):
+    """(alphabet, start, delta, one label per state), alphabets up to 12."""
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    delta = draw(st.lists(st.tuples(*[state] * k), min_size=n, max_size=n))
+    label = tuple(draw(st.lists(labels, min_size=n, max_size=n)))
+    return k, draw(state), tuple(delta), label
+
+
+@st.composite
+def guessers(draw):
+    """A guesser, with a ranked form (bounds and codomain) or without."""
+    k, start, delta, output = draw(machines(st.integers(0, 1)))
+    g = MooreGuesser(alphabet=k, start=start, delta=delta, output=output)
+    if not draw(st.booleans()):
+        return g, None
+    bound = tuple(draw(st.lists(ORDINALS, min_size=g.n_states, max_size=g.n_states)))
+    return g, RankedGuesser(guesser=g, bound=bound, codomain=draw(ORDINALS))
+
+
+@PROPERTY
+@given(machines(st.integers(0, 40)))
+def test_automaton_render_parse_round_trip(machine):
+    k, start, delta, priority = machine
+    s = ParitySet(alphabet=k, start=start, delta=delta, priority=priority)
+    parsed, notes = parse_automaton(render_automaton(s))
+    assert parsed == s
+    assert not notes.messages
+
+
+@PROPERTY
+@given(guessers())
+def test_guesser_render_parse_round_trip(pair):
+    g, rg = pair
+    parsed, ranked, notes = parse_guesser(render_guesser(g, rg))
+    assert parsed == g
+    assert ranked == rg
+    assert not notes.messages
 
 
 class TestAutomatonFormat:

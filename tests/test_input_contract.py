@@ -4,6 +4,7 @@ allocated at a size an input declares before the input is validated."""
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import guessable.cli
 from guessable.cli import main
 from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
@@ -21,7 +23,13 @@ from guessable.formats import (
     render_guesser,
 )
 from guessable.guesser import synthesize
-from guessable.oracle import SAMPLE_CELL_BUDGET, BudgetExceededError, sample_tables
+from guessable.oracle import (
+    SAMPLE_CELL_BUDGET,
+    BudgetExceededError,
+    CrossValidationReport,
+    draw_tables,
+    sample_tables,
+)
 from guessable.space import UPWord
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -136,6 +144,39 @@ def test_sampled_table_size_is_checked_before_allocation():
     with pytest.raises(BudgetExceededError, match="sampling budget"):
         sample_tables(40, 40, 1)
     assert len(sample_tables(2, 12, 1)[0].values) == SAMPLE_CELL_BUDGET
+
+
+def test_sampled_tables_are_drawn_as_they_are_read():
+    with pytest.raises(BudgetExceededError, match="sampling budget"):
+        draw_tables(40, 40, 1)
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(draw_tables(2, 4, 10**9, seed=5), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert first == sample_tables(2, 4, 10, seed=5)
+
+
+def test_oracle_check_streams_its_samples(monkeypatch):
+    seen = []
+
+    def first_three(tables, word_length):
+        seen.extend(itertools.islice(tables, 3))
+        return CrossValidationReport(tables_checked=len(seen))
+
+    monkeypatch.setattr(guessable.cli, "cross_validate", first_three)
+    argv = ["oracle", "check", "--samples", str(10**9), "--k", "2", "--d", "4"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(argv + ["--seed", "5"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (code, out.splitlines()[0]) == (0, "tables_checked=3")
+    assert seen == sample_tables(2, 4, 3, seed=5)
 
 
 def test_digit_literals_are_unchanged():
