@@ -121,6 +121,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    budget = getattr(args, "budget", 0)
+    if budget < 0:
+        print("error: verify needs --budget >= 0", file=sys.stderr)
+        return 2
     guesser, _ = _load_guesser(args.guesser)
     automaton = _load_automaton(args.set)
     witness = divergence_witness(guesser, automaton)
@@ -128,7 +132,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"witness={witness}")
         return 1
     print("witness=NONE")
-    budget = getattr(args, "budget", 0)
     if budget:
         # redundant spot check of the certificate on concrete words
         words = canonical_up_words(automaton.alphabet, budget)
@@ -222,6 +225,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_based_verify(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        print("error: based verify needs --budget >= 1", file=sys.stderr)
+        return 2
     family, notes = formats.parse_family(
         _read(args.family), os.path.dirname(os.path.abspath(args.family))
     )
@@ -246,6 +252,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         return 2
     if args.samples < 0:
         print("error: oracle check needs --samples >= 0", file=sys.stderr)
+        return 2
+    if args.words < 0:
+        print("error: oracle check needs --words >= 0", file=sys.stderr)
         return 2
     if args.exhaustive or args.samples == 0:
         tables = exhaustive_tables(args.k, args.d)

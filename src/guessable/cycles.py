@@ -51,10 +51,6 @@ def explore(
     return order, rows
 
 
-def _restricted(nodes: set, succ: Mapping) -> dict:
-    return {n: [m for m in succ.get(n, ()) if m in nodes] for n in nodes}
-
-
 def forward_closure(starts: Iterable[Node], nodes: set, succ: Mapping) -> set:
     """Nodes reachable from starts without leaving `nodes`."""
     seen = {s for s in starts if s in nodes}
@@ -87,7 +83,7 @@ def backward_closure(targets: Iterable[Node], nodes: set, succ: Mapping) -> set:
 
 def strongly_connected_components(nodes: set, succ: Mapping) -> list[list[Node]]:
     """Tarjan's algorithm, iterative. Components in deterministic order."""
-    adj = _restricted(nodes, succ)
+    adj = {n: [m for m in succ.get(n, ()) if m in nodes] for n in nodes}
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     on_stack: set = set()
@@ -146,10 +142,9 @@ def is_nontrivial(component: Sequence[Node], succ: Mapping) -> bool:
 
 def cycle_nodes(nodes: set, succ: Mapping) -> set:
     """Nodes lying on some cycle inside `nodes`."""
-    adj = _restricted(nodes, succ)
     out: set = set()
-    for comp in strongly_connected_components(nodes, adj):
-        if is_nontrivial(comp, adj):
+    for comp in strongly_connected_components(nodes, succ):
+        if is_nontrivial(comp, succ):
             out.update(comp)
     return out
 
@@ -168,9 +163,8 @@ def cycle_parities(
     pending = [set(nodes)]
     while pending and len(found) < 2:
         sub = pending.pop()
-        adj = _restricted(sub, succ)
-        for comp in strongly_connected_components(sub, adj):
-            if not is_nontrivial(comp, adj):
+        for comp in strongly_connected_components(sub, succ):
+            if not is_nontrivial(comp, succ):
                 continue
             top = max(priority(n) for n in comp)
             found.add(top % 2)
@@ -230,9 +224,8 @@ def parity_cycle_nodes(
         if p % 2 != want:
             continue
         sub = {n for n in nodes if priority(n) <= p}
-        adj = _restricted(sub, succ)
         for comp in strongly_connected_components(sub, succ):
-            if not is_nontrivial(comp, adj):
+            if not is_nontrivial(comp, succ):
                 continue
             if any(priority(n) == p for n in comp):
                 result.update(comp)

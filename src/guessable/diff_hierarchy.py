@@ -17,15 +17,7 @@ from typing import Optional
 
 from .cycles import backward_closure, cycle_nodes, explore
 from .ordinal import OrdinalCNF, congruent, from_int, parity, pred, succ
-from .space import (
-    OpenSet,
-    ParitySet,
-    UPWord,
-    complement,
-    equivalent,
-    make_open,
-    open_subset,
-)
+from .space import OpenSet, ParitySet, UPWord, make_open, open_subset
 from .guesser import (
     MooreGuesser,
     RankedGuesser,
@@ -333,65 +325,46 @@ class Classification:
 
 
 def classify(s: ParitySet) -> Classification:
-    """Rank the set and produce a witnessing chain for it or for its
-    complement, following the root-output dichotomy of the canonical
-    guesser.  Reports BOTH when the opposite side is also certified by
-    an explicit root-repaired construction; this preference is a
-    policy of this artifact, not of the theory."""
+    """Rank the set, read its hierarchy side off the two opinion costs of
+    the start state, and extract one witnessing chain.
+
+    With theta = max(rank - 1, 1), the set is a level-theta set (SELF)
+    iff a guesser that starts on opinion 0 needs at most theta mind
+    changes, `accept_rank[start] <= theta`; its complement is (the
+    COMPLEMENT side) iff `reject_rank[start] <= theta`; BOTH when both
+    hold.  Since the rank is one more than the smaller cost, at least
+    one side always holds.
+
+    The chain comes from the canonical guesser with its codomain widened
+    to theta+1: as it is when its root outputs 0, flipped to the
+    complement when only the complement is witnessed, and otherwise
+    with a root that outputs 0 under the least bound its successors
+    allow.
+    """
     trace = remainder_chain(s)
     rank = trace.rank
     if rank is None:
         return Classification(rank=None, side=Side.NEITHER, chain=None)
-    canonical = synthesize(s, trace)
-    alpha = max(rank.to_int() - 1, 1)
-    wide = canonical.with_codomain(from_int(alpha + 1))
-    root = canonical.guesser.output[canonical.guesser.start]
-    if root == 0:
-        primary_side = Side.SELF
-        chain = guesser_to_chain(wide)
-        secondary_guesser = flip_outputs(wide.guesser)
-        secondary_target = complement(s)
+    theta = from_int(max(rank.to_int() - 1, 1))
+    on_self = trace.accept_rank[s.start] <= theta
+    on_complement = trace.reject_rank[s.start] <= theta
+    if on_self and on_complement:
+        side = Side.BOTH
     else:
-        primary_side = Side.COMPLEMENT
-        chain = guesser_to_chain(
-            RankedGuesser(flip_outputs(wide.guesser), wide.bound, wide.codomain)
+        side = Side.SELF if on_self else Side.COMPLEMENT
+    wide = synthesize(s, trace).with_codomain(succ(theta))
+    g = wide.guesser
+    if g.output[g.start] == 0:
+        rooted = wide
+    elif side is Side.COMPLEMENT:
+        rooted = RankedGuesser(flip_outputs(g), wide.bound, wide.codomain)
+    else:
+        root_bound = max(
+            [wide.bound[g.start]]
+            + [
+                wide.bound[n] if g.output[n] == 0 else succ(wide.bound[n])
+                for n in g.delta[g.start]
+            ]
         )
-        secondary_guesser = wide.guesser
-        secondary_target = s
-    secondary = _attempt_root_zero_chain(
-        RankedGuesser(secondary_guesser, wide.bound, wide.codomain),
-        secondary_target,
-    )
-    if secondary is not None:
-        if primary_side is Side.COMPLEMENT:
-            chain = secondary
-        return Classification(rank=rank, side=Side.BOTH, chain=chain)
-    return Classification(rank=rank, side=primary_side, chain=chain)
-
-
-def _attempt_root_zero_chain(
-    rg: RankedGuesser, target: ParitySet
-) -> Optional[OpenChain]:
-    """Try to force a root output of 0 by splitting the start state and
-    raising its bound within the codomain; certify the extracted chain
-    by equivalence with the target, or give up."""
-    g = rg.guesser
-    if g.output[g.start] != 0:
-        candidate = rg.bound[g.start]
-        repaired = None
-        while candidate < rg.codomain:
-            trial = _split_root(rg, 0, candidate)
-            if check_bound(trial):
-                repaired = trial
-                break
-            candidate = succ(candidate)
-        if repaired is None:
-            return None
-        rg = repaired
-    try:
-        chain = guesser_to_chain(rg)
-    except (RootNotZeroError, BoundViolationError):
-        return None
-    if equivalent(d_theta(chain), target):
-        return chain
-    return None
+        rooted = _split_root(wide, 0, root_bound)
+    return Classification(rank=rank, side=side, chain=guesser_to_chain(rooted))

@@ -239,10 +239,9 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
 
     # (a) cycles with oscillating opinion
     for comp in strongly_connected_components(nodes, succ):
-        comp_set = set(comp)
-        adj = {n: [m for m in succ[n] if m in comp_set] for n in comp}
-        if not is_nontrivial(comp, adj):
+        if not is_nontrivial(comp, succ):
             continue
+        comp_set = set(comp)
         outs = {out(n) for n in comp}
         if len(outs) < 2:
             continue
@@ -264,15 +263,13 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
                 continue
             sub = {n for n in sub_b if prio(n) <= p}
             for comp in strongly_connected_components(sub, succ):
-                comp_set = set(comp)
-                adj = {n: [m for m in succ[n] if m in comp_set] for n in comp}
-                if not is_nontrivial(comp, adj):
+                if not is_nontrivial(comp, succ):
                     continue
                 tops = [n for n in comp if prio(n) == p]
                 if not tops:
                     continue
                 anchor = min(tops, key=lambda n: (len(access[n]), access[n]))
-                add_cycle_candidate(anchor, comp_set)
+                add_cycle_candidate(anchor, set(comp))
 
     if not candidates:
         return None

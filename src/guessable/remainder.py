@@ -43,11 +43,20 @@ class RemainderTrace:
     `alpha_s` is the stabilization index: the least stage equal to its
     successor.  `state_rank` maps each reachable state to the least
     stage it does not survive, or INFINITY for fixpoint states; every
-    finite rank is a successor.  `accept_rank` and `reject_rank` map a
-    state to the highest rank of a state on an accepting (even maximum)
-    or rejecting (odd maximum) cycle reachable from it, or 0 when there
-    is none: inside stage i a state still reaches such a cycle iff the
-    value exceeds i.
+    finite rank is a successor.
+
+    `accept_rank` and `reject_rank` are the two opinion costs of a
+    state q: `accept_rank[q]` is c(q, 0), the fewest mind changes a
+    guesser needs from q while it holds opinion 0, and `reject_rank[q]`
+    is c(q, 1), the same for opinion 1.  With b_o the largest c(., o)
+    of the components below, an accepting component costs
+    (1 + b_1, b_1), a rejecting one (b_0, 1 + b_0), a transient one
+    (b_0, b_1), and a mixed one is INFINITY on both.  A state's rank is
+    one more than its smaller cost.  Read on the chain, each cost is
+    the highest rank of a state on an accepting (even maximum) or
+    rejecting (odd maximum) cycle reachable from q, or 0 when there is
+    none: inside stage i the state still reaches such a cycle iff the
+    cost exceeds i.
     """
 
     subject: ParitySet
@@ -102,12 +111,12 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
 
     Unreachable states are pruned first; emptiness of the fixpoint is
     a statement about words, and words only see reachable states.
-    Tarjan emits components sinks first, so the best accepting and
-    rejecting ranks below a component are known when it is reached.
-    A mixed component never falls; an accepting one falls one stage
-    after the best rejecting component below it, a rejecting one one
-    stage after the best accepting one, and a transient one one stage
-    after the worse of the two.
+    Tarjan emits components sinks first, so the two opinion costs
+    below a component are known when it is reached.  A mixed component
+    never falls; an accepting one falls one stage after the best
+    rejecting component below it, a rejecting one one stage after the
+    best accepting one, and a transient one one stage after the worse
+    of the two.
     """
     reach = s.reachable_states()
     succ = s.successors()

@@ -39,6 +39,7 @@ from guessable.guesser import (
 from guessable.ordinal import ZERO, congruent, from_int, parity
 from guessable.randgen import random_open_chain
 from guessable.space import (
+    ParitySet,
     complement,
     equivalent,
     is_empty,
@@ -269,3 +270,21 @@ class TestClassify:
             assert outcome.chain is not None
             target = s if outcome.side in (Side.SELF, Side.BOTH) else complement(s)
             assert equivalent(d_theta(outcome.chain), target)
+
+    def test_clopen_set_is_on_both_sides(self):
+        # [1] u [01] from start 1; its complement [00] is open too.  The
+        # flipped canonical guesser says 1 with bound 1 after "0", so no
+        # root bound below the codomain 2 repairs it into a complement
+        # chain: the side has to come from the opinion costs.
+        s = ParitySet(
+            alphabet=2,
+            start=1,
+            delta=((0, 0), (6, 0), (2, 2), (4, 2), (4, 4), (6, 0), (3, 0), (0, 5)),
+            priority=(0, 2, 5, 0, 3, 5, 0, 3),
+        )
+        outcome, flipped = classify(s), classify(complement(s))
+        assert outcome.rank == flipped.rank == from_int(2)
+        assert outcome.side is flipped.side is Side.BOTH
+        assert outcome.chain.theta_int == flipped.chain.theta_int == 1
+        assert equivalent(d_theta(outcome.chain), s)
+        assert equivalent(d_theta(flipped.chain), complement(s))

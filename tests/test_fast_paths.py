@@ -13,9 +13,15 @@ import guessable.guesser
 import guessable.space
 from guessable.cli import main
 from guessable.cycles import forward_closure, parity_cycle_nodes
-from guessable.diff_hierarchy import classify, guesser_to_chain, make_anticongruent
+from guessable.diff_hierarchy import (
+    Side,
+    classify,
+    guesser_to_chain,
+    make_anticongruent,
+)
 from guessable.fixtures import (
     FIXTURES,
+    F_CYL1,
     OPEN_EMPTY,
     OPEN_FACTOR_11,
     OPEN_FULL,
@@ -274,6 +280,55 @@ def test_bound_checks_per_classify(monkeypatch):
             counts.add(len(calls))
     assert len(counts) == 1
     assert counts.pop() <= 3
+
+
+def test_classify_builds_one_chain_and_no_level_set(monkeypatch):
+    chains = []
+
+    def counting_chain(rg):
+        chains.append(rg)
+        return guesser_to_chain(rg)
+
+    def refuse(chain):
+        raise AssertionError("classify built a level set")
+
+    monkeypatch.setattr(guessable.diff_hierarchy, "guesser_to_chain", counting_chain)
+    monkeypatch.setattr(guessable.diff_hierarchy, "d_theta", refuse)
+    outcome = classify(F_CYL1)
+    assert (outcome.rank, outcome.side) == (from_int(2), Side.BOTH)
+    assert len(chains) == 1
+
+
+@PROPERTY
+@given(parity_sets())
+def test_complement_swaps_the_opinion_costs(s):
+    trace, flipped = remainder_chain(s), remainder_chain(complement(s))
+    assert flipped.state_rank == trace.state_rank
+    assert flipped.accept_rank == trace.reject_rank
+    assert flipped.reject_rank == trace.accept_rank
+
+
+SWAPPED = {
+    Side.SELF: Side.COMPLEMENT,
+    Side.COMPLEMENT: Side.SELF,
+    Side.BOTH: Side.BOTH,
+    Side.NEITHER: Side.NEITHER,
+}
+
+
+@PROPERTY
+@given(parity_sets(max_states=8, max_priority=5))
+def test_complement_swaps_the_classified_side(s):
+    outcome, flipped = classify(s), classify(complement(s))
+    assert flipped.rank == outcome.rank
+    assert flipped.side is SWAPPED[outcome.side]
+
+
+@PROPERTY
+@given(parity_sets(), st.integers(0, 99))
+def test_rank_is_invariant_under_duplicate_state(s, seed):
+    twin = duplicate_state(s, random.Random(seed))
+    assert mind_change_rank(twin) == mind_change_rank(s)
 
 
 def literal_is_empty(s):

@@ -100,6 +100,7 @@ def test_chain_member_notes_carry_their_path(open_files):
         ["--k", "0", "--d", "-2"],
         ["--k", "100", "--d", "3000"],
         ["--samples", "-3"],
+        ["--words", "-2"],
         ["--samples", "1", "--k", "2", "--d", "13"],
         ["--samples", "1", "--k", "40", "--d", "40"],
     ],
@@ -107,6 +108,27 @@ def test_chain_member_notes_carry_their_path(open_files):
 def test_oracle_check_domain_errors_exit_2(argv):
     code, _, err = run(["oracle", "check", *argv])
     assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "{guesser}", "{set}", "--budget", "-3"],
+        ["based", "verify", "{family}", "{guesser}", "{set}", "--budget", "-3"],
+        ["based", "verify", "{family}", "{guesser}", "{set}", "--budget", "0"],
+    ],
+)
+def test_vacuous_word_budgets_exit_2(open_files, command):
+    paths = {
+        "set": open_files / "one.aut",
+        "guesser": open_files / "g.guess",
+        "family": open_files / "cyl.fam",
+    }
+    paths["guesser"].write_text(render_guesser(synthesize(FIXTURES["F_ONE"]).guesser))
+    paths["family"].write_text("family cylinders 2\n")
+    code, out, err = run([arg.format(**paths) for arg in command])
+    assert (code, out) == (2, "")
     assert err.startswith("error:")
 
 

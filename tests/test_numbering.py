@@ -4,7 +4,12 @@ Each construction numbers its states in breadth-first discovery order,
 and the rendered machines are part of the CLI output.  The digests
 below were taken from the renderings before the constructions shared
 one explorer; any change to the numbering, the transitions or the
-labels changes a digest.
+labels changes a digest.  The `classify` digest (rank, side and chain
+members) was taken while `classify` still certified the opposite side
+by a root-repair search and an equivalence check, with one correction:
+that search missed the open complement of the clopen random set 1189
+(see `TestClassify.test_clopen_set_is_on_both_sides`), so its
+side went from SELF to BOTH; every chain is unchanged.
 """
 
 import hashlib
@@ -31,9 +36,11 @@ from guessable.fixtures import (
 )
 from guessable.formats import render_automaton, render_guesser
 from guessable.guesser import synthesize
+from guessable.ordinal import to_text
 from guessable.randgen import random_nested_chain, random_open_chain, random_parity_set
 from guessable.remainder import remainder_chain
-from guessable.space import open_subset, product_boolean
+from guessable.space import complement, open_subset, product_boolean
+from test_fast_paths import counter_set
 
 OPEN_FIXTURES = (OPEN_EMPTY, OPEN_FACTOR_11, OPEN_ONE, OPEN_FULL)
 
@@ -62,6 +69,35 @@ def _synthesized():
     return [synthesize(s) for s in sets if remainder_chain(s).guessable]
 
 
+def _classified() -> list[str]:
+    """Rank, side and rendered chain members of `classify` on the
+    fixtures, seeded random sets and the counter family, with the
+    complement of each fixture and counter set."""
+    sets = []
+    for s in FIXTURES.values():
+        sets += [s, complement(s)]
+    rng = random.Random(17)
+    for _ in range(2000):
+        sets.append(
+            random_parity_set(
+                rng,
+                alphabet=rng.choice([2, 3]),
+                max_states=rng.choice([4, 8]),
+                max_priority=rng.choice([3, 5]),
+            )
+        )
+    for m in range(30):
+        sets += [counter_set(m), complement(counter_set(m))]
+    texts = []
+    for s in sets:
+        outcome = classify(s)
+        rank = "NONE" if outcome.rank is None else to_text(outcome.rank)
+        members = () if outcome.chain is None else outcome.chain.sets
+        rendered = [render_automaton(m.to_parity()) for m in members]
+        texts.append("\n".join([rank, outcome.side.value, *rendered]))
+    return texts
+
+
 def _renderings() -> dict[str, list[str]]:
     chains = _chains()
     synthesized = _synthesized()
@@ -81,6 +117,7 @@ def _renderings() -> dict[str, list[str]]:
             render_guesser(out.guesser, out)
             for out in map(make_anticongruent, synthesized + converted)
         ],
+        "classify": _classified(),
         "cylinder_simulation": [
             render_guesser(cylinder_simulation(rg.guesser, rg.guesser.alphabet))
             for rg in synthesized + converted
@@ -124,6 +161,10 @@ GOLDEN = {
     "make_anticongruent": (
         "8f685e0cb00b531e728ad664c9993af4"
         "2318d7320919858bd9748d8f3e086fe0"
+    ),
+    "classify": (
+        "bd543fecabcd132cef5f9d2803217b39"
+        "1f5ad9a2f22d7db137894d4c335ff090"
     ),
     "cylinder_simulation": (
         "27b7d5697e27ed496706aa29faa26374"
