@@ -257,20 +257,27 @@ def shortest_word_path(
     """
     if min_len == 0 and start in goals:
         return (), start
-    seen = {start}
-    frontier: list[tuple[Node, tuple[int, ...]]] = [(start, ())]
+    # each reached node keeps the edge it was first reached by; the word
+    # is spelled only for the goal that is returned
+    parent: dict = {start: None}
+    frontier = [start]
+    length = 1
     while frontier:
-        next_frontier: list[tuple[Node, tuple[int, ...]]] = []
-        for node, word in frontier:
+        next_frontier = []
+        for node in frontier:
             for a in range(alphabet):
                 nxt = step(node, a)
                 if nxt not in nodes:
                     continue
-                w = word + (a,)
-                if nxt in goals and len(w) >= min_len:
-                    return w, nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    next_frontier.append((nxt, w))
+                if nxt in goals and length >= min_len:
+                    word = [a]
+                    while parent[node] is not None:
+                        node, a = parent[node]
+                        word.append(a)
+                    return tuple(reversed(word)), nxt
+                if nxt not in parent:
+                    parent[nxt] = (node, a)
+                    next_frontier.append(nxt)
         frontier = next_frontier
+        length += 1
     return None

@@ -15,9 +15,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import backward_closure, cycle_nodes, explore
+from .cycles import explore, is_nontrivial, strongly_connected_components
 from .ordinal import OrdinalCNF, congruent, from_int, parity, pred, succ
-from .space import OpenSet, ParitySet, UPWord, make_open, open_subset
+from .space import Machine, OpenSet, ParitySet, UPWord, make_open, open_subset
 from .guesser import (
     MooreGuesser,
     RankedGuesser,
@@ -47,85 +47,164 @@ class Side(enum.Enum):
     NEITHER = "NEITHER"
 
 
-@dataclass(frozen=True)
 class OpenChain:
     """An increasing sequence A_0 <= A_1 <= ... of open sets; the length
-    is the (finite) hierarchy level theta >= 1."""
+    is the (finite) hierarchy level theta >= 1.
 
-    sets: tuple[OpenSet, ...]
+    Every chain stands on one skeleton machine with an entry level per
+    state: the level of q is the least eta whose member holds q, or
+    theta when no member does, and member eta is the target
+    {q : level(q) <= eta} on the skeleton.  The level never increases
+    along an edge, so every member is absorbing and the members nest.
 
-    def __post_init__(self) -> None:
-        if not self.sets:
+    `OpenChain(sets)` takes the members themselves and checks each
+    adjacent pair with `open_subset`; the skeleton is then their
+    reachable product, derived once when it is first needed.
+    `guesser_to_chain` builds the skeleton and its levels directly and
+    the `OpenSet` members only when `sets` is read.
+    """
+
+    def __init__(self, sets: tuple[OpenSet, ...]) -> None:
+        if not sets:
             raise ChainNotIncreasingError("a chain needs at least one member")
-        k = self.sets[0].alphabet
-        for member in self.sets:
+        k = sets[0].alphabet
+        for member in sets:
             if member.alphabet != k:
                 raise ChainNotIncreasingError("chain members must share an alphabet")
-        for a, b in zip(self.sets, self.sets[1:]):
+        for a, b in zip(sets, sets[1:]):
             if not open_subset(a, b):
                 raise ChainNotIncreasingError("chain members must increase")
+        self._sets: Optional[tuple[OpenSet, ...]] = tuple(sets)
+        self._theta = len(sets)
+        self._alphabet = k
+        self._levelled: Optional[tuple[Machine, tuple[int, ...]]] = None
+
+    @classmethod
+    def _on_skeleton(
+        cls, skeleton: Machine, levels: tuple[int, ...], theta: int
+    ) -> "OpenChain":
+        """A chain of `theta` members read off a validated skeleton whose
+        levels never increase along an edge."""
+        chain = cls.__new__(cls)
+        chain._sets = None
+        chain._theta = theta
+        chain._alphabet = skeleton.alphabet
+        chain._levelled = (skeleton, levels)
+        return chain
+
+    def _skeleton(self) -> tuple[Machine, tuple[int, ...]]:
+        """The skeleton machine and the entry level of each of its states."""
+        if self._levelled is None:
+            members = self.sets
+            targets = [m.target for m in members]
+            order, rows = _profiles(members)
+            levels = tuple(
+                next(
+                    (eta for eta, q in enumerate(profile) if q in targets[eta]),
+                    self._theta,
+                )
+                for profile in order
+            )
+            self._levelled = (Machine(self._alphabet, 0, tuple(rows)), levels)
+        return self._levelled
+
+    @property
+    def sets(self) -> tuple[OpenSet, ...]:
+        if self._sets is None:
+            skeleton, levels = self._levelled
+            self._sets = tuple(
+                make_open(
+                    skeleton.alphabet,
+                    skeleton.start,
+                    skeleton.delta,
+                    [q for q, level in enumerate(levels) if level <= eta],
+                )
+                for eta in range(self._theta)
+            )
+        return self._sets
 
     @property
     def theta(self) -> OrdinalCNF:
-        return from_int(len(self.sets))
+        return from_int(self._theta)
 
     @property
     def theta_int(self) -> int:
-        return len(self.sets)
+        return self._theta
 
     @property
     def alphabet(self) -> int:
-        return self.sets[0].alphabet
+        return self._alphabet
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OpenChain):
+            return NotImplemented
+        return self.sets == other.sets
+
+    def __hash__(self) -> int:
+        return hash(self.sets)
+
+    def __repr__(self) -> str:
+        return f"OpenChain(sets={self.sets!r})"
 
 
 def d_theta(chain: OpenChain) -> ParitySet:
     """The level-theta set of the chain, as a parity automaton.
 
-    The product tracks one state per member; since members are
-    absorbing-reachability sets, the least entered index can only
-    decrease along a run, so state priorities (even exactly when the
-    current least index has parity opposite to theta) evaluate the
-    membership rule exactly.
+    The skeleton, renumbered by `explore` from its start, with priority
+    2 on the states whose level has parity opposite to theta and 1
+    elsewhere (theta itself, no member, has theta's parity).  The
+    level can only decrease along a run, so the priority seen forever
+    is that of the least member the run enters, which is the
+    membership rule.
     """
+    skeleton, levels = chain._skeleton()
     theta = chain.theta_int
-    targets = [m.target for m in chain.sets]
-
-    def prio(profile: tuple[int, ...]) -> int:
-        for eta, q in enumerate(profile):
-            if q in targets[eta]:
-                return 2 if parity(from_int(eta)) != theta % 2 else 1
-        return 1
-
-    order, rows = _profiles(chain)
+    order, rows = explore(skeleton.start, skeleton.delta.__getitem__)
     return ParitySet(
         alphabet=chain.alphabet,
         start=0,
         delta=tuple(rows),
-        priority=tuple(prio(profile) for profile in order),
+        priority=tuple(1 if levels[q] % 2 == theta % 2 else 2 for q in order),
     )
 
 
-def _profiles(chain: OpenChain) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _profiles(
+    members: tuple[OpenSet, ...]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The reachable product of the chain members, one state per member,
     numbered by `explore`."""
-    deltas = [m.automaton.delta for m in chain.sets]
-    k = chain.alphabet
+    deltas = [m.automaton.delta for m in members]
+    k = members[0].alphabet
 
     def successors(profile: tuple[int, ...]) -> list[tuple[int, ...]]:
         return [tuple(d[q][a] for d, q in zip(deltas, profile)) for a in range(k)]
 
-    return explore(tuple(m.automaton.start for m in chain.sets), successors)
+    return explore(tuple(m.automaton.start for m in members), successors)
 
 
-def _forced_states(member: OpenSet) -> set[int]:
-    """States from which every infinite run enters the member's target:
-    no cycle is reachable in the non-target subgraph."""
-    aut = member.automaton
-    non_target = {q for q in range(aut.n_states) if q not in member.target}
-    succ = aut.successors()
-    live = cycle_nodes(non_target, succ)
-    doomed = backward_closure(live, non_target, succ)
-    return set(range(aut.n_states)) - doomed
+def _forced_levels(skeleton: Machine, levels: tuple[int, ...]) -> list[int]:
+    """Per skeleton state, the least eta such that every run from it
+    enters member eta, or theta when some run enters none.
+
+    Levels never increase along an edge, so they are constant on a
+    strongly connected component and a run ends on the level of the
+    cyclic component it stays in: the forced level is the largest level
+    of a cyclic component reachable from the state.  Tarjan emits
+    components sinks first, so one pass takes the maximum over each
+    component's own level, when it cycles, and its successors' values.
+    """
+    succ = skeleton.successors()
+    forced = [0] * skeleton.n_states
+    for comp in strongly_connected_components(set(succ), succ):
+        inside = set(comp)
+        value = levels[comp[0]] if is_nontrivial(comp, succ) else 0
+        for q in comp:
+            for n in succ[q]:
+                if n not in inside and forced[n] > value:
+                    value = forced[n]
+        for q in comp:
+            forced[q] = value
+    return forced
 
 
 def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
@@ -135,33 +214,25 @@ def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
     least forced index is eta, output by the parity comparison of eta
     against theta and bound eta.  Forcedness only grows along a run,
     so the bound never increases and drops exactly at output changes;
-    the codomain is theta+1.
+    the codomain is theta+1.  The machine is the skeleton renumbered by
+    `explore`, as in `d_theta`, with the forced levels of one
+    sinks-first pass.
     """
+    skeleton, levels = chain._skeleton()
     theta = chain.theta_int
-    forced = [_forced_states(m) for m in chain.sets]
-
-    def eta_of(profile: tuple[int, ...]) -> Optional[int]:
-        for eta in range(theta):
-            if profile[eta] in forced[eta]:
-                return eta
-        return None
-
-    order, rows = _profiles(chain)
-    outputs = []
-    bounds = []
-    for profile in order:
-        eta = eta_of(profile)
-        if eta is None:
-            outputs.append(0)
-            bounds.append(from_int(theta))
-        else:
-            outputs.append(0 if eta % 2 == theta % 2 else 1)
-            bounds.append(from_int(eta))
+    forced = _forced_levels(skeleton, levels)
+    order, rows = explore(skeleton.start, skeleton.delta.__getitem__)
+    bound_of = [from_int(eta) for eta in range(theta + 1)]
     guesser = MooreGuesser(
-        alphabet=chain.alphabet, start=0, delta=tuple(rows), output=tuple(outputs)
+        alphabet=chain.alphabet,
+        start=0,
+        delta=tuple(rows),
+        output=tuple(0 if forced[q] % 2 == theta % 2 else 1 for q in order),
     )
     return RankedGuesser(
-        guesser=guesser, bound=tuple(bounds), codomain=from_int(theta + 1)
+        guesser=guesser,
+        bound=tuple(bound_of[forced[q]] for q in order),
+        codomain=from_int(theta + 1),
     )
 
 
@@ -275,11 +346,13 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
     widened to 2 so the chain has a member; the guesser still
     witnesses the wider budget.
 
-    The bound is checked once.  Every reachable state is bucketed by
-    its (finite) bound, and member eta's target is the union of the
-    buckets 0..eta; states bounded by alpha itself stay out of every
-    member.  The members share one skeleton with nested targets, so
-    `OpenChain` validates each adjacent pair by target inclusion.
+    The skeleton is the anticongruent guesser's machine, whose states
+    are all reachable, validated once, and the level of a state is its
+    (finite) bound, so member eta's target is {q : bound(q) <= eta} and
+    states bounded by alpha itself stay out of every member.  The
+    members nest by construction, and each is absorbing because the
+    level never increases along an edge: the normalized bound passed
+    `check_bound`.  No `OpenSet` is built until `sets` is read.
     """
     if rg.guesser.output[rg.guesser.start] != 0:
         raise RootNotZeroError(
@@ -295,23 +368,9 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
         rg = rg.with_codomain(from_int(2))
     adjusted = _make_anticongruent(rg)
     g = adjusted.guesser
-    reach = sorted(g.reachable_states())
-    renumber = {q: i for i, q in enumerate(reach)}
-    alpha_n = alpha.to_int()
-    delta = tuple(
-        tuple(renumber[g.delta[q][a]] for a in range(g.alphabet)) for q in reach
-    )
-    buckets: list[list[int]] = [[] for _ in range(alpha_n)]
-    for i, q in enumerate(reach):
-        level = adjusted.bound[q].to_int()
-        if level < alpha_n:
-            buckets[level].append(i)
-    members = []
-    target: list[int] = []
-    for bucket in buckets:
-        target.extend(bucket)
-        members.append(make_open(g.alphabet, renumber[g.start], delta, target))
-    return OpenChain(tuple(members))
+    skeleton = Machine(g.alphabet, g.start, g.delta)
+    levels = tuple(b.to_int() for b in adjusted.bound)
+    return OpenChain._on_skeleton(skeleton, levels, alpha.to_int())
 
 
 @dataclass(frozen=True)

@@ -205,76 +205,79 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
             f"alphabet mismatch: {g.alphabet} vs {s.alphabet}"
         )
     k = g.alphabet
-    start = (g.start, s.start)
+    # product pairs numbered breadth-first with symbols in order, so a
+    # node's number ranks its access word by length, then symbols; the
+    # first edge into a node is its tree edge, and only the returned
+    # witness's access word is spelled out along those edges
+    order, rows = explore(
+        (g.start, s.start), lambda node: zip(g.delta[node[0]], s.delta[node[1]])
+    )
+    parent: list[Optional[tuple[int, int]]] = [None] * len(order)
+    depth = [0] * len(order)
+    for i, row in enumerate(rows):
+        for a, j in enumerate(row):
+            if j > i and parent[j] is None:
+                parent[j] = (i, a)
+                depth[j] = depth[i] + 1
+    nodes = set(range(len(order)))
+    succ = dict(enumerate(rows))
+    step = lambda i, a: rows[i][a]
+    out = [g.output[p] for p, _ in order]
+    prio = [s.priority[q] for _, q in order]
 
-    def step(node: tuple[int, int], a: int) -> tuple[int, int]:
-        return (g.delta[node[0]][a], s.delta[node[1]][a])
+    # (depth + period length, depth, anchor, period): the order of
+    # (|u| + |v|, |u|, u, v) over the witnesses u(v)
+    candidates: list[tuple[int, int, int, Word]] = []
 
-    # breadth-first access paths, symbol order: shortest then lex-least
-    access: dict[tuple[int, int], tuple[int, ...]] = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for node in frontier:
-            for a in range(k):
-                nxt = step(node, a)
-                if nxt not in access:
-                    access[nxt] = access[node] + (a,)
-                    nxt_frontier.append(nxt)
-        frontier = nxt_frontier
-
-    nodes = set(access)
-    succ = {node: tuple(step(node, a) for a in range(k)) for node in nodes}
-    out = lambda node: g.output[node[0]]
-    prio = lambda node: s.priority[node[1]]
-
-    candidates: list[tuple[Word, Word]] = []
-
-    def add_cycle_candidate(anchor: tuple[int, int], allowed: set) -> None:
-        found = shortest_word_path(
-            anchor, {anchor}, allowed, step, k, min_len=1
-        )
-        if found is not None:
-            candidates.append((access[anchor], found[0]))
+    def add_candidate(anchor: int, period: Word) -> None:
+        candidates.append((depth[anchor] + len(period), depth[anchor], anchor, period))
 
     # (a) cycles with oscillating opinion
     for comp in strongly_connected_components(nodes, succ):
         if not is_nontrivial(comp, succ):
             continue
         comp_set = set(comp)
-        outs = {out(n) for n in comp}
-        if len(outs) < 2:
+        if len({out[n] for n in comp}) < 2:
             continue
-        anchor = min(comp, key=lambda n: (len(access[n]), access[n]))
-        other = {n for n in comp_set if out(n) != out(anchor)}
+        anchor = min(comp)
+        other = {n for n in comp_set if out[n] != out[anchor]}
         leg1 = shortest_word_path(anchor, other, comp_set, step, k, min_len=1)
         assert leg1 is not None
         word1, mid = leg1
         leg2 = shortest_word_path(mid, {anchor}, comp_set, step, k, min_len=1)
         assert leg2 is not None
-        candidates.append((access[anchor], word1 + leg2[0]))
+        add_candidate(anchor, word1 + leg2[0])
 
     # (b) constant-opinion cycles on the wrong side of membership
     for b in (0, 1):
         wrong_parity = 0 if b == 0 else 1  # membership 1-b on the cycle
-        sub_b = {n for n in nodes if out(n) == b}
-        for p in sorted({prio(n) for n in sub_b}):
+        sub_b = {n for n in nodes if out[n] == b}
+        for p in sorted({prio[n] for n in sub_b}):
             if p % 2 != wrong_parity:
                 continue
-            sub = {n for n in sub_b if prio(n) <= p}
+            sub = {n for n in sub_b if prio[n] <= p}
             for comp in strongly_connected_components(sub, succ):
                 if not is_nontrivial(comp, succ):
                     continue
-                tops = [n for n in comp if prio(n) == p]
+                tops = [n for n in comp if prio[n] == p]
                 if not tops:
                     continue
-                anchor = min(tops, key=lambda n: (len(access[n]), access[n]))
-                add_cycle_candidate(anchor, set(comp))
+                anchor = min(tops)
+                found = shortest_word_path(
+                    anchor, {anchor}, set(comp), step, k, min_len=1
+                )
+                if found is not None:
+                    add_candidate(anchor, found[0])
 
     if not candidates:
         return None
-    u, v = min(candidates, key=lambda c: (len(c[0]) + len(c[1]), len(c[0]), c[0], c[1]))
-    witness = UPWord(u, v)
+    _, _, anchor, v = min(candidates)
+    u = []
+    node = anchor
+    while parent[node] is not None:
+        node, a = parent[node]
+        u.append(a)
+    witness = UPWord(tuple(reversed(u)), v)
     assert not verify_on_up(g, s, witness)
     return witness
 

@@ -29,6 +29,47 @@ def random_parity_set(
     )
 
 
+def random_scc_dag(rng: random.Random, alphabet: int = 2) -> ParitySet:
+    """A parity automaton whose strongly connected components form a
+    random DAG and are each pure, so the set is guessable.
+
+    Components are laid out in a topological order from the start
+    state's.  Each closes a ring on symbol 0 (or, with some chance when
+    it has one state and is not last, is transient and only leads on),
+    its first state leads into the next component, and every other
+    edge goes to a random state of the same or a later component.  All
+    priorities in a component share one parity, which flips from one
+    cyclic component to the next with probability 0.8, so runs meet
+    long alternations and ranks of 3 and more are common.  There are
+    at most 6 components of at most 3 states, with priorities 0 to 5.
+    """
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+    first = [0]
+    for size in sizes:
+        first.append(first[-1] + size)
+    n = first[-1]
+    kind = rng.randrange(2)
+    delta = []
+    priority = []
+    for c, size in enumerate(sizes):
+        last = c == len(sizes) - 1
+        transient = not last and size == 1 and rng.random() < 0.2
+        if not transient and rng.random() < 0.8:
+            kind ^= 1
+        for i in range(size):
+            lowest = first[c + 1] if transient else first[c]
+            row = [rng.randrange(lowest, n) for _ in range(alphabet)]
+            if not transient:
+                row[0] = first[c] + (i + 1) % size
+            if not last and i == 0:
+                row[-1] = rng.randrange(first[c + 1], first[c + 2])
+            delta.append(tuple(row))
+            priority.append(rng.randrange(kind, 6, 2))
+    return ParitySet(
+        alphabet=alphabet, start=0, delta=tuple(delta), priority=tuple(priority)
+    )
+
+
 def random_moore_guesser(
     rng: random.Random, alphabet: int = 2, max_states: int = 4
 ) -> MooreGuesser:

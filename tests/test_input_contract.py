@@ -22,7 +22,7 @@ from guessable.formats import (
     render_automaton,
     render_guesser,
 )
-from guessable.guesser import synthesize
+from guessable.guesser import constant_guesser, divergence_witness, synthesize
 from guessable.oracle import (
     SAMPLE_CELL_BUDGET,
     BudgetExceededError,
@@ -30,7 +30,7 @@ from guessable.oracle import (
     draw_tables,
     sample_tables,
 )
-from guessable.space import UPWord
+from guessable.space import ParitySet, UPWord
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -199,6 +199,23 @@ def test_oracle_check_streams_its_samples(monkeypatch):
     assert peak < 1_000_000
     assert (code, out.splitlines()[0]) == (0, "tables_checked=3")
     assert seen == sample_tables(2, 4, 3, seed=5)
+
+
+def test_divergence_witness_memory_is_linear_in_the_product():
+    """The witness search ranks product nodes by discovery and keeps no
+    access word per node, so a long cycle costs bytes per node, not a
+    word as long as the cycle."""
+    n = 20_000
+    cycle = tuple(((q + 1) % n,) * 2 for q in range(n))
+    s = ParitySet(2, 0, cycle, (1,) * (n - 1) + (2,))
+    tracemalloc.start()
+    try:
+        witness = divergence_witness(constant_guesser(2, 0), s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert str(witness) == "(0)"
 
 
 def test_digit_literals_are_unchanged():
