@@ -72,6 +72,12 @@ def _rank_text(rank) -> str:
     return "NOT_GUESSABLE" if rank is None else ordinal_text(rank)
 
 
+def _print_stages(trace) -> None:
+    for i, stage in enumerate(trace.chain):
+        body = ",".join(str(q) for q in sorted(stage))
+        print(f"Q[{i}] = {{{body}}}")
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     automaton = _load_automaton(args.automaton)
     trace = remainder_chain(automaton)
@@ -79,9 +85,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     print(f"rank={_rank_text(trace.rank)}")
     print(f"alpha_S={ordinal_text(trace.alpha_s)}")
     if args.trace:
-        for i, stage in enumerate(trace.chain):
-            body = ",".join(str(q) for q in sorted(stage))
-            print(f"Q[{i}] = {{{body}}}")
+        _print_stages(trace)
     return 0
 
 
@@ -89,9 +93,7 @@ def cmd_remainder(args: argparse.Namespace) -> int:
     automaton = _load_automaton(args.automaton)
     trace = remainder_chain(automaton)
     if args.trace:
-        for i, stage in enumerate(trace.chain):
-            body = ",".join(str(q) for q in sorted(stage))
-            print(f"Q[{i}] = {{{body}}}")
+        _print_stages(trace)
     print(f"alpha(S) = {ordinal_text(trace.alpha_s)}")
     print(f"S_infty_empty = {'true' if trace.guessable else 'false'}")
     if args.gaps:

@@ -148,8 +148,8 @@ def synthesize(
     output, realised by pairing states with the last output bit (the
     root with no continuations outputs 0).  The bound of a state is
     its rank minus one; the codomain is the stabilization index.
-    A trace of `s` already at hand can be passed in; it is not
-    recomputed.
+    A `trace` passed in is `remainder_chain(s)`, the one trace memoised
+    on `s`; leaving it out reads that same trace.
     """
     if trace is None:
         trace = remainder_chain(s)

@@ -9,9 +9,15 @@ when the fixpoint is empty.
 Every stage is closed under predecessors, so it drops whole strongly
 connected components, and a component's rank follows from the ranks
 of the components it reaches.  The ranks are therefore computed in one
-pass over the SCC condensation; only the cycle-parity test looks
-inside a component.  The literal stage-by-stage iteration survives
-only as the reference in the oracle module.
+pass over the SCC condensation; only the cycle-parity test below a
+component's top priority looks inside it.  The literal stage-by-stage
+iteration survives only as the reference in the oracle module.
+
+A set has one trace: `remainder_chain` memoises it on the `ParitySet`
+instance it was asked about, so the rank, `synthesize`, `classify`,
+the CLI and the oracle cross-check all read the same object.  A trace
+is read-only; equality, hashing and the repr of the set do not see
+the memo, and an equal set built separately gets its own trace.
 
 The word-level meaning is recovered through a correspondence this
 module commits to and the oracle module cross-checks: a finite word
@@ -30,6 +36,7 @@ from .cycles import (
     cycle_nodes,
     cycle_parities,
     forward_closure,
+    is_nontrivial,
     strongly_connected_components,
 )
 from .ordinal import INFINITY, OrdinalCNF, Rank, from_int
@@ -117,7 +124,14 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     rejecting component below it, a rejecting one one stage after the
     best accepting one, and a transient one one stage after the worse
     of the two.
+
+    The trace is memoised on the instance `s`: every later call with
+    the same object returns the same trace, which callers must treat
+    as read-only.
     """
+    trace = s.__dict__.get("_remainder_trace")
+    if trace is not None:
+        return trace
     reach = s.reachable_states()
     succ = s.successors()
     prio = s.priority.__getitem__
@@ -132,7 +146,16 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
                 if nq not in members:
                     a = max(a, acc[nq])
                     r = max(r, rej[nq])
-        kinds = cycle_parities(members, succ, prio)
+        kinds = set()
+        if is_nontrivial(comp, succ):
+            # a strongly connected component has a cycle through every
+            # node, so one through its top priority; any other parity
+            # can only come from a cycle below the top
+            peak = max(map(prio, comp))
+            kinds.add(peak % 2)
+            below = {q for q in comp if prio(q) < peak}
+            if below:
+                kinds |= cycle_parities(below, succ, prio)
         if len(kinds) == 2:
             rk = a = r = math.inf
         elif 0 in kinds:
@@ -158,7 +181,7 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     ordinals = {math.inf: INFINITY}
     for v in {*rank.values(), *acc.values(), *rej.values()} - {math.inf}:
         ordinals[v] = from_int(v)
-    return RemainderTrace(
+    trace = RemainderTrace(
         subject=s,
         chain=tuple(chain),
         alpha_s=from_int(top),
@@ -166,6 +189,9 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
         accept_rank={q: ordinals[acc[q]] for q in sorted(reach)},
         reject_rank={q: ordinals[rej[q]] for q in sorted(reach)},
     )
+    # not a dataclass field, so equality, hash and repr never see it
+    object.__setattr__(s, "_remainder_trace", trace)
+    return trace
 
 
 def word_rank(trace: RemainderTrace, word: Word) -> Rank:
