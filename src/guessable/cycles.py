@@ -247,21 +247,17 @@ def shortest_word_path(
     nodes: set,
     step: Callable[[Node, int], Node],
     alphabet: int,
-    min_len: int = 0,
 ) -> tuple[tuple[int, ...], Node] | None:
-    """BFS for the shortest (then lexicographically least) symbol word
-    leading from start to a goal node inside `nodes`.
+    """BFS for the shortest (then lexicographically least) nonempty
+    symbol word leading from start to a goal node inside `nodes`.
 
-    With min_len=1 the empty word is not a solution even if start is a
-    goal, which is how closed walks are found.
+    The empty word is never a solution, even if start is a goal, which
+    is how closed walks are found.
     """
-    if min_len == 0 and start in goals:
-        return (), start
     # each reached node keeps the edge it was first reached by; the word
     # is spelled only for the goal that is returned
     parent: dict = {start: None}
     frontier = [start]
-    length = 1
     while frontier:
         next_frontier = []
         for node in frontier:
@@ -269,7 +265,7 @@ def shortest_word_path(
                 nxt = step(node, a)
                 if nxt not in nodes:
                     continue
-                if nxt in goals and length >= min_len:
+                if nxt in goals:
                     word = [a]
                     while parent[node] is not None:
                         node, a = parent[node]
@@ -279,5 +275,4 @@ def shortest_word_path(
                     parent[nxt] = (node, a)
                     next_frontier.append(nxt)
         frontier = next_frontier
-        length += 1
     return None

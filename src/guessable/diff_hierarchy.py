@@ -57,11 +57,14 @@ class OpenChain:
     {q : level(q) <= eta} on the skeleton.  The level never increases
     along an edge, so every member is absorbing and the members nest.
 
-    `OpenChain(sets)` takes the members themselves and checks each
-    adjacent pair with `open_subset`; the skeleton is then their
-    reachable product, derived once when it is first needed.
-    `guesser_to_chain` builds the skeleton and its levels directly and
-    the `OpenSet` members only when `sets` is read.
+    `OpenChain(sets)` takes the members themselves, checks each
+    adjacent pair with `open_subset`, and then takes their reachable
+    product as the skeleton.  `guesser_to_chain` hands over the
+    normalized guesser as the skeleton, with its bound as the levels,
+    and builds the `OpenSet` members only when `sets` is read.  Either
+    skeleton is numbered by `explore` breadth-first from state 0, so
+    `explore` maps it onto itself: `d_theta` and `chain_to_guesser`
+    read its rows as they are.
     """
 
     def __init__(self, sets: tuple[OpenSet, ...]) -> None:
@@ -77,14 +80,19 @@ class OpenChain:
         self._sets: Optional[tuple[OpenSet, ...]] = tuple(sets)
         self._theta = len(sets)
         self._alphabet = k
-        self._levelled: Optional[tuple[Machine, tuple[int, ...]]] = None
+        order, rows = _profiles(sets)
+        levels = tuple(
+            next((eta for eta, q in enumerate(p) if q in sets[eta].target), len(sets))
+            for p in order
+        )
+        self._levelled = (Machine(k, 0, tuple(rows)), levels)
 
     @classmethod
     def _on_skeleton(
         cls, skeleton: Machine, levels: tuple[int, ...], theta: int
     ) -> "OpenChain":
-        """A chain of `theta` members read off a validated skeleton whose
-        levels never increase along an edge."""
+        """A chain of `theta` members on a validated skeleton numbered
+        by `explore`, whose levels never increase along an edge."""
         chain = cls.__new__(cls)
         chain._sets = None
         chain._theta = theta
@@ -94,18 +102,6 @@ class OpenChain:
 
     def _skeleton(self) -> tuple[Machine, tuple[int, ...]]:
         """The skeleton machine and the entry level of each of its states."""
-        if self._levelled is None:
-            members = self.sets
-            targets = [m.target for m in members]
-            order, rows = _profiles(members)
-            levels = tuple(
-                next(
-                    (eta for eta, q in enumerate(profile) if q in targets[eta]),
-                    self._theta,
-                )
-                for profile in order
-            )
-            self._levelled = (Machine(self._alphabet, 0, tuple(rows)), levels)
         return self._levelled
 
     @property
@@ -122,10 +118,6 @@ class OpenChain:
                 for eta in range(self._theta)
             )
         return self._sets
-
-    @property
-    def theta(self) -> OrdinalCNF:
-        return from_int(self._theta)
 
     @property
     def theta_int(self) -> int:
@@ -150,21 +142,19 @@ class OpenChain:
 def d_theta(chain: OpenChain) -> ParitySet:
     """The level-theta set of the chain, as a parity automaton.
 
-    The skeleton, renumbered by `explore` from its start, with priority
-    2 on the states whose level has parity opposite to theta and 1
-    elsewhere (theta itself, no member, has theta's parity).  The
-    level can only decrease along a run, so the priority seen forever
-    is that of the least member the run enters, which is the
-    membership rule.
+    The skeleton as it stands, with priority 2 on the states whose
+    level has parity opposite to theta and 1 elsewhere (theta itself,
+    no member, has theta's parity).  The level can only decrease along
+    a run, so the priority seen forever is that of the least member the
+    run enters, which is the membership rule.
     """
     skeleton, levels = chain._skeleton()
     theta = chain.theta_int
-    order, rows = explore(skeleton.start, skeleton.delta.__getitem__)
     return ParitySet(
         alphabet=chain.alphabet,
         start=0,
-        delta=tuple(rows),
-        priority=tuple(1 if levels[q] % 2 == theta % 2 else 2 for q in order),
+        delta=skeleton.delta,
+        priority=tuple(1 if level % 2 == theta % 2 else 2 for level in levels),
     )
 
 
@@ -214,24 +204,22 @@ def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
     least forced index is eta, output by the parity comparison of eta
     against theta and bound eta.  Forcedness only grows along a run,
     so the bound never increases and drops exactly at output changes;
-    the codomain is theta+1.  The machine is the skeleton renumbered by
-    `explore`, as in `d_theta`, with the forced levels of one
-    sinks-first pass.
+    the codomain is theta+1.  The machine is the skeleton as it stands,
+    as in `d_theta`, with the forced levels of one sinks-first pass.
     """
     skeleton, levels = chain._skeleton()
     theta = chain.theta_int
     forced = _forced_levels(skeleton, levels)
-    order, rows = explore(skeleton.start, skeleton.delta.__getitem__)
     bound_of = [from_int(eta) for eta in range(theta + 1)]
     guesser = MooreGuesser(
         alphabet=chain.alphabet,
         start=0,
-        delta=tuple(rows),
-        output=tuple(0 if forced[q] % 2 == theta % 2 else 1 for q in order),
+        delta=skeleton.delta,
+        output=tuple(0 if eta % 2 == theta % 2 else 1 for eta in forced),
     )
     return RankedGuesser(
         guesser=guesser,
-        bound=tuple(bound_of[forced[q]] for q in order),
+        bound=tuple(bound_of[eta] for eta in forced),
         codomain=from_int(theta + 1),
     )
 
@@ -346,13 +334,14 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
     widened to 2 so the chain has a member; the guesser still
     witnesses the wider budget.
 
-    The skeleton is the anticongruent guesser's machine, whose states
-    are all reachable, validated once, and the level of a state is its
-    (finite) bound, so member eta's target is {q : bound(q) <= eta} and
-    states bounded by alpha itself stay out of every member.  The
-    members nest by construction, and each is absorbing because the
-    level never increases along an edge: the normalized bound passed
-    `check_bound`.  No `OpenSet` is built until `sets` is read.
+    The skeleton is the anticongruent guesser itself, a validated
+    machine that `explore` numbered from state 0, and the level of a
+    state is its (finite) bound, so member eta's target is
+    {q : bound(q) <= eta} and states bounded by alpha itself stay out
+    of every member.  The members nest by construction, and each is
+    absorbing because the level never increases along an edge: the
+    normalized bound passed `check_bound`.  No `OpenSet` is built until
+    `sets` is read.
     """
     if rg.guesser.output[rg.guesser.start] != 0:
         raise RootNotZeroError(
@@ -367,10 +356,8 @@ def guesser_to_chain(rg: RankedGuesser) -> OpenChain:
         alpha = from_int(1)
         rg = rg.with_codomain(from_int(2))
     adjusted = _make_anticongruent(rg)
-    g = adjusted.guesser
-    skeleton = Machine(g.alphabet, g.start, g.delta)
     levels = tuple(b.to_int() for b in adjusted.bound)
-    return OpenChain._on_skeleton(skeleton, levels, alpha.to_int())
+    return OpenChain._on_skeleton(adjusted.guesser, levels, alpha.to_int())
 
 
 @dataclass(frozen=True)

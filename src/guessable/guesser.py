@@ -22,7 +22,7 @@ from .cycles import (
     shortest_word_path,
     strongly_connected_components,
 )
-from .ordinal import OrdinalCNF, pred
+from .ordinal import OrdinalCNF
 from .space import (
     AlphabetMismatchError,
     Machine,
@@ -140,32 +140,32 @@ def mind_change_rank(s: ParitySet) -> Optional[OrdinalCNF]:
 def synthesize(
     s: ParitySet, trace: Optional[RemainderTrace] = None
 ) -> RankedGuesser:
-    """Build the canonical guesser from the remainder chain.
+    """Build the canonical guesser from the two opinion costs.
 
-    Per automaton state q with rank r, infinite continuations inside
-    stage r-1 are all accepting, all rejecting, or absent.  The first
-    two cases fix the output; the absent case inherits the previous
+    A state q whose cost under opinion 1, c(q, 1) = `reject_rank[q]`,
+    is below its cost under opinion 0, c(q, 0) = `accept_rank[q]`,
+    outputs 1; the reverse outputs 0; equal costs inherit the previous
     output, realised by pairing states with the last output bit (the
-    root with no continuations outputs 0).  The bound of a state is
-    its rank minus one; the codomain is the stabilization index.
+    root inherits 0).  The bound of a state is its smaller cost, its
+    rank minus one; the codomain is the stabilization index.
+
     A `trace` passed in is `remainder_chain(s)`, the one trace memoised
-    on `s`; leaving it out reads that same trace.
+    on `s`; leaving it out reads that same trace.  The guesser is
+    memoised on the trace in turn, so every later call for the same set
+    returns the same object, which callers must treat as read-only.
     """
     if trace is None:
         trace = remainder_chain(s)
+    ranked = trace.__dict__.get("_canonical_guesser")
+    if ranked is not None:
+        return ranked
     if not trace.guessable:
         raise NotGuessableError("fixpoint is nonempty; no guesser exists")
-
-    # inside stage r-1 a state reaches an accepting cycle iff the best
-    # accepting rank below it is at least r
+    accept, reject = trace.accept_rank, trace.reject_rank
     decision: dict[int, Optional[int]] = {}
-    for q, r in trace.state_rank.items():
-        if trace.accept_rank[q] >= r:
-            decision[q] = 1
-        elif trace.reject_rank[q] >= r:
-            decision[q] = 0
-        else:
-            decision[q] = None
+    for q, c0 in accept.items():
+        c1 = reject[q]
+        decision[q] = 1 if c1 < c0 else 0 if c0 < c1 else None
 
     def out_for(q: int, prev: int) -> int:
         d = decision[q]
@@ -176,18 +176,20 @@ def synthesize(
         return [(nq, out_for(nq, b)) for nq in s.delta[q]]
 
     order, rows = explore((s.start, out_for(s.start, 0)), successors)
-    outputs = tuple(b for _, b in order)
-    bounds = []
-    for q, _ in order:
-        r = trace.state_rank[q]
-        assert isinstance(r, OrdinalCNF)
-        bounds.append(pred(r))
     guesser = MooreGuesser(
-        alphabet=s.alphabet, start=0, delta=tuple(rows), output=outputs
+        alphabet=s.alphabet,
+        start=0,
+        delta=tuple(rows),
+        output=tuple(b for _, b in order),
     )
-    return RankedGuesser(
-        guesser=guesser, bound=tuple(bounds), codomain=trace.alpha_s
+    ranked = RankedGuesser(
+        guesser=guesser,
+        bound=tuple(min(accept[q], reject[q]) for q, _ in order),
+        codomain=trace.alpha_s,
     )
+    # not a dataclass field, so equality and repr never see it
+    object.__setattr__(trace, "_canonical_guesser", ranked)
+    return ranked
 
 
 def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
@@ -241,10 +243,10 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
             continue
         anchor = min(comp)
         other = {n for n in comp_set if out[n] != out[anchor]}
-        leg1 = shortest_word_path(anchor, other, comp_set, step, k, min_len=1)
+        leg1 = shortest_word_path(anchor, other, comp_set, step, k)
         assert leg1 is not None
         word1, mid = leg1
-        leg2 = shortest_word_path(mid, {anchor}, comp_set, step, k, min_len=1)
+        leg2 = shortest_word_path(mid, {anchor}, comp_set, step, k)
         assert leg2 is not None
         add_candidate(anchor, word1 + leg2[0])
 
@@ -263,9 +265,7 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
                 if not tops:
                     continue
                 anchor = min(tops)
-                found = shortest_word_path(
-                    anchor, {anchor}, set(comp), step, k, min_len=1
-                )
+                found = shortest_word_path(anchor, {anchor}, set(comp), step, k)
                 if found is not None:
                     add_candidate(anchor, found[0])
 

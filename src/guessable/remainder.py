@@ -59,11 +59,12 @@ class RemainderTrace:
     of the components below, an accepting component costs
     (1 + b_1, b_1), a rejecting one (b_0, 1 + b_0), a transient one
     (b_0, b_1), and a mixed one is INFINITY on both.  A state's rank is
-    one more than its smaller cost.  Read on the chain, each cost is
-    the highest rank of a state on an accepting (even maximum) or
-    rejecting (odd maximum) cycle reachable from q, or 0 when there is
-    none: inside stage i the state still reaches such a cycle iff the
-    cost exceeds i.
+    one more than its smaller cost, and `synthesize` reads the canonical
+    guesser off the pair and memoises it on the trace.  Read on the
+    chain, each cost is the highest rank of a state on an accepting
+    (even maximum) or rejecting (odd maximum) cycle reachable from q,
+    or 0 when there is none: inside stage i the state still reaches
+    such a cycle iff the cost exceeds i.
     """
 
     subject: ParitySet
@@ -135,7 +136,6 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     reach = s.reachable_states()
     succ = s.successors()
     prio = s.priority.__getitem__
-    rank: dict[int, float] = {}
     acc: dict[int, float] = {}
     rej: dict[int, float] = {}
     for comp in strongly_connected_components(reach, succ):
@@ -157,16 +157,15 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
             if below:
                 kinds |= cycle_parities(below, succ, prio)
         if len(kinds) == 2:
-            rk = a = r = math.inf
+            a = r = math.inf
         elif 0 in kinds:
-            rk = a = 1 + r
+            a = 1 + r
         elif 1 in kinds:
-            rk = r = 1 + a
-        else:
-            rk = 1 + min(a, r)
+            r = 1 + a
         for q in comp:
-            rank[q], acc[q], rej[q] = rk, a, r
+            acc[q], rej[q] = a, r
 
+    rank = {q: 1 + min(acc[q], rej[q]) for q in acc}
     top = max((rk for rk in rank.values() if rk != math.inf), default=0)
     by_rank: dict[float, list[int]] = {}
     for q, rk in rank.items():

@@ -41,20 +41,6 @@ class AlphabetMismatchError(ValueError):
     """Raised when operands live over different alphabets."""
 
 
-def parse_word(text: str) -> Word:
-    """Digits to a word, e.g. "010" -> (0, 1, 0). "e" is the empty word."""
-    text = text.strip()
-    if text in ("", "e", "eps"):
-        return ()
-    if not text.isdigit():
-        raise ValueError(f"bad word literal {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
-def format_word(word: Word) -> str:
-    return "".join(str(s) for s in word) if word else "e"
-
-
 def words_up_to(alphabet: int, length: int) -> Iterator[Word]:
     """All words of length <= `length`, shortest first, lexicographic."""
     for n in range(length + 1):
@@ -630,7 +616,3 @@ def open_subset(a: OpenSet, b: OpenSet) -> bool:
         pair for pair in succ if pair[0] in a.target and pair[1] not in b.target
     }
     return not cycle_nodes(escaping, succ)
-
-
-def up_in_open(a: OpenSet, w: UPWord) -> int:
-    return membership_up(a.to_parity(), w)

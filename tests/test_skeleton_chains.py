@@ -4,9 +4,11 @@
 level per state, and `OpenChain(sets)` derives one from its members'
 product.  `d_theta` and `chain_to_guesser` read only the skeleton, so
 the two kinds of chain are checked against each other, against the
-literal sublevel sets and against per-member forced sets; `classify`
-is checked to build no `OpenSet`, and the CLI's chain commands are
-replayed against a digest of their output.
+literal sublevel sets and against per-member forced sets.  Every
+skeleton is checked to be numbered as `explore` numbers it, so the
+conversions read it without renumbering; `classify` is checked to
+build no `OpenSet`, and the CLI's chain commands are replayed against
+a digest of their output.
 """
 
 import contextlib
@@ -93,11 +95,27 @@ def rendered(chain):
     return render_automaton(d_theta(chain)), render_guesser(ranked.guesser, ranked)
 
 
+def assert_skeleton_form(chain):
+    """The skeleton starts at 0, `explore` maps it onto itself, and no
+    level rises along an edge."""
+    skeleton, levels = chain._skeleton()
+    assert skeleton.start == 0
+    order, rows = explore(0, skeleton.delta.__getitem__)
+    assert order == list(range(skeleton.n_states))
+    assert tuple(rows) == skeleton.delta
+    assert all(
+        levels[n] <= levels[q] for q, row in enumerate(skeleton.delta) for n in row
+    )
+
+
 def assert_skeleton_agrees(chain):
     """The chain, rebuilt from its members, renders the same level set
     and guesser, and both match the per-member forced reference."""
+    rebuilt = OpenChain(chain.sets)
+    assert_skeleton_form(chain)
+    assert_skeleton_form(rebuilt)
     level_set, guesser = rendered(chain)
-    assert rendered(OpenChain(chain.sets)) == (level_set, guesser)
+    assert rendered(rebuilt) == (level_set, guesser)
     reference = reference_chain_to_guesser(chain)
     assert guesser == render_guesser(reference.guesser, reference)
 
@@ -123,6 +141,7 @@ def assert_dag_chains_agree(s):
         assert_forced_levels_agree(outcome.chain)
         for rg in root_zero_guessers(t):
             chain = guesser_to_chain(rg)
+            assert_skeleton_form(chain)
             assert [m.target for m in chain.sets] == literal_sublevel_targets(rg)
             assert_forced_levels_agree(chain)
 
@@ -171,6 +190,21 @@ def test_classify_and_conversions_build_no_open_set(monkeypatch):
     chain_to_guesser(chain)
     monkeypatch.undo()
     assert len(chain.sets) == 40
+
+
+def test_built_chains_are_read_without_renumbering(monkeypatch):
+    rng = random.Random(5)
+    chains = [classify(counter_set(12)).chain]
+    chains += [guesser_to_chain(rg) for rg in root_zero_guessers(counter_set(5))]
+    for _ in range(10):
+        chains += [random_open_chain(rng), random_nested_chain(rng)]
+    before = [rendered(chain) for chain in chains]
+
+    def refuse(*args):
+        raise AssertionError("the skeleton was renumbered")
+
+    monkeypatch.setattr(guessable.diff_hierarchy, "explore", refuse)
+    assert [rendered(chain) for chain in chains] == before
 
 
 # sha256 of the replayed outputs below, taken before chains stood on a

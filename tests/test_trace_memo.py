@@ -6,7 +6,7 @@ priority.  The trace is checked against the literal stage iteration on
 sets whose components cycle through several priorities, the memo is
 checked to be invisible from outside and bound to one instance, and
 the verdicts that read the trace are checked to share one condensation
-pass.
+pass and one canonical guesser.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import random
 
 from hypothesis import given, strategies as st
 
+import guessable.guesser
 import guessable.remainder
 from guessable.diff_hierarchy import classify
 from guessable.guesser import mind_change_rank, synthesize
@@ -24,17 +25,17 @@ from guessable.space import ParitySet, complement
 from test_fast_paths import PROPERTY, counter_set
 
 
-def counted(monkeypatch, name):
-    """Record the arguments of every call the remainder module makes to
-    its imported helper `name`."""
+def counted(monkeypatch, name, module=guessable.remainder):
+    """Record the arguments of every call the module makes to its
+    imported helper `name`."""
     calls = []
-    real = getattr(guessable.remainder, name)
+    real = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(guessable.remainder, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -120,3 +121,18 @@ def test_cross_validate_builds_one_trace_per_table(monkeypatch):
     assert report.ok
     assert report.tables_checked == 40
     assert len(passes) == 40
+
+
+def test_one_canonical_guesser_per_trace(monkeypatch):
+    products = counted(monkeypatch, "explore", guessable.guesser)
+    s = counter_set(6)
+    trace = remainder_chain(s)
+    seen = repr(trace)
+    ranked = synthesize(s)
+    classify(s)
+    assert len(products) == 1
+    assert synthesize(s) is ranked
+    assert synthesize(s, trace) is ranked
+    assert repr(trace) == seen
+    assert remainder_chain(s) == literal_remainder_chain(s)
+    assert synthesize(counter_set(6)) == ranked
