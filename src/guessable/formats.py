@@ -67,6 +67,13 @@ def _bad_line(row: list[str], exc: Exception) -> FormatError:
     return FormatError(f"bad line {' '.join(row)!r}: {exc}")
 
 
+def _set_once(labels: dict, key: str, q: int, value) -> None:
+    """Record a per-state line, refusing a second one for the state."""
+    if q in labels:
+        raise FormatError(f"duplicate {key} for state {q}")
+    labels[q] = value
+
+
 def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
     # -> (alphabet, n_states, start, table, priorities, outputs, bounds, codomain)
     alphabet = None
@@ -90,11 +97,13 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
             elif key == "acceptance":
                 acceptance = args[0]
             elif key == "priority":
-                priorities[int(args[0])] = int(args[1])
+                _set_once(priorities, key, int(args[0]), int(args[1]))
             elif key == "output":
-                outputs[int(args[0])] = int(args[1])
+                _set_once(outputs, key, int(args[0]), int(args[1]))
             elif key == "bound":
-                bounds[int(args[0])] = ordinal_from_text(" ".join(args[1:]))
+                _set_once(
+                    bounds, key, int(args[0]), ordinal_from_text(" ".join(args[1:]))
+                )
             elif key == "codomain":
                 codomain = ordinal_from_text(" ".join(args))
             elif key == "trans":

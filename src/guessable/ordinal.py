@@ -10,19 +10,35 @@ interface is ordinal typed so the transfinite statements it mirrors
 read the same way at any scale.  The one extra value is ``INFINITY``,
 a sentinel that compares greater than every ordinal and stands for
 "never leaves the chain".
+
+Each value carries an order key built once at construction, so
+comparing, hashing and equality are tuple operations with no
+Python-level walk over the terms.  Finite values are interned:
+``from_int(n)`` returns one object per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 
-@dataclass(frozen=True)
+# parenthesised exponents a literal may nest (w^(w^(w + 1)) nests 2);
+# ranks of finite-state sets are finite, so this only stops the parser
+# from reaching Python's recursion limit
+NESTING_LIMIT = 100
+
+
+@dataclass(frozen=True, eq=False)
 class OrdinalCNF:
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 
     Exponents strictly decrease, coefficients are >= 1.  ``()`` is 0.
+    The order key ``_key`` (not a field) is ``terms`` with each exponent
+    replaced by its own key; tuple order on it is the CNF order (larger
+    exponent first, then larger coefficient, and a proper prefix is
+    smaller), and equality and hashing read it too.
     """
 
     terms: tuple[tuple["OrdinalCNF", int], ...] = ()
@@ -34,36 +50,46 @@ class OrdinalCNF:
                 raise TypeError("exponent must be an OrdinalCNF")
             if not isinstance(coef, int) or coef < 1:
                 raise ValueError("coefficients must be positive integers")
-            if prev is not None and compare(exp, prev) >= 0:
+            if prev is not None and exp._key >= prev._key:
                 raise ValueError("exponents must strictly decrease")
             prev = exp
+        key = tuple((exp._key, coef) for exp, coef in self.terms)
+        object.__setattr__(self, "_key", key)
 
     # -- ordering ---------------------------------------------------
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OrdinalCNF):
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
     def __lt__(self, other: object) -> bool:
         if isinstance(other, OrdinalCNF):
-            return compare(self, other) < 0
+            return self._key < other._key
         if other is INFINITY:
             return True
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
         if isinstance(other, OrdinalCNF):
-            return compare(self, other) <= 0
+            return self._key <= other._key
         if other is INFINITY:
             return True
         return NotImplemented
 
     def __gt__(self, other: object) -> bool:
         if isinstance(other, OrdinalCNF):
-            return compare(self, other) > 0
+            return self._key > other._key
         if other is INFINITY:
             return False
         return NotImplemented
 
     def __ge__(self, other: object) -> bool:
         if isinstance(other, OrdinalCNF):
-            return compare(self, other) >= 0
+            return self._key >= other._key
         if other is INFINITY:
             return False
         return NotImplemented
@@ -152,16 +178,22 @@ INFINITY = _Infinity()
 Rank = Union[OrdinalCNF, _Infinity]
 
 ZERO = OrdinalCNF()
-ONE = OrdinalCNF(((ZERO, 1),))
-OMEGA = OrdinalCNF(((ONE, 1),))
 
 
+@lru_cache(maxsize=None, typed=True)
 def from_int(n: int) -> OrdinalCNF:
+    """The finite ordinal n, one shared object per value.  The cache keeps
+    every value asked for, ranks of sets and bounds read from files, so
+    it grows with the inputs, not with the work done on them."""
     if n < 0:
         raise ValueError("ordinals are non-negative")
     if n == 0:
         return ZERO
     return OrdinalCNF(((ZERO, n),))
+
+
+ONE = from_int(1)
+OMEGA = OrdinalCNF(((ONE, 1),))
 
 
 def omega_power(exp: "OrdinalCNF | int", coef: int = 1) -> OrdinalCNF:
@@ -174,15 +206,8 @@ def omega_power(exp: "OrdinalCNF | int", coef: int = 1) -> OrdinalCNF:
 
 def compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
     """Total order on CNF: -1, 0 or 1. Lexicographic on term lists."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
 def add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
@@ -190,8 +215,8 @@ def add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
     if b.is_zero:
         return a
     lead_exp, lead_coef = b.terms[0]
-    kept = [t for t in a.terms if compare(t[0], lead_exp) > 0]
-    if len(kept) < len(a.terms) and compare(a.terms[len(kept)][0], lead_exp) == 0:
+    kept = [t for t in a.terms if t[0] > lead_exp]
+    if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead_exp:
         merged = (lead_exp, a.terms[len(kept)][1] + lead_coef)
         return OrdinalCNF(tuple(kept) + (merged,) + b.terms[1:])
     return OrdinalCNF(tuple(kept) + b.terms)
@@ -228,7 +253,7 @@ def congruent(a: "OrdinalCNF | int", b: "OrdinalCNF | int") -> bool:
 #
 # Grammar: terms joined by "+"; a term is a decimal integer, or
 # "w", "w*c", "w^e", "w^e*c" with e a decimal integer, "w", or a
-# parenthesised ordinal expression.
+# parenthesised ordinal expression, nested at most NESTING_LIMIT deep.
 
 
 def to_text(a: OrdinalCNF) -> str:
@@ -250,6 +275,8 @@ def to_text(a: OrdinalCNF) -> str:
 
 
 def from_text(text: str) -> OrdinalCNF:
+    if text.isdecimal():
+        return from_int(int(text))
     tokens = _tokenize(text)
     value, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
@@ -280,15 +307,19 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_expr(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
-    total, pos = _parse_term(tokens, pos)
+def _parse_expr(
+    tokens: list[str], pos: int, depth: int = 0
+) -> tuple[OrdinalCNF, int]:
+    if depth > NESTING_LIMIT:
+        raise ValueError(f"ordinal literal nests over {NESTING_LIMIT} exponents")
+    total, pos = _parse_term(tokens, pos, depth)
     while pos < len(tokens) and tokens[pos] == "+":
-        term, pos = _parse_term(tokens, pos + 1)
+        term, pos = _parse_term(tokens, pos + 1, depth)
         total = add(total, term)
     return total, pos
 
 
-def _parse_term(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
+def _parse_term(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
     if pos >= len(tokens):
         raise ValueError("unexpected end of ordinal literal")
     tok = tokens[pos]
@@ -303,7 +334,7 @@ def _parse_term(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
         if pos >= len(tokens):
             raise ValueError("missing exponent in ordinal literal")
         if tokens[pos] == "(":
-            exp, pos = _parse_expr(tokens, pos + 1)
+            exp, pos = _parse_expr(tokens, pos + 1, depth + 1)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ValueError("unbalanced parenthesis in ordinal literal")
             pos += 1

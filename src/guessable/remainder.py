@@ -177,16 +177,16 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
         chain.append(frozenset(current))
     chain.reverse()
 
-    ordinals = {math.inf: INFINITY}
-    for v in {*rank.values(), *acc.values(), *rej.values()} - {math.inf}:
-        ordinals[v] = from_int(v)
+    def ordinal(v: float) -> Rank:
+        return INFINITY if v == math.inf else from_int(v)
+
     trace = RemainderTrace(
         subject=s,
         chain=tuple(chain),
         alpha_s=from_int(top),
-        state_rank={q: ordinals[rank[q]] for q in sorted(reach)},
-        accept_rank={q: ordinals[acc[q]] for q in sorted(reach)},
-        reject_rank={q: ordinals[rej[q]] for q in sorted(reach)},
+        state_rank={q: ordinal(rank[q]) for q in sorted(reach)},
+        accept_rank={q: ordinal(acc[q]) for q in sorted(reach)},
+        reject_rank={q: ordinal(rej[q]) for q in sorted(reach)},
     )
     # not a dataclass field, so equality, hash and repr never see it
     object.__setattr__(s, "_remainder_trace", trace)

@@ -23,6 +23,7 @@ from guessable.formats import (
     render_guesser,
 )
 from guessable.guesser import constant_guesser, divergence_witness, synthesize
+from guessable.ordinal import NESTING_LIMIT, compare, from_text, to_text
 from guessable.oracle import (
     SAMPLE_CELL_BUDGET,
     BudgetExceededError,
@@ -241,6 +242,72 @@ def test_digit_literals_are_unchanged():
 def test_up_literal_round_trip(parts):
     w = UPWord(tuple(parts[0]), tuple(parts[1]))
     assert UPWord.from_literal(str(w)) == w
+
+
+# -- ordinal literals and per-state lines --------------------------------
+
+
+def _nested(depth, core="1"):
+    return "w^(" * depth + core + ")" * depth
+
+
+def _ranked_guesser_text(bound="0", codomain="1"):
+    return (
+        "alphabet 2\nstates 1\nstart 0\noutput 0 0\n"
+        f"bound 0 {bound}\ncodomain {codomain}\ntrans 0 0 0\ntrans 0 1 0\n"
+    )
+
+
+@pytest.mark.parametrize("depth", [900, 3000])
+@pytest.mark.parametrize("where", ["bound", "codomain"])
+def test_deeply_nested_ordinal_literals_exit_2(open_files, where, depth):
+    guesser = open_files / "deep.guess"
+    guesser.write_text(_ranked_guesser_text(**{where: _nested(depth)}))
+    code, out, err = run(["verify", str(guesser), str(open_files / "one.aut")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_ordinal_literal_at_the_nesting_limit():
+    text = _nested(NESTING_LIMIT, "w + 1")
+    value = from_text(text)
+    assert to_text(value) == text
+    again = from_text(text)
+    assert again is not value
+    assert again == value and compare(again, value) == 0
+    assert hash(again) == hash(value)
+    assert value > from_text(_nested(NESTING_LIMIT - 1, "w + 1"))
+    _, ranked, _ = parse_guesser(_ranked_guesser_text(codomain=text))
+    assert ranked.codomain == value
+    assert render_guesser(ranked.guesser, ranked) == _ranked_guesser_text(
+        codomain=text
+    )
+    with pytest.raises(ValueError):
+        from_text(_nested(NESTING_LIMIT + 1, "w + 1"))
+
+
+DUPLICATE_LINES = {
+    "priority": "alphabet 2\nstates 1\npriority 0 0\npriority 0 1\n",
+    "output": "alphabet 2\nstates 1\noutput 0 0\noutput 0 1\n",
+    "bound": _ranked_guesser_text() + "bound 0 0\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATE_LINES))
+def test_duplicate_per_state_lines_exit_2(open_files, kind):
+    text = DUPLICATE_LINES[kind]
+    parse = parse_automaton if kind == "priority" else parse_guesser
+    with pytest.raises(FormatError, match=f"^duplicate {kind} for state 0$"):
+        parse(text)
+    path = open_files / "dup.txt"
+    path.write_text(text)
+    argv = ["rank", str(path)] if kind == "priority" else [
+        "verify", str(path), str(open_files / "one.aut")
+    ]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: duplicate {kind} for state 0\n"
 
 
 # -- command line fuzz ---------------------------------------------------

@@ -1,6 +1,9 @@
+import dataclasses
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guessable.ordinal import (
     INFINITY,
@@ -18,6 +21,8 @@ from guessable.ordinal import (
     pred,
     succ,
     to_text,
+    _parse_expr,
+    _tokenize,
 )
 
 
@@ -171,3 +176,95 @@ def test_invalid_cnf_rejected():
         OrdinalCNF(((ZERO, 0),))
     with pytest.raises(ValueError):
         OrdinalCNF(((ZERO, 1), (ONE, 1)))  # exponents must decrease
+
+
+# -- order keys against the term-by-term definition -------------------
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def literal_compare(a, b):
+    """The CNF order walked term by term: the reference for the keys."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = literal_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
+def _cnf(terms):
+    """Sum of w^e*c terms in any order: sorted and merged by exponent
+    under `literal_compare`, then built as one CNF."""
+    ordered = sorted(
+        terms,
+        key=functools.cmp_to_key(lambda s, t: literal_compare(t[0], s[0])),
+    )
+    merged = []
+    for exp, coef in ordered:
+        if merged and literal_compare(merged[-1][0], exp) == 0:
+            merged[-1] = (merged[-1][0], merged[-1][1] + coef)
+        else:
+            merged.append((exp, coef))
+    return OrdinalCNF(tuple(merged))
+
+
+NAMED = [from_text(t) for t in ("w^w", "w^(w + 1)*2 + 3", "w^(w^w)", "w^w*3 + w^2")]
+ORDINALS = st.recursive(
+    st.one_of(st.integers(0, 6).map(from_int), st.sampled_from(NAMED)),
+    lambda inner: st.lists(
+        st.tuples(inner, st.integers(1, 4)), min_size=1, max_size=3
+    ).map(_cnf),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(ORDINALS, ORDINALS)
+def test_order_keys_agree_with_literal_compare(a, b):
+    sign = literal_compare(a, b)
+    assert compare(a, b) == sign
+    assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    assert (a == b, a != b) == (sign == 0, sign != 0)
+    if sign == 0:
+        assert hash(a) == hash(b)
+
+
+@PROPERTY
+@given(ORDINALS)
+def test_equal_ordinals_built_apart_hash_equal(a):
+    for again in (OrdinalCNF(a.terms), from_text(to_text(a)), add(a, ZERO)):
+        assert literal_compare(again, a) == 0
+        assert again == a and hash(again) == hash(a)
+    assert a < INFINITY and not (a >= INFINITY) and a != INFINITY
+    assert succ(a) > a and literal_compare(succ(a), a) == 1
+
+
+@PROPERTY
+@given(st.integers(0, 10**20))
+def test_finite_ordinals_are_interned(n):
+    assert from_int(n) is from_int(n)
+    assert from_text(str(n)) is from_int(n)
+    assert from_int(n).to_int() == n
+
+
+@PROPERTY
+@given(
+    st.text(alphabet="0123456789", min_size=1, max_size=25)
+    | st.text(alphabet="0٣７", min_size=1, max_size=4)
+)
+def test_decimal_literals_match_the_tokenizer(text):
+    value, pos = _parse_expr(_tokenize(text), 0)
+    assert pos == 1
+    assert from_text(text) == value
+
+
+def test_keys_leave_the_dataclass_surface_alone():
+    assert [f.name for f in dataclasses.fields(OrdinalCNF)] == ["terms"]
+    assert repr(from_text("w^(w + 1)*2 + 3")) == "OrdinalCNF('w^(w + 1)*2 + 3')"
+    assert ZERO is from_int(0) and ONE is from_int(1)
+    with pytest.raises(ValueError):
+        from_text("\u00b2")
