@@ -1,15 +1,16 @@
 """Cycle and reachability analysis on small state graphs.
 
-Everything here works on an explicit node set plus a successor map
-``succ[node] -> iterable of nodes``; edges leaving the node set are
-ignored.  Nodes must be hashable and sortable so that all outputs are
-deterministic.
+Everything here works on an explicit node set of state numbers plus
+rows indexed by state, ``succ[q] -> iterable of states``: a machine's
+`delta` or the rows `explore` returns, passed as they are.  Edges
+leaving the node set are ignored.  All outputs are deterministic.
 
 `explore` is the one builder of reachable products: it numbers the
 keys reachable from a start key in breadth-first discovery order and
 returns the numbered transition rows, from which every product
-construction (boolean products, the canonical guesser, level sets,
-chain and bound conversions) assembles its machine.
+construction (the plain product of machines, boolean products, the
+canonical guesser, chain and bound conversions) assembles its machine
+and on which every search here runs.
 
 `cycle_parities` and `even_odd_cycle` answer which kinds of cycle a
 graph carries by Emerson-Lei refinement: split into SCCs, drop the
@@ -20,7 +21,7 @@ ranks are decided this way, without a parity product.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 Node = Hashable
 
@@ -51,23 +52,23 @@ def explore(
     return order, rows
 
 
-def forward_closure(starts: Iterable[Node], nodes: set, succ: Mapping) -> set:
+def forward_closure(starts: Iterable[Node], nodes: set, succ: Sequence) -> set:
     """Nodes reachable from starts without leaving `nodes`."""
     seen = {s for s in starts if s in nodes}
     stack = list(seen)
     while stack:
         n = stack.pop()
-        for m in succ.get(n, ()):
+        for m in succ[n]:
             if m in nodes and m not in seen:
                 seen.add(m)
                 stack.append(m)
     return seen
 
 
-def backward_closure(targets: Iterable[Node], nodes: set, succ: Mapping) -> set:
+def backward_closure(targets: Iterable[Node], nodes: set, succ: Sequence) -> set:
     pred: dict[Node, list[Node]] = {n: [] for n in nodes}
     for n in nodes:
-        for m in succ.get(n, ()):
+        for m in succ[n]:
             if m in nodes:
                 pred[m].append(n)
     seen = {t for t in targets if t in nodes}
@@ -81,9 +82,9 @@ def backward_closure(targets: Iterable[Node], nodes: set, succ: Mapping) -> set:
     return seen
 
 
-def strongly_connected_components(nodes: set, succ: Mapping) -> list[list[Node]]:
+def strongly_connected_components(nodes: set, succ: Sequence) -> list[list[Node]]:
     """Tarjan's algorithm, iterative. Components in deterministic order."""
-    adj = {n: [m for m in succ.get(n, ()) if m in nodes] for n in nodes}
+    adj = {n: [m for m in succ[n] if m in nodes] for n in nodes}
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     on_stack: set = set()
@@ -132,15 +133,15 @@ def strongly_connected_components(nodes: set, succ: Mapping) -> list[list[Node]]
     return components
 
 
-def is_nontrivial(component: Sequence[Node], succ: Mapping) -> bool:
+def is_nontrivial(component: Sequence[Node], succ: Sequence) -> bool:
     """The component carries a cycle: more than one node, or a self-loop."""
     if len(component) > 1:
         return True
     node = component[0]
-    return node in succ.get(node, ())
+    return node in succ[node]
 
 
-def cycle_nodes(nodes: set, succ: Mapping) -> set:
+def cycle_nodes(nodes: set, succ: Sequence) -> set:
     """Nodes lying on some cycle inside `nodes`."""
     out: set = set()
     for comp in strongly_connected_components(nodes, succ):
@@ -150,7 +151,7 @@ def cycle_nodes(nodes: set, succ: Mapping) -> set:
 
 
 def cycle_parities(
-    nodes: set, succ: Mapping, priority: Callable[[Node], int]
+    nodes: set, succ: Sequence, priority: Callable[[Node], int]
 ) -> set[int]:
     """Parities (0/1) of the maximum priorities of the cycles inside
     `nodes`.
@@ -176,7 +177,7 @@ def cycle_parities(
 
 def even_odd_cycle(
     nodes: set,
-    succ: Mapping,
+    succ: Sequence,
     kinds: Sequence[tuple[Callable[[Node], int], Callable[[Node], int]]],
 ) -> bool:
     """True iff some cycle inside `nodes` is of one of the `kinds`: for
@@ -211,7 +212,7 @@ def even_odd_cycle(
 
 
 def parity_cycle_nodes(
-    nodes: set, succ: Mapping, priority: Callable[[Node], int], want: int
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
 ) -> set:
     """Nodes on a cycle whose maximum priority has parity `want` (0/1).
 
@@ -233,7 +234,7 @@ def parity_cycle_nodes(
 
 
 def can_reach_parity_cycle(
-    nodes: set, succ: Mapping, priority: Callable[[Node], int], want: int
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
 ) -> set:
     """Nodes from which a cycle with max-priority parity `want` is
     reachable without leaving `nodes`."""

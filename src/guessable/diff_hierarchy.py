@@ -15,9 +15,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import explore, is_nontrivial, strongly_connected_components
+from .cycles import cycle_nodes, explore, is_nontrivial, strongly_connected_components
 from .ordinal import OrdinalCNF, congruent, from_int, parity, pred, succ
-from .space import Machine, OpenSet, ParitySet, UPWord, make_open, open_subset
+from .space import Machine, OpenSet, ParitySet, UPWord, make_open, product
 from .guesser import (
     MooreGuesser,
     RankedGuesser,
@@ -57,14 +57,19 @@ class OpenChain:
     {q : level(q) <= eta} on the skeleton.  The level never increases
     along an edge, so every member is absorbing and the members nest.
 
-    `OpenChain(sets)` takes the members themselves, checks each
-    adjacent pair with `open_subset`, and then takes their reachable
-    product as the skeleton.  `guesser_to_chain` hands over the
-    normalized guesser as the skeleton, with its bound as the levels,
-    and builds the `OpenSet` members only when `sets` is read.  Either
-    skeleton is numbered by `explore` breadth-first from state 0, so
-    `explore` maps it onto itself: `d_theta` and `chain_to_guesser`
-    read its rows as they are.
+    `OpenChain(sets)` takes the members themselves and their reachable
+    `product` as the skeleton, and checks on it that the members
+    increase.  A product state holds one bit per member, whether the
+    state is in that member's target; a bit never falls along an edge,
+    since every target is absorbing, so the bits are constant on any
+    cycle.  A point of one member lies outside the next iff its run
+    ends on a cycle whose bits have a 1 before a 0, so one `cycle_nodes`
+    search over the states whose bits are not sorted decides the whole
+    chain.  `guesser_to_chain` hands over the normalized guesser as the
+    skeleton, with its bound as the levels, and builds the `OpenSet`
+    members only when `sets` is read.  Either skeleton is numbered by
+    `explore` breadth-first from state 0, so `explore` maps it onto
+    itself: `d_theta` and `chain_to_guesser` read its rows as they are.
     """
 
     def __init__(self, sets: tuple[OpenSet, ...]) -> None:
@@ -74,17 +79,15 @@ class OpenChain:
         for member in sets:
             if member.alphabet != k:
                 raise ChainNotIncreasingError("chain members must share an alphabet")
-        for a, b in zip(sets, sets[1:]):
-            if not open_subset(a, b):
-                raise ChainNotIncreasingError("chain members must increase")
+        theta = len(sets)
+        order, rows = product(*(m.automaton for m in sets))
+        bits = [[q in m.target for q, m in zip(p, sets)] for p in order]
+        if cycle_nodes({i for i, b in enumerate(bits) if b != sorted(b)}, rows):
+            raise ChainNotIncreasingError("chain members must increase")
         self._sets: Optional[tuple[OpenSet, ...]] = tuple(sets)
-        self._theta = len(sets)
+        self._theta = theta
         self._alphabet = k
-        order, rows = _profiles(sets)
-        levels = tuple(
-            next((eta for eta, q in enumerate(p) if q in sets[eta].target), len(sets))
-            for p in order
-        )
+        levels = tuple(b.index(True) if True in b else theta for b in bits)
         self._levelled = (Machine(k, 0, tuple(rows)), levels)
 
     @classmethod
@@ -158,20 +161,6 @@ def d_theta(chain: OpenChain) -> ParitySet:
     )
 
 
-def _profiles(
-    members: tuple[OpenSet, ...]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The reachable product of the chain members, one state per member,
-    numbered by `explore`."""
-    deltas = [m.automaton.delta for m in members]
-    k = members[0].alphabet
-
-    def successors(profile: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(d[q][a] for d, q in zip(deltas, profile)) for a in range(k)]
-
-    return explore(tuple(m.automaton.start for m in members), successors)
-
-
 def _forced_levels(skeleton: Machine, levels: tuple[int, ...]) -> list[int]:
     """Per skeleton state, the least eta such that every run from it
     enters member eta, or theta when some run enters none.
@@ -183,9 +172,9 @@ def _forced_levels(skeleton: Machine, levels: tuple[int, ...]) -> list[int]:
     components sinks first, so one pass takes the maximum over each
     component's own level, when it cycles, and its successors' values.
     """
-    succ = skeleton.successors()
+    succ = skeleton.delta
     forced = [0] * skeleton.n_states
-    for comp in strongly_connected_components(set(succ), succ):
+    for comp in strongly_connected_components(set(range(len(succ))), succ):
         inside = set(comp)
         value = levels[comp[0]] if is_nontrivial(comp, succ) else 0
         for q in comp:

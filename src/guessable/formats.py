@@ -118,6 +118,11 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
         raise FormatError("missing alphabet or states directive")
     if acceptance not in ("max-even", "min-even"):
         raise FormatError(f"unknown acceptance convention {acceptance!r}")
+    labelled = {"priority": priorities, "output": outputs, "bound": bounds}
+    for key, labels in labelled.items():
+        for q in labels:
+            if not 0 <= q < n_states:
+                raise FormatError(f"{key} for state {q} out of range")
     # every state needs its own label line, so a state count beyond the
     # label lines fails here, before a table of that size is built
     if want_outputs:
@@ -290,7 +295,8 @@ def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
             raise _bad_line(row, exc) from exc
     if theta is None:
         raise FormatError("missing theta header")
-    if sorted(members) != list(range(theta)):
+    # the count first: theta may be far larger than the file
+    if len(members) != theta or sorted(members) != list(range(theta)):
         raise FormatError("chain must define sets 0..theta-1")
     return OpenChain(tuple(members[i] for i in range(theta))), notes
 

@@ -30,6 +30,7 @@ from .space import (
     UPWord,
     Word,
     membership_up,
+    product,
 )
 from .remainder import RemainderTrace, remainder_chain
 
@@ -211,9 +212,7 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     # node's number ranks its access word by length, then symbols; the
     # first edge into a node is its tree edge, and only the returned
     # witness's access word is spelled out along those edges
-    order, rows = explore(
-        (g.start, s.start), lambda node: zip(g.delta[node[0]], s.delta[node[1]])
-    )
+    order, rows = product(g, s)
     parent: list[Optional[tuple[int, int]]] = [None] * len(order)
     depth = [0] * len(order)
     for i, row in enumerate(rows):
@@ -222,7 +221,6 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
                 parent[j] = (i, a)
                 depth[j] = depth[i] + 1
     nodes = set(range(len(order)))
-    succ = dict(enumerate(rows))
     step = lambda i, a: rows[i][a]
     out = [g.output[p] for p, _ in order]
     prio = [s.priority[q] for _, q in order]
@@ -235,8 +233,8 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
         candidates.append((depth[anchor] + len(period), depth[anchor], anchor, period))
 
     # (a) cycles with oscillating opinion
-    for comp in strongly_connected_components(nodes, succ):
-        if not is_nontrivial(comp, succ):
+    for comp in strongly_connected_components(nodes, rows):
+        if not is_nontrivial(comp, rows):
             continue
         comp_set = set(comp)
         if len({out[n] for n in comp}) < 2:
@@ -258,8 +256,8 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
             if p % 2 != wrong_parity:
                 continue
             sub = {n for n in sub_b if prio[n] <= p}
-            for comp in strongly_connected_components(sub, succ):
-                if not is_nontrivial(comp, succ):
+            for comp in strongly_connected_components(sub, rows):
+                if not is_nontrivial(comp, rows):
                     continue
                 tops = [n for n in comp if prio[n] == p]
                 if not tops:

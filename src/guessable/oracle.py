@@ -259,7 +259,7 @@ def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
     stages in which it still reaches an accepting (rejecting) cycle
     without leaving the stage."""
     reach = s.reachable_states()
-    succ = s.successors()
+    succ = s.delta
     prio = lambda q: s.priority[q]
 
     chain = [frozenset(reach)]

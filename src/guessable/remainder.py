@@ -134,7 +134,7 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     if trace is not None:
         return trace
     reach = s.reachable_states()
-    succ = s.successors()
+    succ = s.delta
     prio = s.priority.__getitem__
     acc: dict[int, float] = {}
     rej: dict[int, float] = {}
@@ -229,7 +229,7 @@ def rm_alpha_empty(trace: RemainderTrace, alpha: OrdinalCNF) -> bool:
     allowed = set(trace.stage(alpha))
     if trace.subject.start not in allowed:
         return True
-    succ = trace.subject.successors()
+    succ = trace.subject.delta
     reach = forward_closure([trace.subject.start], allowed, succ)
     return not (cycle_nodes(reach, succ) & reach)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Iterator, Literal
 
 from .cycles import (
@@ -215,13 +216,8 @@ class Machine:
             states.append(q)
         return states
 
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        return {q: tuple(self.delta[q]) for q in range(self.n_states)}
-
     def reachable_states(self) -> set[int]:
-        return forward_closure(
-            [self.start], set(range(self.n_states)), self.successors()
-        )
+        return forward_closure([self.start], set(range(self.n_states)), self.delta)
 
     def period_window(self, w: UPWord) -> set[int]:
         """The states the run on w visits infinitely often.
@@ -251,6 +247,18 @@ class Machine:
                 window.add(p)
                 p = delta[p][a]
         return window
+
+
+def product(*machines: Machine) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The reachable product of machines over one alphabet, numbered by
+    `explore` from the tuple of their starts: `order[i]` is the tuple of
+    states numbered i and `rows[i]` its successors in symbol order, the
+    transition rows of the product machine with start 0."""
+    deltas = [m.delta for m in machines]
+    return explore(
+        tuple(m.start for m in machines),
+        lambda key: zip(*map(getitem, deltas, key)),
+    )
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,7 @@ def is_empty(s: ParitySet) -> bool:
     maximum priority, found by refining the reachable SCCs below their
     top priorities."""
     reach = s.reachable_states()
-    return 0 not in cycle_parities(reach, s.successors(), s.priority.__getitem__)
+    return 0 not in cycle_parities(reach, s.delta, s.priority.__getitem__)
 
 
 def equivalent(s: ParitySet, t: ParitySet) -> bool:
@@ -313,34 +321,17 @@ def equivalent(s: ParitySet, t: ParitySet) -> bool:
 
     A point lies in one set and not the other iff its run in the plain
     pair product ends on a cycle whose maximum s-priority and maximum
-    t-priority differ in parity, so one exploration of the reachable
-    pairs and one refinement search, for both directions at once,
-    decide it.
+    t-priority differ in parity, so one `product` of the two and one
+    refinement search on its rows, for both directions at once, decide
+    it.
     """
     _check_alphabets(s, t)
-    succ = _pair_product(s, t)
-    ps, pt = s.priority, t.priority
-    on_s = lambda pair: ps[pair[0]]
-    on_t = lambda pair: pt[pair[1]]
-    return not even_odd_cycle(set(succ), succ, [(on_s, on_t), (on_t, on_s)])
-
-
-def _pair_product(
-    s: ParitySet, t: ParitySet
-) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """The pairs of states reachable from the two starts, each with its
-    successor pairs in symbol order."""
-    ds, dt = s.delta, t.delta
-    start = (s.start, t.start)
-    succ: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node in succ:
-            continue
-        succ[node] = nxt = tuple(zip(ds[node[0]], dt[node[1]]))
-        stack.extend(nxt)
-    return succ
+    order, rows = product(s, t)
+    on_s = [s.priority[p] for p, _ in order].__getitem__
+    on_t = [t.priority[q] for _, q in order].__getitem__
+    return not even_odd_cycle(
+        set(range(len(rows))), rows, [(on_s, on_t), (on_t, on_s)]
+    )
 
 
 # -- boolean products -----------------------------------------------
@@ -573,46 +564,26 @@ def open_from_parity(s: ParitySet) -> OpenSet:
 
 
 def open_union(a: OpenSet, b: OpenSet) -> OpenSet:
-    """Union of open sets, open again: product reaching either target."""
+    """Union of open sets, open again: the reachable product of the two
+    automata, at most |A| x |B| states, whose target is the pairs in
+    either target."""
     _check_alphabets(a.automaton, b.automaton)
-    k = a.alphabet
-    na, nb = a.automaton.n_states, b.automaton.n_states
-    delta = []
-    target = []
-    for qa in range(na):
-        for qb in range(nb):
-            delta.append(
-                tuple(
-                    a.automaton.delta[qa][x] * nb + b.automaton.delta[qb][x]
-                    for x in range(k)
-                )
-            )
-            if qa in a.target or qb in b.target:
-                target.append(qa * nb + qb)
-    start = a.automaton.start * nb + b.automaton.start
-    return make_open(k, start, tuple(delta), target)
+    order, rows = product(a.automaton, b.automaton)
+    target = [i for i, (p, q) in enumerate(order) if p in a.target or q in b.target]
+    return make_open(a.alphabet, 0, tuple(rows), target)
 
 
 def open_subset(a: OpenSet, b: OpenSet) -> bool:
     """True iff every point of a lies in b.
 
     Both targets are absorbing, so a point of a outside b has a run in
-    the plain pair product that eventually stays among pairs inside
+    the plain pair `product` that eventually stays among pairs inside
     a's target and outside b's; such a run exists iff those reachable
     pairs carry a cycle.
-
-    On one skeleton (same start, equal transitions) both runs are the
-    same, so nested targets settle it without the product.
     """
     _check_alphabets(a.automaton, b.automaton)
-    if (
-        a.target <= b.target
-        and a.automaton.start == b.automaton.start
-        and a.automaton.delta == b.automaton.delta
-    ):
-        return True
-    succ = _pair_product(a.automaton, b.automaton)
+    order, rows = product(a.automaton, b.automaton)
     escaping = {
-        pair for pair in succ if pair[0] in a.target and pair[1] not in b.target
+        i for i, (p, q) in enumerate(order) if p in a.target and q not in b.target
     }
-    return not cycle_nodes(escaping, succ)
+    return not cycle_nodes(escaping, rows)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from guessable.cli import main
@@ -116,7 +118,7 @@ class TestSynthesizeVerifyWitness:
         code, out, _ = run(capsys, ["synthesize", files["F_NO11"], "-o", out_path])
         assert code == 0
         assert "bound_ok=true" in out
-        guesser, ranked, _ = parse_guesser(open(out_path).read())
+        guesser, ranked, _ = parse_guesser(Path(out_path).read_text())
         assert ranked is not None
 
     def test_synthesize_not_guessable(self, files, capsys):
@@ -162,7 +164,7 @@ class TestDiff:
         assert "theta=2" in out
         assert "bound_ok=true" in out
         assert "witness=NONE" in out
-        level, _ = parse_automaton(open(set_path).read())
+        level, _ = parse_automaton(Path(set_path).read_text())
         assert equivalent(level, FIXTURES["F_NO11"])
 
     def test_extract_round_trip(self, files, tmp_path, capsys):

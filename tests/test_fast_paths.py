@@ -1,11 +1,13 @@
 """The one-pass remainder trace, the pair-product open-subset check,
-the bucketed chain extraction and pair-product equivalence and
-emptiness, each against the slow definition it replaces."""
+the chain check and open union on the product, the bucketed chain
+extraction and pair-product equivalence and emptiness, each against
+the slow definition it replaces."""
 
 import contextlib
 import io
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import guessable.diff_hierarchy
@@ -14,6 +16,8 @@ import guessable.space
 from guessable.cli import main
 from guessable.cycles import forward_closure, parity_cycle_nodes
 from guessable.diff_hierarchy import (
+    ChainNotIncreasingError,
+    OpenChain,
     Side,
     classify,
     guesser_to_chain,
@@ -146,6 +150,51 @@ def test_open_subset_agrees_with_iar_difference(pair):
     assert open_subset(a, b) == iar
 
 
+@st.composite
+def member_tuples(draw):
+    """One to four open sets over one alphabet.  Each after the first is
+    a union with the one before, the one before with another target on
+    its own table, nested or not, or drawn afresh."""
+    k = draw(st.sampled_from([2, 3]))
+    members = [draw(open_sets(k))]
+    for _ in range(draw(st.integers(0, 3))):
+        prev = members[-1]
+        how = draw(st.sampled_from(["union", "skeleton", "fresh"]))
+        if how == "union":
+            members.append(open_union(prev, draw(open_sets(k, max_states=3))))
+        elif how == "skeleton":
+            aut = prev.automaton
+            seeds = draw(st.sets(st.integers(0, aut.n_states - 1)))
+            if draw(st.booleans()):
+                seeds |= prev.target
+            states = set(range(aut.n_states))
+            target = forward_closure(seeds, states, aut.delta)
+            members.append(make_open(k, aut.start, aut.delta, target))
+        else:
+            members.append(draw(open_sets(k)))
+    return tuple(members)
+
+
+@PROPERTY
+@given(member_tuples())
+def test_chain_is_refused_exactly_when_a_pair_is_not_a_subset(members):
+    if all(open_subset(a, b) for a, b in zip(members, members[1:])):
+        OpenChain(members)
+    else:
+        with pytest.raises(ChainNotIncreasingError, match="must increase"):
+            OpenChain(members)
+
+
+@PROPERTY
+@given(open_pairs())
+def test_open_union_agrees_with_iar_union(pair):
+    a, b = pair
+    union = open_union(a, b)
+    assert union.automaton.n_states <= a.automaton.n_states * b.automaton.n_states
+    iar = product_boolean(a.to_parity(), b.to_parity(), "or")
+    assert equivalent(union.to_parity(), iar)
+
+
 def test_counter_family_known_answer():
     s = counter_set(400)
     assert s.n_states == 802
@@ -237,12 +286,11 @@ def skeleton_pairs(draw):
     n = draw(st.integers(1, 6))
     state = st.integers(0, n - 1)
     delta = tuple(draw(st.lists(st.tuples(*[state] * k), min_size=n, max_size=n)))
-    succ = dict(enumerate(delta))
     seeds_a, seeds_b = draw(st.sets(state)), draw(st.sets(state))
-    target_a = forward_closure(seeds_a, set(range(n)), succ)
+    target_a = forward_closure(seeds_a, set(range(n)), delta)
     if draw(st.booleans()):
         seeds_b |= target_a
-    target_b = forward_closure(seeds_b, set(range(n)), succ)
+    target_b = forward_closure(seeds_b, set(range(n)), delta)
     start = draw(state)
     start_b = start if draw(st.booleans()) else draw(state)
     # an equal table that is not the same object
@@ -335,7 +383,7 @@ def literal_is_empty(s):
     """Emptiness by one SCC scan per even priority: no reachable cycle
     has an even maximum."""
     reach = s.reachable_states()
-    return not parity_cycle_nodes(reach, s.successors(), s.priority.__getitem__, 0)
+    return not parity_cycle_nodes(reach, s.delta, s.priority.__getitem__, 0)
 
 
 def iar_equivalent(s, t):
@@ -434,15 +482,15 @@ def test_no_decision_builds_the_iar_product(monkeypatch, tmp_path):
 
 
 def test_equivalence_builds_one_plain_pair_product(monkeypatch):
-    pair_product = guessable.space._pair_product
+    pair_product = guessable.space.product
     sizes = []
 
     def counting(s, t):
-        succ = pair_product(s, t)
-        sizes.append((len(succ), s.n_states * t.n_states))
-        return succ
+        order, rows = pair_product(s, t)
+        sizes.append((len(rows), s.n_states * t.n_states))
+        return order, rows
 
-    monkeypatch.setattr(guessable.space, "_pair_product", counting)
+    monkeypatch.setattr(guessable.space, "product", counting)
     rng = random.Random(14)
     for _ in range(10):
         s, t = dense_set(rng, 14), dense_set(rng, 14)

@@ -163,6 +163,20 @@ def test_declared_alphabet_is_checked_before_allocation(want_outputs):
     assert peak < 1_000_000
 
 
+def test_declared_theta_is_checked_before_allocation(open_files):
+    chain = open_files / "long.chain"
+    chain.write_text("theta 2000000\nset 0 one.aut\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(["diff", "build", str(chain)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: chain must define sets 0..theta-1\n"
+    assert peak < 1_000_000
+
+
 def test_sampled_table_size_is_checked_before_allocation():
     with pytest.raises(BudgetExceededError, match="sampling budget"):
         sample_tables(40, 40, 1)
@@ -294,20 +308,43 @@ DUPLICATE_LINES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(DUPLICATE_LINES))
-def test_duplicate_per_state_lines_exit_2(open_files, kind):
-    text = DUPLICATE_LINES[kind]
+# a valid one-state file of each kind, to which one line is added
+ONE_STATE = {
+    "priority": "alphabet 2\nstates 1\npriority 0 0\n",
+    "output": "alphabet 2\nstates 1\noutput 0 0\n",
+    "bound": _ranked_guesser_text(),
+}
+
+
+def assert_refused(open_files, kind, text, message):
+    """The parser raises `message`, and the command that reads the file
+    (`rank` for an automaton, `verify` for a guesser) exits 2 with it."""
     parse = parse_automaton if kind == "priority" else parse_guesser
-    with pytest.raises(FormatError, match=f"^duplicate {kind} for state 0$"):
+    with pytest.raises(FormatError, match=f"^{message}$"):
         parse(text)
-    path = open_files / "dup.txt"
+    path = open_files / "refused.txt"
     path.write_text(text)
     argv = ["rank", str(path)] if kind == "priority" else [
         "verify", str(path), str(open_files / "one.aut")
     ]
     code, out, err = run(argv)
     assert (code, out) == (2, "")
-    assert err == f"error: duplicate {kind} for state 0\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATE_LINES))
+def test_duplicate_per_state_lines_exit_2(open_files, kind):
+    message = f"duplicate {kind} for state 0"
+    assert_refused(open_files, kind, DUPLICATE_LINES[kind], message)
+
+
+@pytest.mark.parametrize(
+    "line", ["priority 5 1", "priority -1 3", "output 3 0", "bound 9 w"]
+)
+def test_per_state_lines_out_of_range_exit_2(open_files, line):
+    kind, state = line.split()[:2]
+    message = f"{kind} for state {state} out of range"
+    assert_refused(open_files, kind, ONE_STATE[kind] + line + "\n", message)
 
 
 # -- command line fuzz ---------------------------------------------------

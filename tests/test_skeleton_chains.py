@@ -56,7 +56,7 @@ def forced_sets(member):
     aut = member.automaton
     states = set(range(aut.n_states))
     outside = states - member.target
-    succ = aut.successors()
+    succ = aut.delta
     doomed = backward_closure(cycle_nodes(outside, succ), outside, succ)
     return states - doomed
 
