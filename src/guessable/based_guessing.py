@@ -19,6 +19,7 @@ from .space import (
     AlphabetMismatchError,
     ParitySet,
     UPWord,
+    _check_alphabets,
     membership_up,
 )
 from .guesser import MooreGuesser, limit_on_up
@@ -144,10 +145,7 @@ def verify_based(
     converges to the membership bit of w in s."""
     if guesser.alphabet != 2:
         raise AlphabetMismatchError("bit guessers read bits")
-    if s.alphabet != family.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabet mismatch: {s.alphabet} vs {family.alphabet}"
-        )
+    _check_alphabets(family, s)
     stream = stream_up_word(family, w)
     limit = limit_on_up(guesser, stream)
     return limit is not None and limit == membership_up(s, w)
@@ -162,10 +160,7 @@ def limsup_liminf_check(
         raise NotEventuallyPeriodicError(
             "limit comparison needs an explicit (eventually periodic) family"
         )
-    if s.alphabet != family.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabet mismatch: {s.alphabet} vs {family.alphabet}"
-        )
+    _check_alphabets(family, s)
     pre, per = stream_periodicity(family, w)
     bits = family_stream(family, w, pre + per)
     tail = bits[pre:]

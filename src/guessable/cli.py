@@ -54,18 +54,17 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_automaton(path: str):
-    automaton, notes = formats.parse_automaton(_read(path))
+def _print_notes(notes: formats.ParseNotes, prefix: str = "") -> None:
     for message in notes.messages:
-        print(f"note: {path}: {message}", file=sys.stderr)
-    return automaton
+        print(f"note: {prefix}{message}", file=sys.stderr)
 
 
-def _load_guesser(path: str):
-    guesser, ranked, notes = formats.parse_guesser(_read(path))
-    for message in notes.messages:
-        print(f"note: {path}: {message}", file=sys.stderr)
-    return guesser, ranked
+def _load(parse, path: str):
+    """The machine `parse` reads from the file at `path`; its notes go
+    to stderr with the path in front."""
+    machine, *_, notes = parse(_read(path))
+    _print_notes(notes, f"{path}: ")
+    return machine
 
 
 def _rank_text(rank) -> str:
@@ -79,7 +78,7 @@ def _print_stages(trace) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    automaton = _load_automaton(args.automaton)
+    automaton = _load(formats.parse_automaton, args.automaton)
     trace = remainder_chain(automaton)
     print(f"guessable={'true' if trace.guessable else 'false'}")
     print(f"rank={_rank_text(trace.rank)}")
@@ -90,7 +89,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_remainder(args: argparse.Namespace) -> int:
-    automaton = _load_automaton(args.automaton)
+    automaton = _load(formats.parse_automaton, args.automaton)
     trace = remainder_chain(automaton)
     if args.trace:
         _print_stages(trace)
@@ -103,7 +102,7 @@ def cmd_remainder(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    automaton = _load_automaton(args.automaton)
+    automaton = _load(formats.parse_automaton, args.automaton)
     try:
         ranked = synthesize(automaton)
     except NotGuessableError:
@@ -127,8 +126,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if budget < 0:
         print("error: verify needs --budget >= 0", file=sys.stderr)
         return 2
-    guesser, _ = _load_guesser(args.guesser)
-    automaton = _load_automaton(args.set)
+    guesser = _load(formats.parse_guesser, args.guesser)
+    automaton = _load(formats.parse_automaton, args.set)
     witness = divergence_witness(guesser, automaton)
     if witness is not None:
         print(f"witness={witness}")
@@ -163,8 +162,7 @@ def cmd_diff_build(args: argparse.Namespace) -> int:
     chain, notes = formats.parse_chain(
         _read(args.chain), os.path.dirname(os.path.abspath(args.chain))
     )
-    for message in notes.messages:
-        print(f"note: {message}", file=sys.stderr)
+    _print_notes(notes)
     level_set = d_theta(chain)
     print(f"theta={chain.theta_int}")
     code = 0
@@ -190,19 +188,27 @@ def cmd_diff_build(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_diff_extract(args: argparse.Namespace) -> int:
-    automaton = _load_automaton(args.set)
+def _print_classified(args: argparse.Namespace, stem: str):
+    """Classify `args.set`, print its rank, side and chain (its files
+    named after `stem` in `args.out_dir`), and return set and outcome."""
+    automaton = _load(formats.parse_automaton, args.set)
     outcome = classify(automaton)
     print(f"rank={_rank_text(outcome.rank)}")
     print(f"side={outcome.side.value}")
     if outcome.chain is None:
         print("chain=NONE")
-        return 1
-    if args.out_dir:
-        chain_path = _write_chain(outcome.chain, args.out_dir, "extracted")
+    elif args.out_dir:
+        chain_path = _write_chain(outcome.chain, args.out_dir, stem)
         print(f"chain={chain_path}")
     else:
         print(f"chain=theta {outcome.chain.theta_int}")
+    return automaton, outcome
+
+
+def cmd_diff_extract(args: argparse.Namespace) -> int:
+    automaton, outcome = _print_classified(args, "extracted")
+    if outcome.chain is None:
+        return 1
     target = (
         automaton if outcome.side in (Side.SELF, Side.BOTH) else complement(automaton)
     )
@@ -212,17 +218,7 @@ def cmd_diff_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    automaton = _load_automaton(args.set)
-    outcome = classify(automaton)
-    print(f"rank={_rank_text(outcome.rank)}")
-    print(f"side={outcome.side.value}")
-    if outcome.chain is None:
-        print("chain=NONE")
-    elif args.out_dir:
-        chain_path = _write_chain(outcome.chain, args.out_dir, "witness")
-        print(f"chain={chain_path}")
-    else:
-        print(f"chain=theta {outcome.chain.theta_int}")
+    _print_classified(args, "witness")
     return 0
 
 
@@ -233,10 +229,9 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
     family, notes = formats.parse_family(
         _read(args.family), os.path.dirname(os.path.abspath(args.family))
     )
-    for message in notes.messages:
-        print(f"note: {message}", file=sys.stderr)
-    guesser, _ = _load_guesser(args.guesser)
-    automaton = _load_automaton(args.set)
+    _print_notes(notes)
+    guesser = _load(formats.parse_guesser, args.guesser)
+    automaton = _load(formats.parse_automaton, args.set)
     words = canonical_up_words(automaton.alphabet, args.budget)
     for word in words:
         if not verify_based(guesser, family, automaton, word):
@@ -270,21 +265,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     text = _read(args.file)
-    kind = args.kind
-    if kind == "auto":
-        kind = "guesser" if any(
-            row.strip().startswith("output") for row in text.splitlines()
-        ) else "automaton"
+    kind = formats.machine_kind(text) if args.kind == "auto" else args.kind
     if kind == "guesser":
         guesser, _, notes = formats.parse_guesser(text)
-        for message in notes.messages:
-            print(f"note: {message}", file=sys.stderr)
-        sys.stdout.write(formats.guesser_to_dot(guesser))
+        dot = formats.guesser_to_dot(guesser)
     else:
         automaton, notes = formats.parse_automaton(text)
-        for message in notes.messages:
-            print(f"note: {message}", file=sys.stderr)
-        sys.stdout.write(formats.to_dot(automaton))
+        dot = formats.to_dot(automaton)
+    _print_notes(notes)
+    sys.stdout.write(dot)
     return 0
 
 

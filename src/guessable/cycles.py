@@ -17,11 +17,16 @@ graph carries by Emerson-Lei refinement: split into SCCs, drop the
 nodes of a top priority that no wanted cycle can pass through, and
 split what is left again.  Emptiness, equivalence and the remainder
 ranks are decided this way, without a parity product.
+
+`parity_components` yields the components holding the cycles of each
+maximum priority of one parity: `parity_cycle_nodes` is their union,
+and the divergence witness anchors its wrong-side cycles in them.
+`shortest_word_path` spells a path's symbols as positions in the rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Node = Hashable
 
@@ -211,25 +216,30 @@ def even_odd_cycle(
     return False
 
 
-def parity_cycle_nodes(
+def parity_components(
     nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
-) -> set:
-    """Nodes on a cycle whose maximum priority has parity `want` (0/1).
-
-    A cycle has maximum priority p iff it stays within the priority<=p
-    subgraph and visits a priority-p node, so it suffices to scan the
-    nontrivial SCCs of each such subgraph.
+) -> Iterator[tuple[list[Node], int]]:
+    """Yield `(component, p)` for each priority p of parity `want`
+    (0/1), increasing, and each nontrivial SCC of the priority<=p
+    subgraph that visits a priority-p node: a cycle has maximum priority
+    p iff it lies in one of these components and visits such a node.
     """
-    result: set = set()
     for p in sorted({priority(n) for n in nodes}):
         if p % 2 != want:
             continue
         sub = {n for n in nodes if priority(n) <= p}
         for comp in strongly_connected_components(sub, succ):
-            if not is_nontrivial(comp, succ):
-                continue
-            if any(priority(n) == p for n in comp):
-                result.update(comp)
+            if is_nontrivial(comp, succ) and any(priority(n) == p for n in comp):
+                yield comp, p
+
+
+def parity_cycle_nodes(
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
+) -> set:
+    """Nodes on a cycle whose maximum priority has parity `want` (0/1)."""
+    result: set = set()
+    for comp, _ in parity_components(nodes, succ, priority, want):
+        result.update(comp)
     return result
 
 
@@ -243,14 +253,11 @@ def can_reach_parity_cycle(
 
 
 def shortest_word_path(
-    start: Node,
-    goals: set,
-    nodes: set,
-    step: Callable[[Node, int], Node],
-    alphabet: int,
+    start: Node, goals: set, nodes: set, succ: Sequence
 ) -> tuple[tuple[int, ...], Node] | None:
     """BFS for the shortest (then lexicographically least) nonempty
-    symbol word leading from start to a goal node inside `nodes`.
+    symbol word leading from start to a goal node inside `nodes`; the
+    symbols are the positions in each row `succ[q]`.
 
     The empty word is never a solution, even if start is a goal, which
     is how closed walks are found.
@@ -262,8 +269,7 @@ def shortest_word_path(
     while frontier:
         next_frontier = []
         for node in frontier:
-            for a in range(alphabet):
-                nxt = step(node, a)
+            for a, nxt in enumerate(succ[node]):
                 if nxt not in nodes:
                     continue
                 if nxt in goals:

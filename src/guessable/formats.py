@@ -1,6 +1,6 @@
 """Text formats: automata, guessers, chains, families, DOT export.
 
-Automaton files are line oriented with `#` comments:
+Machine files are line oriented with `#` comments.  An automaton file:
 
     alphabet 2
     states 3
@@ -10,10 +10,13 @@ Automaton files are line oriented with `#` comments:
     trans 0 1 1
     ...
 
-Partial transition tables are completed with an explicit rejecting
-sink, and the parser reports that it did so.  An optional
-`acceptance min-even` line declares min-parity input, which is
-converted to the global max-even convention at parse time.
+An optional `acceptance min-even` line declares min-parity input,
+converted to the global max-even convention at parse time.  A guesser
+file has `output <state> <bit>` lines instead, plus `bound <state>
+<ordinal>` and `codomain <ordinal>` lines when ranked.  `MACHINE_KINDS`
+names the directives of each kind; a line of the other kind is
+refused.  Partial transition tables are completed with an explicit
+rejecting sink, and the parser reports that it did so.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Optional
 
 from .ordinal import (
     ZERO,
-    OrdinalCNF,
     from_text as ordinal_from_text,
     to_text as ordinal_to_text,
 )
@@ -37,6 +39,14 @@ from .based_guessing import OracleFamily, cylinders_family, explicit_family
 # transitions a machine file may declare (states x alphabet); missing
 # transitions are filled in, so the table is not bounded by the file
 TABLE_CELL_BUDGET = 1 << 18
+
+# what each machine-file kind reads besides `alphabet`, `states`,
+# `start` and `trans`: the per-state label every state needs, that
+# label's value on the rejecting sink, and every directive of the kind
+MACHINE_KINDS = {
+    "automaton": ("priority", 1, frozenset({"priority", "acceptance"})),
+    "guesser": ("output", 0, frozenset({"output", "bound", "codomain"})),
+}
 
 
 class FormatError(ValueError):
@@ -74,42 +84,49 @@ def _set_once(labels: dict, key: str, q: int, value) -> None:
     labels[q] = value
 
 
-def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
-    # -> (alphabet, n_states, start, table, priorities, outputs, bounds, codomain)
-    alphabet = None
-    n_states = None
+def machine_kind(text: str) -> str:
+    """The kind of a machine file: a guesser when it has an `output`
+    line, an automaton otherwise."""
+    if any(row[0] == "output" for row in _lines(text)):
+        return "guesser"
+    return "automaton"
+
+
+def _parse_machine(text: str, notes: ParseNotes, kind: str):
+    """Read a machine file of `kind`, refusing directives of other kinds.
+    Returns `(alphabet, start, rows, labels, codomain)`: the rows are
+    completed with a rejecting sink, `labels` maps each per-state
+    directive of the kind to its `{state: value}` lines, the sink's
+    included, and `codomain` is None for an automaton."""
+    label, sink_value, own = MACHINE_KINDS[kind]
+    alphabet = n_states = codomain = None
     start = 0
     acceptance = "max-even"
-    priorities: dict[int, int] = {}
-    outputs: dict[int, int] = {}
-    bounds: dict[int, OrdinalCNF] = {}
-    codomain: Optional[OrdinalCNF] = None
+    labels = {key: {} for key in ("priority", "output", "bound") if key in own}
     trans: list[tuple[int, int, int]] = []
     for row in _lines(text):
         key, args = row[0], row[1:]
         try:
-            if key == "alphabet":
+            # most lines are transitions
+            if key == "trans":
+                trans.append((int(args[0]), int(args[1]), int(args[2])))
+            elif key == "alphabet":
                 alphabet = int(args[0])
             elif key == "states":
                 n_states = int(args[0])
             elif key == "start":
                 start = int(args[0])
+            elif key not in own:
+                raise FormatError(f"unknown directive {key!r}")
             elif key == "acceptance":
                 acceptance = args[0]
-            elif key == "priority":
-                _set_once(priorities, key, int(args[0]), int(args[1]))
-            elif key == "output":
-                _set_once(outputs, key, int(args[0]), int(args[1]))
-            elif key == "bound":
-                _set_once(
-                    bounds, key, int(args[0]), ordinal_from_text(" ".join(args[1:]))
-                )
             elif key == "codomain":
                 codomain = ordinal_from_text(" ".join(args))
-            elif key == "trans":
-                trans.append((int(args[0]), int(args[1]), int(args[2])))
+            elif key == "bound":
+                q = int(args[0])
+                _set_once(labels[key], key, q, ordinal_from_text(" ".join(args[1:])))
             else:
-                raise FormatError(f"unknown directive {key!r}")
+                _set_once(labels[key], key, int(args[0]), int(args[1]))
         except FormatError:
             raise
         except (IndexError, ValueError) as exc:
@@ -118,23 +135,19 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
         raise FormatError("missing alphabet or states directive")
     if acceptance not in ("max-even", "min-even"):
         raise FormatError(f"unknown acceptance convention {acceptance!r}")
-    labelled = {"priority": priorities, "output": outputs, "bound": bounds}
-    for key, labels in labelled.items():
-        for q in labels:
+    for key, found in labels.items():
+        for q in found:
             if not 0 <= q < n_states:
                 raise FormatError(f"{key} for state {q} out of range")
     # every state needs its own label line, so a state count beyond the
     # label lines fails here, before a table of that size is built
-    if want_outputs:
-        for q in range(n_states):
-            if q not in outputs:
-                raise FormatError(f"missing output for state {q}")
-            if outputs[q] not in (0, 1):
-                raise FormatError(f"output of state {q} must be a bit")
-    else:
-        for q in range(n_states):
-            if q not in priorities:
-                raise FormatError(f"missing priority for state {q}")
+    found = labels[label]
+    bits = kind == "guesser"
+    for q in range(n_states):
+        if q not in found:
+            raise FormatError(f"missing {label} for state {q}")
+        if bits and found[q] not in (0, 1):
+            raise FormatError(f"output of state {q} must be a bit")
     if n_states * alphabet > TABLE_CELL_BUDGET:
         raise FormatError(
             f"{n_states} states x {alphabet} symbols exceeds the table budget"
@@ -149,84 +162,66 @@ def _parse_machine(text: str, notes: ParseNotes, want_outputs: bool):
         if table[q][a] is not None:
             raise FormatError(f"duplicate transition for state {q} symbol {a}")
         table[q][a] = nq
-    if acceptance == "min-even" and not want_outputs:
-        top = max(priorities.values(), default=0)
+    if acceptance == "min-even":
+        top = max(found.values(), default=0)
         bound = top if top % 2 == 0 else top + 1
-        priorities = {q: bound - p for q, p in priorities.items()}
+        labels[label] = found = {q: bound - p for q, p in found.items()}
         notes.add(f"converted min-even priorities (p -> {bound}-p)")
-    return alphabet, n_states, start, table, priorities, outputs, bounds, codomain
-
-
-def _complete(
-    alphabet: int,
-    n_states: int,
-    table: list[list[Optional[int]]],
-    notes: ParseNotes,
-    sink_priority: Optional[dict[int, int]] = None,
-    sink_output: Optional[dict[int, int]] = None,
-) -> int:
-    missing = sum(1 for row in table for cell in row if cell is None)
-    if missing == 0:
-        return n_states
-    sink = n_states
-    n_states += 1
-    for row in table:
-        for a in range(alphabet):
-            if row[a] is None:
-                row[a] = sink
-    table.append([sink] * alphabet)
-    if sink_priority is not None:
-        sink_priority[sink] = 1
-    if sink_output is not None:
-        sink_output[sink] = 0
-    notes.add(
-        f"completed {missing} missing transitions with a rejecting sink"
-    )
-    return n_states
+    missing = sum(row.count(None) for row in table)
+    if missing:
+        sink = n_states
+        table = [[sink if c is None else c for c in row] for row in table]
+        table.append([sink] * alphabet)
+        found[sink] = sink_value
+        notes.add(
+            f"completed {missing} missing transitions with a rejecting sink"
+        )
+    return alphabet, start, tuple(map(tuple, table)), labels, codomain
 
 
 def parse_automaton(text: str) -> tuple[ParitySet, ParseNotes]:
     notes = ParseNotes()
-    alphabet, n, start, table, priorities, _, _, _ = _parse_machine(
-        text, notes, want_outputs=False
-    )
-    n = _complete(alphabet, n, table, notes, sink_priority=priorities)
+    alphabet, start, rows, labels, _ = _parse_machine(text, notes, "automaton")
+    priority = labels["priority"]
     try:
         automaton = ParitySet(
             alphabet=alphabet,
             start=start,
-            delta=tuple(tuple(row) for row in table),
-            priority=tuple(priorities[q] for q in range(n)),
+            delta=rows,
+            priority=tuple(priority[q] for q in range(len(rows))),
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     return automaton, notes
 
 
-def render_automaton(s: ParitySet) -> str:
-    out = [f"alphabet {s.alphabet}", f"states {s.n_states}", f"start {s.start}"]
-    for q in range(s.n_states):
-        out.append(f"priority {q} {s.priority[q]}")
-    for q in range(s.n_states):
-        for a in range(s.alphabet):
-            out.append(f"trans {q} {a} {s.delta[q][a]}")
+def _render(m: Machine, labels: list[str]) -> str:
+    """A machine file: the skeleton's lines around the kind's `labels`."""
+    out = [f"alphabet {m.alphabet}", f"states {m.n_states}", f"start {m.start}"]
+    out += labels
+    for q in range(m.n_states):
+        for a in range(m.alphabet):
+            out.append(f"trans {q} {a} {m.delta[q][a]}")
     return "\n".join(out) + "\n"
+
+
+def render_automaton(s: ParitySet) -> str:
+    return _render(s, [f"priority {q} {p}" for q, p in enumerate(s.priority)])
 
 
 def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], ParseNotes]:
     """A guesser file; returns the ranked form too when bound lines and
     a codomain are present."""
     notes = ParseNotes()
-    alphabet, n, start, table, _, outputs, bounds, codomain = _parse_machine(
-        text, notes, want_outputs=True
-    )
-    n = _complete(alphabet, n, table, notes, sink_output=outputs)
+    alphabet, start, rows, labels, codomain = _parse_machine(text, notes, "guesser")
+    output, bounds = labels["output"], labels["bound"]
+    n = len(rows)
     try:
         guesser = MooreGuesser(
             alphabet=alphabet,
             start=start,
-            delta=tuple(tuple(row) for row in table),
-            output=tuple(outputs[q] for q in range(n)),
+            delta=rows,
+            output=tuple(output[q] for q in range(n)),
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -242,17 +237,12 @@ def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], Par
 def render_guesser(
     g: MooreGuesser, ranked: Optional[RankedGuesser] = None
 ) -> str:
-    out = [f"alphabet {g.alphabet}", f"states {g.n_states}", f"start {g.start}"]
-    for q in range(g.n_states):
-        out.append(f"output {q} {g.output[q]}")
+    labels = [f"output {q} {b}" for q, b in enumerate(g.output)]
     if ranked is not None:
-        for q in range(g.n_states):
-            out.append(f"bound {q} {ordinal_to_text(ranked.bound[q])}")
-        out.append(f"codomain {ordinal_to_text(ranked.codomain)}")
-    for q in range(g.n_states):
-        for a in range(g.alphabet):
-            out.append(f"trans {q} {a} {g.delta[q][a]}")
-    return "\n".join(out) + "\n"
+        bounds = map(ordinal_to_text, ranked.bound)
+        labels += [f"bound {q} {b}" for q, b in enumerate(bounds)]
+        labels.append(f"codomain {ordinal_to_text(ranked.codomain)}")
+    return _render(g, labels)
 
 
 def _load_member(

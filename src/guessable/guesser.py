@@ -19,6 +19,7 @@ from typing import Optional
 from .cycles import (
     explore,
     is_nontrivial,
+    parity_components,
     shortest_word_path,
     strongly_connected_components,
 )
@@ -29,6 +30,7 @@ from .space import (
     ParitySet,
     UPWord,
     Word,
+    _check_alphabets,
     membership_up,
     product,
 )
@@ -97,10 +99,7 @@ def limit_on_up(g: MooreGuesser, w: UPWord) -> Optional[int]:
 
 def verify_on_up(g: MooreGuesser, s: ParitySet, w: UPWord) -> bool:
     """True iff the opinion converges on w and lands on the right side."""
-    if g.alphabet != s.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabet mismatch: {g.alphabet} vs {s.alphabet}"
-        )
+    _check_alphabets(s, g)
     limit = limit_on_up(g, w)
     return limit is not None and limit == membership_up(s, w)
 
@@ -203,11 +202,7 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     The search is deterministic; candidates are generated shortest
     first and the least (by spelled length, then symbols) is returned.
     """
-    if g.alphabet != s.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabet mismatch: {g.alphabet} vs {s.alphabet}"
-        )
-    k = g.alphabet
+    _check_alphabets(s, g)
     # product pairs numbered breadth-first with symbols in order, so a
     # node's number ranks its access word by length, then symbols; the
     # first edge into a node is its tree edge, and only the returned
@@ -221,7 +216,6 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
                 parent[j] = (i, a)
                 depth[j] = depth[i] + 1
     nodes = set(range(len(order)))
-    step = lambda i, a: rows[i][a]
     out = [g.output[p] for p, _ in order]
     prio = [s.priority[q] for _, q in order]
 
@@ -241,31 +235,22 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
             continue
         anchor = min(comp)
         other = {n for n in comp_set if out[n] != out[anchor]}
-        leg1 = shortest_word_path(anchor, other, comp_set, step, k)
+        leg1 = shortest_word_path(anchor, other, comp_set, rows)
         assert leg1 is not None
         word1, mid = leg1
-        leg2 = shortest_word_path(mid, {anchor}, comp_set, step, k)
+        leg2 = shortest_word_path(mid, {anchor}, comp_set, rows)
         assert leg2 is not None
         add_candidate(anchor, word1 + leg2[0])
 
-    # (b) constant-opinion cycles on the wrong side of membership
+    # (b) constant-opinion cycles on the wrong side of membership: with
+    # opinion b, a top priority of parity b means membership 1-b
     for b in (0, 1):
-        wrong_parity = 0 if b == 0 else 1  # membership 1-b on the cycle
         sub_b = {n for n in nodes if out[n] == b}
-        for p in sorted({prio[n] for n in sub_b}):
-            if p % 2 != wrong_parity:
-                continue
-            sub = {n for n in sub_b if prio[n] <= p}
-            for comp in strongly_connected_components(sub, rows):
-                if not is_nontrivial(comp, rows):
-                    continue
-                tops = [n for n in comp if prio[n] == p]
-                if not tops:
-                    continue
-                anchor = min(tops)
-                found = shortest_word_path(anchor, {anchor}, set(comp), step, k)
-                if found is not None:
-                    add_candidate(anchor, found[0])
+        for comp, p in parity_components(sub_b, rows, prio.__getitem__, b):
+            anchor = min(n for n in comp if prio[n] == p)
+            found = shortest_word_path(anchor, {anchor}, set(comp), rows)
+            if found is not None:
+                add_candidate(anchor, found[0])
 
     if not candidates:
         return None

@@ -282,9 +282,10 @@ class ParitySet(Machine):
             raise ValueError("priorities must be non-negative")
 
 
-def _check_alphabets(*sets: "ParitySet") -> int:
-    k = sets[0].alphabet
-    for s in sets[1:]:
+def _check_alphabets(*operands) -> int:
+    """The first operand's alphabet, which every operand must share."""
+    k = operands[0].alphabet
+    for s in operands[1:]:
         if s.alphabet != k:
             raise AlphabetMismatchError(
                 f"alphabet mismatch: {s.alphabet} vs {k}"

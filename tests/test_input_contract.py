@@ -347,6 +347,32 @@ def test_per_state_lines_out_of_range_exit_2(open_files, line):
     assert_refused(open_files, kind, ONE_STATE[kind] + line + "\n", message)
 
 
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("priority", "output 0 1"),
+        ("priority", "bound 0 1"),
+        ("priority", "codomain 2"),
+        ("output", "priority 0 1"),
+        ("output", "acceptance min-even"),
+        ("bound", "priority 0 1"),
+    ],
+)
+def test_lines_of_the_other_file_kind_exit_2(open_files, kind, line):
+    message = f"unknown directive {line.split()[0]!r}"
+    assert_refused(open_files, kind, ONE_STATE[kind] + line + "\n", message)
+
+
+def test_export_dot_refuses_an_automaton_with_an_output_line(open_files):
+    """The `output` line makes the file a guesser, which has no
+    `priority` lines."""
+    path = open_files / "mixed.aut"
+    path.write_text(ONE_STATE["priority"] + "output 0 1\n")
+    code, out, err = run(["export-dot", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown directive 'priority'\n"
+
+
 # -- command line fuzz ---------------------------------------------------
 
 INT = st.integers(-2, 40)
@@ -381,7 +407,8 @@ def machine_file(draw, label):
     k = draw(mostly(st.sampled_from([2, 2, 3])))
     n = draw(mostly(st.integers(1, 4)))
     lines = [f"alphabet {k}", f"states {n}", f"start {draw(mostly(st.just(0)))}"]
-    if draw(st.integers(0, 3)) == 0:
+    # an automaton line: a guesser file with it is refused as a whole
+    if label == "priority" and draw(st.integers(0, 3)) == 0:
         lines.append("acceptance min-even")
     values = st.integers(0, 1) if label == "output" else st.integers(0, 4)
     for q in range(min(n, 40)):

@@ -9,7 +9,11 @@ members) was taken while `classify` still certified the opposite side
 by a root-repair search and an equivalence check, with one correction:
 that search missed the open complement of the clopen random set 1189
 (see `TestClassify.test_clopen_set_is_on_both_sides`), so its
-side went from SELF to BOTH; every chain is unchanged.
+side went from SELF to BOTH; every chain is unchanged.  The
+`divergence_witness` digest pins the counterexamples the guesser-set
+product search prints; it was taken while the search for wrong-side
+constant-opinion cycles still scanned the priorities itself, before it
+read `cycles.parity_components`.
 """
 
 import hashlib
@@ -35,9 +39,14 @@ from guessable.fixtures import (
     OPEN_ONE,
 )
 from guessable.formats import render_automaton, render_guesser
-from guessable.guesser import synthesize
+from guessable.guesser import divergence_witness, synthesize
 from guessable.ordinal import to_text
-from guessable.randgen import random_nested_chain, random_open_chain, random_parity_set
+from guessable.randgen import (
+    random_moore_guesser,
+    random_nested_chain,
+    random_open_chain,
+    random_parity_set,
+)
 from guessable.remainder import remainder_chain
 from guessable.space import complement, open_subset, product_boolean
 from test_fast_paths import counter_set
@@ -98,6 +107,20 @@ def _classified() -> list[str]:
     return texts
 
 
+def _witnesses() -> list[str]:
+    """`divergence_witness` on seeded random guesser and set pairs over
+    two and three symbols, NONE where the guesser is certified."""
+    rng = random.Random(29)
+    texts = []
+    for k in (2, 3):
+        for _ in range(1000):
+            g = random_moore_guesser(rng, alphabet=k, max_states=5)
+            s = random_parity_set(rng, alphabet=k, max_states=6, max_priority=4)
+            witness = divergence_witness(g, s)
+            texts.append("NONE" if witness is None else str(witness))
+    return texts
+
+
 def _renderings() -> dict[str, list[str]]:
     chains = _chains()
     synthesized = _synthesized()
@@ -118,6 +141,7 @@ def _renderings() -> dict[str, list[str]]:
             for out in map(make_anticongruent, synthesized + converted)
         ],
         "classify": _classified(),
+        "divergence_witness": _witnesses(),
         "cylinder_simulation": [
             render_guesser(cylinder_simulation(rg.guesser, rg.guesser.alphabet))
             for rg in synthesized + converted
@@ -165,6 +189,10 @@ GOLDEN = {
     "classify": (
         "bd543fecabcd132cef5f9d2803217b39"
         "1f5ad9a2f22d7db137894d4c335ff090"
+    ),
+    "divergence_witness": (
+        "b654ce28177829b03b7c6f02fcd91402"
+        "278439ec2e43592f13a4223ed769f32d"
     ),
     "cylinder_simulation": (
         "27b7d5697e27ed496706aa29faa26374"
