@@ -5,6 +5,11 @@ rows indexed by state, ``succ[q] -> iterable of states``: a machine's
 `delta` or the rows `explore` returns, passed as they are.  Edges
 leaving the node set are ignored.  All outputs are deterministic.
 
+A call costs what its node set and their edges cost: it reads the rows
+of its nodes only and never sizes anything by ``len(succ)``, so the
+searches below a top priority, which run on small subsets of a large
+graph, stay as cheap as the subsets.
+
 `explore` is the one builder of reachable products: it numbers the
 keys reachable from a start key in breadth-first discovery order and
 returns the numbered transition rows, from which every product
@@ -62,15 +67,16 @@ def forward_closure(starts: Iterable[Node], nodes: set, succ: Sequence) -> set:
     seen = {s for s in starts if s in nodes}
     stack = list(seen)
     while stack:
-        n = stack.pop()
-        for m in succ[n]:
-            if m in nodes and m not in seen:
+        for m in succ[stack.pop()]:
+            if m not in seen and m in nodes:
                 seen.add(m)
                 stack.append(m)
     return seen
 
 
 def backward_closure(targets: Iterable[Node], nodes: set, succ: Sequence) -> set:
+    """Nodes inside `nodes` from which a target is reachable without
+    leaving `nodes`."""
     pred: dict[Node, list[Node]] = {n: [] for n in nodes}
     for n in nodes:
         for m in succ[n]:
@@ -88,53 +94,56 @@ def backward_closure(targets: Iterable[Node], nodes: set, succ: Sequence) -> set
 
 
 def strongly_connected_components(nodes: set, succ: Sequence) -> list[list[Node]]:
-    """Tarjan's algorithm, iterative. Components in deterministic order."""
-    adj = {n: [m for m in succ[n] if m in nodes] for n in nodes}
-    index: dict[Node, int] = {}
+    """Tarjan's algorithm (Tarjan, "Depth-first search and linear graph
+    algorithms", SIAM J. Comput. 1, 1972), iterative, roots taken in
+    increasing order and successors in row order.  Components come out
+    in the order Tarjan completes them, each one sorted.
+
+    `index` holds 0 for a node not yet visited, its visit number while
+    it is on the stack, and `done` (above every visit number) once its
+    component is out, so one comparison stands for the on-stack test.
+    """
+    index = dict.fromkeys(nodes, 0)
+    done = len(index) + 1
     low: dict[Node, int] = {}
-    on_stack: set = set()
     stack: list[Node] = []
     components: list[list[Node]] = []
     counter = 0
-
-    for root in sorted(nodes):
-        if root in index:
+    for root in sorted(index):
+        if index[root]:
             continue
-        work: list[tuple[Node, int]] = [(root, 0)]
+        counter += 1
+        index[root] = low[root] = counter
+        # (node, its remaining successors, its position on the stack)
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
         while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = adj[node]
-            while child_i < len(children):
-                child = children[child_i]
-                child_i += 1
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
+            node, children, pos = work[-1]
+            for child in children:
+                i = index.get(child)
+                if i is None:  # outside the node set
+                    continue
+                if not i:
+                    counter += 1
+                    index[child] = low[child] = counter
+                    work.append((child, iter(succ[child]), len(stack)))
+                    stack.append(child)
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[node])
+                if i < low[node]:
+                    low[node] = i
+            else:
+                work.pop()
+                lowest = low[node]
+                if lowest == index[node]:
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    for member in comp:
+                        index[member] = done
+                    comp.sort()
+                    components.append(comp)
+                elif lowest < low[work[-1][0]]:
+                    # a node that is not a component's root has a parent
+                    low[work[-1][0]] = lowest
     return components
 
 
@@ -172,7 +181,7 @@ def cycle_parities(
         for comp in strongly_connected_components(sub, succ):
             if not is_nontrivial(comp, succ):
                 continue
-            top = max(priority(n) for n in comp)
+            top = max(map(priority, comp))
             found.add(top % 2)
             below = {n for n in comp if priority(n) < top}
             if below:
@@ -203,9 +212,9 @@ def even_odd_cycle(
             if not is_nontrivial(comp, succ):
                 continue
             for even, odd in kinds:
-                top = max(even(n) for n in comp)
+                top = max(map(even, comp))
                 if top % 2 == 0:
-                    label, top = odd, max(odd(n) for n in comp)
+                    label, top = odd, max(map(odd, comp))
                     if top % 2 == 1:
                         return True
                 else:

@@ -15,8 +15,11 @@ converted to the global max-even convention at parse time.  A guesser
 file has `output <state> <bit>` lines instead, plus `bound <state>
 <ordinal>` and `codomain <ordinal>` lines when ranked.  `MACHINE_KINDS`
 names the directives of each kind; a line of the other kind is
-refused.  Partial transition tables are completed with an explicit
-rejecting sink, and the parser reports that it did so.
+refused.  A fixed-arity directive (`LINE_WORDS`) takes exactly its
+arguments and a word beyond them is refused; `bound` and `codomain`
+read the rest of the line as one ordinal literal.  Partial transition
+tables are completed with an explicit rejecting sink, and the parser
+reports that it did so.
 """
 
 from __future__ import annotations
@@ -63,17 +66,37 @@ class ParseNotes:
         self.messages.append(message)
 
 
+# the words on a line of each fixed-arity directive, the directive
+# included; `bound`, `codomain`, `set` and the family lines read the
+# rest of the line as one literal or path
+LINE_WORDS = {
+    "alphabet": 2, "states": 2, "start": 2, "acceptance": 2, "theta": 2,
+    "priority": 3, "output": 3, "trans": 4,
+}
+
+
 def _lines(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    return rows
+    """The words of each line that has any, `#` comments removed."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return list(filter(None, map(str.split, lines)))
+
+
+def _check_arity(row: list[str]) -> None:
+    """Refuse words beyond a fixed-arity directive's arguments.  Called
+    once the arguments are read, so a missing or malformed one is
+    reported as it always was."""
+    if len(row) > LINE_WORDS.get(row[0], len(row)):
+        count = LINE_WORDS[row[0]] - 1
+        raise ValueError(
+            f"{row[0]} takes {count} argument{'s' if count > 1 else ''},"
+            f" not {len(row) - 1}"
+        )
 
 
 def _bad_line(row: list[str], exc: Exception) -> FormatError:
-    """A directive line with missing or malformed arguments."""
+    """A directive line with missing, malformed or extra arguments."""
     return FormatError(f"bad line {' '.join(row)!r}: {exc}")
 
 
@@ -105,28 +128,32 @@ def _parse_machine(text: str, notes: ParseNotes, kind: str):
     labels = {key: {} for key in ("priority", "output", "bound") if key in own}
     trans: list[tuple[int, int, int]] = []
     for row in _lines(text):
-        key, args = row[0], row[1:]
+        key = row[0]
         try:
             # most lines are transitions
             if key == "trans":
-                trans.append((int(args[0]), int(args[1]), int(args[2])))
-            elif key == "alphabet":
-                alphabet = int(args[0])
+                trans.append((int(row[1]), int(row[2]), int(row[3])))
+                if len(row) > 4:
+                    _check_arity(row)
+                continue
+            if key == "alphabet":
+                alphabet = int(row[1])
             elif key == "states":
-                n_states = int(args[0])
+                n_states = int(row[1])
             elif key == "start":
-                start = int(args[0])
+                start = int(row[1])
             elif key not in own:
                 raise FormatError(f"unknown directive {key!r}")
             elif key == "acceptance":
-                acceptance = args[0]
+                acceptance = row[1]
             elif key == "codomain":
-                codomain = ordinal_from_text(" ".join(args))
+                codomain = ordinal_from_text(" ".join(row[1:]))
             elif key == "bound":
-                q = int(args[0])
-                _set_once(labels[key], key, q, ordinal_from_text(" ".join(args[1:])))
+                q = int(row[1])
+                _set_once(labels[key], key, q, ordinal_from_text(" ".join(row[2:])))
             else:
-                _set_once(labels[key], key, int(args[0]), int(args[1]))
+                _set_once(labels[key], key, int(row[1]), int(row[2]))
+            _check_arity(row)
         except FormatError:
             raise
         except (IndexError, ValueError) as exc:
@@ -268,6 +295,7 @@ def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
         try:
             if key == "theta":
                 theta = int(args[0])
+                _check_arity(row)
             elif key == "set":
                 idx = int(args[0])
                 path, automaton = _load_member(base_dir, args[1:], notes)

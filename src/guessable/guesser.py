@@ -23,7 +23,7 @@ from .cycles import (
     shortest_word_path,
     strongly_connected_components,
 )
-from .ordinal import OrdinalCNF
+from .ordinal import OrdinalCNF, order_key
 from .space import (
     AlphabetMismatchError,
     Machine,
@@ -115,17 +115,25 @@ def mind_changes(g: MooreGuesser, word: Word) -> int:
 
 def check_bound(rg: RankedGuesser) -> bool:
     """Finite check of the two bound conditions over every reachable
-    transition, plus the codomain cap."""
+    transition, plus the codomain cap.
+
+    One pass over the reachable states compares each bound's order key;
+    an ``INFINITY`` bound is below no codomain, so it fails the cap.
+    """
     g = rg.guesser
-    reach = g.reachable_states()
-    for q in reach:
-        if not rg.bound[q] < rg.codomain:
+    keys = {q: order_key(rg.bound[q]) for q in g.reachable_states()}
+    if None in keys.values():
+        return False
+    cap = order_key(rg.codomain)
+    output, delta = g.output, g.delta
+    for q, key in keys.items():
+        if cap is not None and not key < cap:
             return False
-        for a in range(g.alphabet):
-            nxt = g.delta[q][a]
-            if rg.bound[nxt] > rg.bound[q]:
-                return False
-            if g.output[nxt] != g.output[q] and not rg.bound[nxt] < rg.bound[q]:
+        out = output[q]
+        for nxt in delta[q]:
+            nxt_key = keys[nxt]
+            # never rises, and falls strictly where the output flips
+            if nxt_key > key or (nxt_key == key and output[nxt] != out):
                 return False
     return True
 

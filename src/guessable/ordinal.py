@@ -204,6 +204,14 @@ def omega_power(exp: "OrdinalCNF | int", coef: int = 1) -> OrdinalCNF:
     return OrdinalCNF(((exp, coef),))
 
 
+def order_key(a: Rank) -> "tuple | None":
+    """The precomputed order key of an ordinal: plain nested tuples whose
+    order is the ordinal order, so a loop comparing many values pays one
+    tuple comparison each and no operator dispatch.  ``INFINITY`` is
+    above every key and has none: the result is None."""
+    return None if a is INFINITY else a._key
+
+
 def compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
     """Total order on CNF: -1, 0 or 1. Lexicographic on term lists."""
     ka, kb = a._key, b._key

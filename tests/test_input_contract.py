@@ -18,6 +18,7 @@ from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
     FormatError,
     parse_automaton,
+    parse_chain,
     parse_guesser,
     render_automaton,
     render_guesser,
@@ -361,6 +362,70 @@ def test_per_state_lines_out_of_range_exit_2(open_files, line):
 def test_lines_of_the_other_file_kind_exit_2(open_files, kind, line):
     message = f"unknown directive {line.split()[0]!r}"
     assert_refused(open_files, kind, ONE_STATE[kind] + line + "\n", message)
+
+
+# a valid one-state file of each kind with every fixed-arity directive
+# of the kind, one of whose lines gets a word too many
+FULL_ONE_STATE = {
+    "priority": "alphabet 2\nstates 1\nstart 0\nacceptance max-even\n"
+    "priority 0 0\ntrans 0 0 0\ntrans 0 1 0\n",
+    "output": "alphabet 2\nstates 1\nstart 0\noutput 0 0\ntrans 0 0 0\n"
+    "trans 0 1 0\n",
+}
+
+
+def _trailing_message(line):
+    key, *args = line.split()
+    arity = len(args) - 1
+    plural = "s" if arity > 1 else ""
+    return f"bad line {line!r}: {key} takes {arity} argument{plural}, not {len(args)}"
+
+
+@pytest.mark.parametrize(
+    "kind, index",
+    [(kind, i) for kind, text in sorted(FULL_ONE_STATE.items())
+     for i in range(len(text.splitlines()))],
+)
+def test_trailing_arguments_exit_2(open_files, kind, index):
+    lines = FULL_ONE_STATE[kind].splitlines()
+    lines[index] += " 5"
+    message = _trailing_message(lines[index])
+    assert_refused(open_files, kind, "\n".join(lines) + "\n", message)
+
+
+def test_trailing_arguments_in_a_chain_exit_2(open_files):
+    text = "theta 1 1\nset 0 one.aut\n"
+    message = _trailing_message("theta 1 1")
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_chain(text, str(open_files))
+    chain = open_files / "bad.chain"
+    chain.write_text(text)
+    code, out, err = run(["diff", "build", str(chain)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # a member automaton is read by the same reader
+    member = open_files / "one.aut"
+    member.write_text(member.read_text() + "trans 0 0 0 5\n")
+    chain.write_text("theta 1\nset 0 one.aut\n")
+    code, out, err = run(["diff", "build", str(chain)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {_trailing_message('trans 0 0 0 5')}\n"
+
+
+def test_missing_and_malformed_arguments_keep_their_messages():
+    """Arguments are read before their count is checked."""
+    head = "alphabet 2\nstates 1\npriority 0 0\n"
+    for line, reason in (
+        ("trans 0 0", "list index out of range"),
+        ("trans 0 x 0 5", "invalid literal for int() with base 10: 'x'"),
+        ("states", "list index out of range"),
+    ):
+        with pytest.raises(FormatError) as caught:
+            parse_automaton(head + line + "\n")
+        assert str(caught.value) == f"bad line {line!r}: {reason}"
+    # `bound` and `codomain` read the rest of the line as one literal
+    _, ranked, _ = parse_guesser(_ranked_guesser_text("w + 1", "w^2*3 + 2"))
+    assert ranked.bound == (from_text("w + 1"),)
+    assert ranked.codomain == from_text("w^2*3 + 2")
 
 
 def test_export_dot_refuses_an_automaton_with_an_output_line(open_files):

@@ -1,0 +1,280 @@
+"""The graph kernels on state numbers and the order-key bound check,
+each against the literal form it replaced: a Tarjan pass over a copied
+adjacency dict, closures testing the node set first, and a bound check
+through the ordinal operators.  A search on a few nodes of a large graph
+reads only their rows."""
+
+from collections.abc import Sequence
+
+from hypothesis import given, settings, strategies as st
+
+from guessable.cycles import (
+    backward_closure,
+    cycle_nodes,
+    cycle_parities,
+    even_odd_cycle,
+    forward_closure,
+    strongly_connected_components,
+)
+from guessable.guesser import MooreGuesser, RankedGuesser, check_bound, synthesize
+from guessable.ordinal import (
+    INFINITY,
+    OMEGA,
+    ZERO,
+    add,
+    from_int,
+    from_text,
+    omega_power,
+)
+from guessable.space import ParitySet
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+# -- the literal references ------------------------------------------------
+
+
+def literal_scc(nodes, succ):
+    """Tarjan's algorithm, iterative, on an adjacency dict copied from the
+    rows: the reference for the order and the sorting of the components."""
+    adj = {n: [m for m in succ[n] if m in nodes] for n in nodes}
+    index, low = {}, {}
+    on_stack, stack, components = set(), [], []
+    counter = 0
+    for root in sorted(nodes):
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, child_i = work[-1]
+            if child_i == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            children = adj[node]
+            while child_i < len(children):
+                child = children[child_i]
+                child_i += 1
+                if child not in index:
+                    work[-1] = (node, child_i)
+                    work.append((child, 0))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp.append(member)
+                    if member == node:
+                        break
+                components.append(sorted(comp))
+            if work:
+                parent, _ = work[-1]
+                low[parent] = min(low[parent], low[node])
+    return components
+
+
+def literal_forward_closure(starts, nodes, succ):
+    seen = {s for s in starts if s in nodes}
+    stack = list(seen)
+    while stack:
+        n = stack.pop()
+        for m in succ[n]:
+            if m in nodes and m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
+
+
+def literal_backward_closure(targets, nodes, succ):
+    pred = {n: [] for n in nodes}
+    for n in nodes:
+        for m in succ[n]:
+            if m in nodes:
+                pred[m].append(n)
+    seen = {t for t in targets if t in nodes}
+    stack = list(seen)
+    while stack:
+        n = stack.pop()
+        for p in pred[n]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def literal_check_bound(rg):
+    """The two bound conditions and the cap through the ordinal operators."""
+    g = rg.guesser
+    for q in g.reachable_states():
+        if not rg.bound[q] < rg.codomain:
+            return False
+        for a in range(g.alphabet):
+            nxt = g.delta[q][a]
+            if rg.bound[nxt] > rg.bound[q]:
+                return False
+            if g.output[nxt] != g.output[q] and not rg.bound[nxt] < rg.bound[q]:
+                return False
+    return True
+
+
+# -- graph kernels ----------------------------------------------------------
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """Rows over n states, a node subset (whose rows also point outside
+    it, or not at all) and a start or target set that may leave it."""
+    n = draw(st.integers(1, 14))
+    state = st.integers(0, n - 1)
+    succ = draw(
+        st.lists(st.lists(state, max_size=4).map(tuple), min_size=n, max_size=n)
+    )
+    nodes = draw(st.sets(state))
+    ends = draw(st.sets(state, max_size=4))
+    return succ, nodes, ends
+
+
+@PROPERTY
+@given(graphs_with_subsets())
+def test_kernels_agree_with_the_literal_forms(graph):
+    succ, nodes, ends = graph
+    assert strongly_connected_components(nodes, succ) == literal_scc(nodes, succ)
+    assert forward_closure(ends, nodes, succ) == literal_forward_closure(
+        ends, nodes, succ
+    )
+    assert backward_closure(ends, nodes, succ) == literal_backward_closure(
+        ends, nodes, succ
+    )
+
+
+def test_tarjan_on_a_long_chain_needs_no_recursion():
+    n = 50_000
+    succ = [(q + 1,) for q in range(n - 1)] + [(0,)]
+    assert strongly_connected_components(set(range(n)), succ) == [list(range(n))]
+    succ[-1] = ()
+    comps = strongly_connected_components(set(range(n)), succ)
+    assert comps == literal_scc(set(range(n)), succ)
+
+
+class CountingRows(Sequence):
+    """Rows of a large graph built on demand: every read is recorded,
+    and asking for the length fails."""
+
+    def __init__(self, size):
+        self.size = size
+        self.read = set()
+
+    def __getitem__(self, q):
+        self.read.add(q)
+        return ((q + 1) % self.size, (q * 7 + 3) % self.size, q - 2)
+
+    def __len__(self):
+        raise AssertionError("a kernel sized something by the row count")
+
+
+def test_a_subset_costs_only_its_own_rows():
+    rows = CountingRows(200_000)
+    sub = {100, 101, 102}  # one cycle 100 -> 101 -> 102 -> 100; other edges leave
+    for run in (
+        lambda: strongly_connected_components(sub, rows),
+        lambda: forward_closure([100], sub, rows),
+        lambda: backward_closure([102], sub, rows),
+        lambda: cycle_parities(sub, rows, lambda q: q % 3),
+        lambda: cycle_nodes(sub, rows),
+        lambda: even_odd_cycle(sub, rows, [(lambda q: q % 3, lambda q: 1)]),
+    ):
+        rows.read.clear()
+        run()
+        assert rows.read <= sub
+    assert strongly_connected_components(sub, rows) == [[100, 101, 102]]
+    assert cycle_parities(sub, rows, lambda q: q % 3) == {0}  # its top is 2
+
+
+# -- the bound check ----------------------------------------------------------
+
+# strictly increasing maps n -> f(n) that carry a finite bound function
+# to a transfinite one satisfying the same conditions
+LIFTS = [
+    lambda n: from_int(n),
+    lambda n: add(OMEGA, from_int(n)),  # w, w + 1, ...
+    lambda n: add(from_text("w^2*3"), from_int(n)),
+    lambda n: add(omega_power(1, n + 1), from_int(1)),  # w + 1, w*2 + 1, ...
+]
+
+
+@st.composite
+def ranked_guessers(draw):
+    """A canonical guesser with its bounds lifted, sometimes mutated: a
+    raised bound, a bound kept across an opinion flip, an INFINITY bound,
+    an INFINITY codomain, or bounds drawn at random."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    s = ParitySet(
+        alphabet=k,
+        start=draw(state),
+        delta=tuple(draw(st.lists(st.tuples(*[state] * k), min_size=n, max_size=n))),
+        priority=tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))),
+    )
+    pool = [ZERO, from_int(1), from_int(3), OMEGA, from_text("w + 1"),
+            from_text("w^2*3"), INFINITY]
+    try:
+        canonical = synthesize(s)
+    except ValueError:
+        g = MooreGuesser(
+            alphabet=k,
+            start=s.start,
+            delta=s.delta,
+            output=tuple(p % 2 for p in s.priority),
+        )
+        bound = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        return RankedGuesser(g, tuple(bound), draw(st.sampled_from(pool)))
+    g = canonical.guesser
+    lift = draw(st.sampled_from(LIFTS))
+    bound = [lift(b.to_int()) for b in canonical.bound]
+    codomain = lift(canonical.codomain.to_int())
+    q = draw(st.integers(0, g.n_states - 1))
+    mutation = draw(st.sampled_from(["none", "raise", "flip", "infinity", "cap"]))
+    if mutation == "raise":
+        bound[q] = add(bound[q], draw(st.sampled_from([from_int(1), OMEGA])))
+    elif mutation == "flip":
+        flips = [
+            (p, nxt)
+            for p in range(g.n_states)
+            for nxt in g.delta[p]
+            if g.output[nxt] != g.output[p]
+        ]
+        if flips:
+            p, nxt = draw(st.sampled_from(flips))
+            bound[nxt] = bound[p]
+    elif mutation == "infinity":
+        bound[q] = INFINITY
+    elif mutation == "cap":
+        codomain = INFINITY
+    return RankedGuesser(g, tuple(bound), codomain)
+
+
+@PROPERTY
+@given(ranked_guessers())
+def test_check_bound_agrees_with_the_operator_form(rg):
+    assert check_bound(rg) == literal_check_bound(rg)
+
+
+def test_an_infinity_bound_fails_the_check():
+    g = MooreGuesser(alphabet=2, start=0, delta=((1, 1), (1, 1)), output=(0, 1))
+    for bound in ((INFINITY, ZERO), (OMEGA, INFINITY), (INFINITY, INFINITY)):
+        for codomain in (from_int(2), INFINITY):
+            rg = RankedGuesser(g, bound, codomain)
+            assert check_bound(rg) is False
+            assert literal_check_bound(rg) is False
+    rg = RankedGuesser(g, (from_text("w + 1"), OMEGA), INFINITY)
+    assert check_bound(rg) is True
