@@ -20,6 +20,7 @@ from .space import (
     ParitySet,
     UPWord,
     _check_alphabets,
+    _check_word,
     membership_up,
 )
 from .guesser import MooreGuesser, limit_on_up
@@ -98,10 +99,7 @@ def family_bit(family: OracleFamily, w: UPWord, i: int) -> int:
 
 def family_stream(family: OracleFamily, w: UPWord, n: int) -> list[int]:
     """The first n bits of the family's membership stream at w."""
-    if w.max_symbol >= family.alphabet:
-        raise AlphabetMismatchError(
-            f"word uses symbol {w.max_symbol} outside alphabet {family.alphabet}"
-        )
+    _check_word(w, family.alphabet)
     return [family_bit(family, w, i) for i in range(n)]
 
 
@@ -113,10 +111,7 @@ def stream_periodicity(family: OracleFamily, w: UPWord) -> tuple[int, int]:
     period symbol once past the word prefix.  The reported period is
     correct, not necessarily minimal.
     """
-    if w.max_symbol >= family.alphabet:
-        raise AlphabetMismatchError(
-            f"word uses symbol {w.max_symbol} outside alphabet {family.alphabet}"
-        )
+    _check_word(w, family.alphabet)
     if family.kind == "explicit":
         return len(family.prefix), len(family.cycle)
     k = family.alphabet
@@ -161,9 +156,7 @@ def limsup_liminf_check(
             "limit comparison needs an explicit (eventually periodic) family"
         )
     _check_alphabets(family, s)
-    pre, per = stream_periodicity(family, w)
-    bits = family_stream(family, w, pre + per)
-    tail = bits[pre:]
+    tail = stream_up_word(family, w).period
     chi = membership_up(s, w)
     return min(tail) == chi and max(tail) == chi
 

@@ -54,6 +54,11 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _print_notes(notes: formats.ParseNotes, prefix: str = "") -> None:
     for message in notes.messages:
         print(f"note: {prefix}{message}", file=sys.stderr)
@@ -111,8 +116,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         return 1
     text = formats.render_guesser(ranked.guesser, ranked)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.output, text)
         print(f"guesser={args.output}")
     else:
         sys.stdout.write(text)
@@ -149,12 +153,11 @@ def _write_chain(chain, out_dir: str, stem: str) -> str:
     names = []
     for i, member in enumerate(chain.sets):
         name = f"{stem}_set{i}.aut"
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
-            handle.write(formats.render_automaton(member.to_parity()))
+        text = formats.render_automaton(member.to_parity())
+        _write(os.path.join(out_dir, name), text)
         names.append(name)
     chain_path = os.path.join(out_dir, f"{stem}.chain")
-    with open(chain_path, "w", encoding="utf-8") as handle:
-        handle.write(formats.render_chain(names))
+    _write(chain_path, formats.render_chain(names))
     return chain_path
 
 
@@ -168,8 +171,7 @@ def cmd_diff_build(args: argparse.Namespace) -> int:
     code = 0
     if args.emit in ("set", "both"):
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(formats.render_automaton(level_set))
+            _write(args.output, formats.render_automaton(level_set))
             print(f"set={args.output}")
         else:
             sys.stdout.write(formats.render_automaton(level_set))
@@ -178,8 +180,7 @@ def cmd_diff_build(args: argparse.Namespace) -> int:
         bound_ok = check_bound(ranked)
         witness = divergence_witness(ranked.guesser, level_set)
         if args.guesser_output:
-            with open(args.guesser_output, "w", encoding="utf-8") as handle:
-                handle.write(formats.render_guesser(ranked.guesser, ranked))
+            _write(args.guesser_output, formats.render_guesser(ranked.guesser, ranked))
             print(f"guesser={args.guesser_output}")
         print(f"bound_ok={'true' if bound_ok else 'false'}")
         print(f"witness={'NONE' if witness is None else witness}")

@@ -17,11 +17,14 @@ construction (the plain product of machines, boolean products, the
 canonical guesser, chain and bound conversions) assembles its machine
 and on which every search here runs.
 
-`cycle_parities` and `even_odd_cycle` answer which kinds of cycle a
-graph carries by Emerson-Lei refinement: split into SCCs, drop the
-nodes of a top priority that no wanted cycle can pass through, and
-split what is left again.  Emptiness, equivalence and the remainder
-ranks are decided this way, without a parity product.
+`has_cycle` is the one search for a cycle of a wanted kind, by
+Emerson-Lei refinement: split into SCCs, drop the nodes of a top
+label that no wanted cycle can pass through, and split what is left
+again.  A kind names a parity for the maximum of each of some labels
+along the cycle: emptiness asks for an even maximum priority,
+equivalence for a cycle whose two sides' maxima differ in parity, and
+the remainder ranks for the parity a component's top does not give.
+None of them builds a parity product.
 
 `parity_components` yields the components holding the cycles of each
 maximum priority of one parity: `parity_cycle_nodes` is their union,
@@ -34,6 +37,9 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Node = Hashable
+# (label, parity) pairs: a cycle is of the kind when the maximum of each
+# label along it has that parity
+Kind = Sequence[tuple[Sequence[int], int]]
 
 
 def explore(
@@ -164,64 +170,35 @@ def cycle_nodes(nodes: set, succ: Sequence) -> set:
     return out
 
 
-def cycle_parities(
-    nodes: set, succ: Sequence, priority: Callable[[Node], int]
-) -> set[int]:
-    """Parities (0/1) of the maximum priorities of the cycles inside
-    `nodes`.
+def has_cycle(nodes: set, succ: Sequence, kinds: Sequence[Kind]) -> bool:
+    """True iff some cycle inside `nodes` is of one of the `kinds`.  A
+    kind is a list of `(label, parity)` pairs, each label a sequence
+    indexed by state; a cycle is of that kind when the maximum of every
+    label along it has the paired parity (0/1).
 
-    A nontrivial SCC has a cycle through its top priority; every other
-    cycle in it avoids the top-priority nodes, so the search goes on
-    below the top until both parities are found or nothing cycles.
-    """
-    found: set[int] = set()
-    pending = [set(nodes)]
-    while pending and len(found) < 2:
-        sub = pending.pop()
-        for comp in strongly_connected_components(sub, succ):
-            if not is_nontrivial(comp, succ):
-                continue
-            top = max(map(priority, comp))
-            found.add(top % 2)
-            below = {n for n in comp if priority(n) < top}
-            if below:
-                pending.append(below)
-    return found
-
-
-def even_odd_cycle(
-    nodes: set,
-    succ: Sequence,
-    kinds: Sequence[tuple[Callable[[Node], int], Callable[[Node], int]]],
-) -> bool:
-    """True iff some cycle inside `nodes` is of one of the `kinds`: for
-    a kind `(even, odd)`, its maximum `even` priority is even and its
-    maximum `odd` priority is odd.
-
-    Emerson-Lei refinement, one SCC pass shared by all kinds: in a
-    nontrivial SCC whose top `even` priority is odd, or whose top `odd`
-    priority is even, no cycle of that kind passes through those top
-    nodes, so they are dropped and the rest is searched again for that
-    kind; an SCC with both tops of the wanted parity has a cycle
-    through all of its nodes, which is a witness.
+    Emerson-Lei refinement, one SCC pass shared by all kinds: a
+    nontrivial SCC whose top of every label of a kind has that label's
+    parity has a cycle through all of its nodes, which is a witness.
+    Otherwise no cycle of that kind passes through the top nodes of the
+    first label whose top has the wrong parity, so those nodes are
+    dropped and the rest is searched again for that kind alone.
     """
     pending = [(set(nodes), kinds)]
     while pending:
-        sub, kinds = pending.pop()
+        sub, wanted = pending.pop()
         for comp in strongly_connected_components(sub, succ):
             if not is_nontrivial(comp, succ):
                 continue
-            for even, odd in kinds:
-                top = max(map(even, comp))
-                if top % 2 == 0:
-                    label, top = odd, max(map(odd, comp))
-                    if top % 2 == 1:
-                        return True
+            for kind in wanted:
+                for label, parity in kind:
+                    top = max(map(label.__getitem__, comp))
+                    if top % 2 != parity:
+                        below = {n for n in comp if label[n] < top}
+                        if below:
+                            pending.append((below, [kind]))
+                        break
                 else:
-                    label = even
-                below = {n for n in comp if label(n) < top}
-                if below:
-                    pending.append((below, [(even, odd)]))
+                    return True
     return False
 
 

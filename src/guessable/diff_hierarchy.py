@@ -51,10 +51,10 @@ class OpenChain:
     """An increasing sequence A_0 <= A_1 <= ... of open sets; the length
     is the (finite) hierarchy level theta >= 1.
 
-    Every chain stands on one skeleton machine with an entry level per
-    state: the level of q is the least eta whose member holds q, or
-    theta when no member does, and member eta is the target
-    {q : level(q) <= eta} on the skeleton.  The level never increases
+    Every chain stands on one `skeleton` machine with an entry level per
+    state in `levels`: the level of q is the least eta whose member holds
+    q, or theta (`theta_int`) when no member does, and member eta is the
+    target {q : level(q) <= eta} on the skeleton.  The level never increases
     along an edge, so every member is absorbing and the members nest.
 
     `OpenChain(sets)` takes the members themselves and their reachable
@@ -85,10 +85,9 @@ class OpenChain:
         if cycle_nodes({i for i, b in enumerate(bits) if b != sorted(b)}, rows):
             raise ChainNotIncreasingError("chain members must increase")
         self._sets: Optional[tuple[OpenSet, ...]] = tuple(sets)
-        self._theta = theta
-        self._alphabet = k
-        levels = tuple(b.index(True) if True in b else theta for b in bits)
-        self._levelled = (Machine(k, 0, tuple(rows)), levels)
+        self.skeleton = Machine(k, 0, tuple(rows))
+        self.levels = tuple(b.index(True) if True in b else theta for b in bits)
+        self.theta_int = theta
 
     @classmethod
     def _on_skeleton(
@@ -98,37 +97,29 @@ class OpenChain:
         by `explore`, whose levels never increase along an edge."""
         chain = cls.__new__(cls)
         chain._sets = None
-        chain._theta = theta
-        chain._alphabet = skeleton.alphabet
-        chain._levelled = (skeleton, levels)
+        chain.skeleton = skeleton
+        chain.levels = levels
+        chain.theta_int = theta
         return chain
-
-    def _skeleton(self) -> tuple[Machine, tuple[int, ...]]:
-        """The skeleton machine and the entry level of each of its states."""
-        return self._levelled
 
     @property
     def sets(self) -> tuple[OpenSet, ...]:
         if self._sets is None:
-            skeleton, levels = self._levelled
+            skeleton = self.skeleton
             self._sets = tuple(
                 make_open(
                     skeleton.alphabet,
                     skeleton.start,
                     skeleton.delta,
-                    [q for q, level in enumerate(levels) if level <= eta],
+                    [q for q, level in enumerate(self.levels) if level <= eta],
                 )
-                for eta in range(self._theta)
+                for eta in range(self.theta_int)
             )
         return self._sets
 
     @property
-    def theta_int(self) -> int:
-        return self._theta
-
-    @property
     def alphabet(self) -> int:
-        return self._alphabet
+        return self.skeleton.alphabet
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OpenChain):
@@ -151,8 +142,7 @@ def d_theta(chain: OpenChain) -> ParitySet:
     a run, so the priority seen forever is that of the least member the
     run enters, which is the membership rule.
     """
-    skeleton, levels = chain._skeleton()
-    theta = chain.theta_int
+    skeleton, levels, theta = chain.skeleton, chain.levels, chain.theta_int
     return ParitySet(
         alphabet=chain.alphabet,
         start=0,
@@ -196,8 +186,7 @@ def chain_to_guesser(chain: OpenChain) -> RankedGuesser:
     the codomain is theta+1.  The machine is the skeleton as it stands,
     as in `d_theta`, with the forced levels of one sinks-first pass.
     """
-    skeleton, levels = chain._skeleton()
-    theta = chain.theta_int
+    skeleton, levels, theta = chain.skeleton, chain.levels, chain.theta_int
     forced = _forced_levels(skeleton, levels)
     bound_of = [from_int(eta) for eta in range(theta + 1)]
     guesser = MooreGuesser(
@@ -387,7 +376,7 @@ def classify(s: ParitySet) -> Classification:
         side = Side.BOTH
     else:
         side = Side.SELF if on_self else Side.COMPLEMENT
-    wide = synthesize(s, trace).with_codomain(succ(theta))
+    wide = synthesize(s).with_codomain(succ(theta))
     g = wide.guesser
     if g.output[g.start] == 0:
         rooted = wide

@@ -67,11 +67,12 @@ class ParseNotes:
 
 
 # the words on a line of each fixed-arity directive, the directive
-# included; `bound`, `codomain`, `set` and the family lines read the
-# rest of the line as one literal or path
+# included; a `family` line counts from its kind, `explicit` or
+# `cylinders`; `bound`, `codomain`, `set` and the family member lines
+# read the rest of the line as one literal or path
 LINE_WORDS = {
     "alphabet": 2, "states": 2, "start": 2, "acceptance": 2, "theta": 2,
-    "priority": 3, "output": 3, "trans": 4,
+    "priority": 3, "output": 3, "trans": 4, "explicit": 1, "cylinders": 2,
 }
 
 
@@ -90,7 +91,7 @@ def _check_arity(row: list[str]) -> None:
     if len(row) > LINE_WORDS.get(row[0], len(row)):
         count = LINE_WORDS[row[0]] - 1
         raise ValueError(
-            f"{row[0]} takes {count} argument{'s' if count > 1 else ''},"
+            f"{row[0]} takes {count} argument{'s' if count != 1 else ''},"
             f" not {len(row) - 1}"
         )
 
@@ -298,6 +299,8 @@ def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
                 _check_arity(row)
             elif key == "set":
                 idx = int(args[0])
+                if idx in members:
+                    raise FormatError(f"duplicate set {idx}")
                 path, automaton = _load_member(base_dir, args[1:], notes)
                 try:
                     members[idx] = open_from_parity(automaton)
@@ -341,6 +344,8 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
                 kind = args[0]
                 if kind == "cylinders":
                     cylinders = cylinders_family(int(args[1]))
+                if kind in ("explicit", "cylinders"):
+                    _check_arity(args)
             elif key in ("prefix", "cycle"):
                 _, automaton = _load_member(base_dir, args, notes)
                 (prefix if key == "prefix" else cycle).append(automaton)

@@ -34,7 +34,7 @@ from .space import (
     membership_up,
     product,
 )
-from .remainder import RemainderTrace, remainder_chain
+from .remainder import remainder_chain
 
 
 class NotGuessableError(ValueError):
@@ -145,9 +145,7 @@ def mind_change_rank(s: ParitySet) -> Optional[OrdinalCNF]:
     return remainder_chain(s).rank
 
 
-def synthesize(
-    s: ParitySet, trace: Optional[RemainderTrace] = None
-) -> RankedGuesser:
+def synthesize(s: ParitySet) -> RankedGuesser:
     """Build the canonical guesser from the two opinion costs.
 
     A state q whose cost under opinion 1, c(q, 1) = `reject_rank[q]`,
@@ -157,13 +155,11 @@ def synthesize(
     root inherits 0).  The bound of a state is its smaller cost, its
     rank minus one; the codomain is the stabilization index.
 
-    A `trace` passed in is `remainder_chain(s)`, the one trace memoised
-    on `s`; leaving it out reads that same trace.  The guesser is
-    memoised on the trace in turn, so every later call for the same set
+    It reads `remainder_chain(s)`, the one trace memoised on `s`, and is
+    memoised on that trace in turn, so every later call for the same set
     returns the same object, which callers must treat as read-only.
     """
-    if trace is None:
-        trace = remainder_chain(s)
+    trace = remainder_chain(s)
     ranked = trace.__dict__.get("_canonical_guesser")
     if ranked is not None:
         return ranked

@@ -142,29 +142,16 @@ class _Infinity:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    # against an ordinal these return NotImplemented, so Python asks the
+    # ordinal's reflected method, which ranks INFINITY above it
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, (OrdinalCNF, _Infinity)):
-            return False
-        return NotImplemented
+        return False if other is self else NotImplemented
 
     def __le__(self, other: object) -> bool:
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, OrdinalCNF):
-            return False
-        return NotImplemented
+        return True if other is self else NotImplemented
 
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, OrdinalCNF):
-            return True
-        if isinstance(other, _Infinity):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (OrdinalCNF, _Infinity)):
-            return True
-        return NotImplemented
+    __gt__ = __lt__
+    __ge__ = __le__
 
     def __str__(self) -> str:
         return "INFTY"

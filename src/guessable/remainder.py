@@ -34,8 +34,8 @@ from typing import Mapping, Optional
 
 from .cycles import (
     cycle_nodes,
-    cycle_parities,
     forward_closure,
+    has_cycle,
     is_nontrivial,
     strongly_connected_components,
 )
@@ -135,7 +135,7 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
         return trace
     reach = s.reachable_states()
     succ = s.delta
-    prio = s.priority.__getitem__
+    prio = s.priority
     acc: dict[int, float] = {}
     rej: dict[int, float] = {}
     for comp in strongly_connected_components(reach, succ):
@@ -146,22 +146,18 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
                 if nq not in members:
                     a = max(a, acc[nq])
                     r = max(r, rej[nq])
-        kinds = set()
         if is_nontrivial(comp, succ):
             # a strongly connected component has a cycle through every
-            # node, so one through its top priority; any other parity
+            # node, so one through its top priority; the other parity
             # can only come from a cycle below the top
-            peak = max(map(prio, comp))
-            kinds.add(peak % 2)
-            below = {q for q in comp if prio(q) < peak}
-            if below:
-                kinds |= cycle_parities(below, succ, prio)
-        if len(kinds) == 2:
-            a = r = math.inf
-        elif 0 in kinds:
-            a = 1 + r
-        elif 1 in kinds:
-            r = 1 + a
+            peak = max(map(prio.__getitem__, comp))
+            below = {q for q in comp if prio[q] < peak}
+            if below and has_cycle(below, succ, [[(prio, 1 - peak % 2)]]):
+                a = r = math.inf
+            elif peak % 2 == 0:
+                a = 1 + r
+            else:
+                r = 1 + a
         for q in comp:
             acc[q], rej[q] = a, r
 

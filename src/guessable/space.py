@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Iterator, Literal
 
-from .cycles import (
-    cycle_nodes,
-    cycle_parities,
-    even_odd_cycle,
-    explore,
-    forward_closure,
-)
+from .cycles import cycle_nodes, explore, forward_closure, has_cycle
 
 Word = tuple[int, ...]
 
@@ -226,10 +220,7 @@ class Machine:
         repeats; the periods from the first repeated start on are the
         cycle the run stays on forever.
         """
-        if w.max_symbol >= self.alphabet:
-            raise AlphabetMismatchError(
-                f"word uses symbol {w.max_symbol} outside alphabet {self.alphabet}"
-            )
+        _check_word(w, self.alphabet)
         delta, period = self.delta, w.period
         q = self.state_after(w.prefix)
         seen = {q: 0}
@@ -282,6 +273,14 @@ class ParitySet(Machine):
             raise ValueError("priorities must be non-negative")
 
 
+def _check_word(w: UPWord, alphabet: int) -> None:
+    """Refuse a word that uses a symbol outside the alphabet."""
+    if w.max_symbol >= alphabet:
+        raise AlphabetMismatchError(
+            f"word uses symbol {w.max_symbol} outside alphabet {alphabet}"
+        )
+
+
 def _check_alphabets(*operands) -> int:
     """The first operand's alphabet, which every operand must share."""
     k = operands[0].alphabet
@@ -313,8 +312,7 @@ def is_empty(s: ParitySet) -> bool:
     """True iff no point is in the set: no reachable cycle has an even
     maximum priority, found by refining the reachable SCCs below their
     top priorities."""
-    reach = s.reachable_states()
-    return 0 not in cycle_parities(reach, s.delta, s.priority.__getitem__)
+    return not has_cycle(s.reachable_states(), s.delta, [[(s.priority, 0)]])
 
 
 def equivalent(s: ParitySet, t: ParitySet) -> bool:
@@ -328,11 +326,10 @@ def equivalent(s: ParitySet, t: ParitySet) -> bool:
     """
     _check_alphabets(s, t)
     order, rows = product(s, t)
-    on_s = [s.priority[p] for p, _ in order].__getitem__
-    on_t = [t.priority[q] for _, q in order].__getitem__
-    return not even_odd_cycle(
-        set(range(len(rows))), rows, [(on_s, on_t), (on_t, on_s)]
-    )
+    on_s = [s.priority[p] for p, _ in order]
+    on_t = [t.priority[q] for _, q in order]
+    differ = [[(on_s, 0), (on_t, 1)], [(on_t, 0), (on_s, 1)]]
+    return not has_cycle(set(range(len(rows))), rows, differ)
 
 
 # -- boolean products -----------------------------------------------
@@ -460,15 +457,11 @@ def cylinder(s: Word, alphabet: int = 2) -> ClopenTable:
     for a in s:
         if not 0 <= a < alphabet:
             raise ValueError(f"symbol {a} outside alphabet {alphabet}")
-    size = alphabet ** len(s)
-    values = [0] * size
-    if s:
-        code = 0
-        for a in s:
-            code = code * alphabet + a
-        values[code] = 1
-    else:
-        values = [1] * size
+    values = [0] * alphabet ** len(s)
+    code = 0
+    for a in s:
+        code = code * alphabet + a
+    values[code] = 1
     return ClopenTable(alphabet=alphabet, depth=len(s), values=tuple(values))
 
 

@@ -136,7 +136,7 @@ def test_synthesized_guesser_is_certified(s):
     if not trace.guessable:
         return
     ranked = synthesize(s)
-    assert ranked == synthesize(s, trace)
+    assert ranked == synthesize(s)
     assert check_bound(ranked)
     assert ranked.codomain == trace.alpha_s
     assert divergence_witness(ranked.guesser, s) is None
@@ -208,16 +208,20 @@ def test_one_trace_per_verdict(monkeypatch):
     built = []
 
     def counting(s):
-        built.append(s)
-        return remainder_chain(s)
+        trace = remainder_chain(s)
+        built.append((s, trace))
+        return trace
 
     monkeypatch.setattr(guessable.guesser, "remainder_chain", counting)
     monkeypatch.setattr(guessable.diff_hierarchy, "remainder_chain", counting)
     s = counter_set(6)
     for verdict in (mind_change_rank, synthesize, classify):
-        built.clear()
+        asked = len(built)
         verdict(s)
-        assert len(built) == 1, verdict.__name__
+        assert len(built) > asked, verdict.__name__
+    # `classify` asks twice, itself and through `synthesize`; every call
+    # after the first reads the memo
+    assert all(arg is s and trace is built[0][1] for arg, trace in built)
 
 
 def root_zero_guessers(s):
@@ -227,7 +231,7 @@ def root_zero_guessers(s):
     trace = remainder_chain(s)
     if not trace.guessable:
         return []
-    canonical = synthesize(s, trace)
+    canonical = synthesize(s)
     g = canonical.guesser
     if g.output[g.start]:
         canonical = RankedGuesser(flip_outputs(g), canonical.bound, canonical.codomain)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -19,6 +20,7 @@ from guessable.formats import (
     FormatError,
     parse_automaton,
     parse_chain,
+    parse_family,
     parse_guesser,
     render_automaton,
     render_guesser,
@@ -409,6 +411,41 @@ def test_trailing_arguments_in_a_chain_exit_2(open_files):
     code, out, err = run(["diff", "build", str(chain)])
     assert (code, out) == (2, "")
     assert err == f"error: {_trailing_message('trans 0 0 0 5')}\n"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("family cylinders 2 9 junk", "cylinders takes 1 argument, not 3"),
+        ("family cylinders 2 9", "cylinders takes 1 argument, not 2"),
+        ("family explicit junk", "explicit takes 0 arguments, not 1"),
+    ],
+)
+def test_trailing_arguments_in_a_family_exit_2(open_files, line, reason):
+    text = f"{line}\ncycle one.aut\n"
+    message = f"bad line {line!r}: {reason}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_family(text, str(open_files))
+    family = open_files / "bad.fam"
+    family.write_text(text)
+    guesser = open_files / "g.guess"
+    guesser.write_text(render_guesser(synthesize(FIXTURES["F_ONE"]).guesser))
+    aut = open_files / "one.aut"
+    code, out, err = run(["based", "verify", str(family), str(guesser), str(aut)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("second", ["one.aut", "f11.aut", "missing.aut"])
+def test_a_set_index_given_twice_exits_2(open_files, second):
+    # refused before the second member file is opened, so a missing
+    # one is never reported
+    text = f"theta 1\nset 0 one.aut\nset 0 {second}\n"
+    with pytest.raises(FormatError, match="^duplicate set 0$"):
+        parse_chain(text, str(open_files))
+    chain = open_files / "twice.chain"
+    chain.write_text(text)
+    code, out, err = run(["diff", "build", str(chain)])
+    assert (code, out, err) == (2, "", "error: duplicate set 0\n")
 
 
 def test_missing_and_malformed_arguments_keep_their_messages():

@@ -1,19 +1,25 @@
 """The graph kernels on state numbers and the order-key bound check,
 each against the literal form it replaced: a Tarjan pass over a copied
-adjacency dict, closures testing the node set first, and a bound check
-through the ordinal operators.  A search on a few nodes of a large graph
-reads only their rows."""
+adjacency dict, closures testing the node set first, the two
+Emerson-Lei searches `has_cycle` replaced, and a bound check through
+the ordinal operators.  `has_cycle` is also checked against an
+exhaustive search of the strongly connected node subsets.  A search on
+a few nodes of a large graph reads only their rows."""
 
-from collections.abc import Sequence
+from __future__ import annotations
+
+import itertools
+from collections.abc import Callable, Sequence
 
 from hypothesis import given, settings, strategies as st
 
 from guessable.cycles import (
+    Node,
     backward_closure,
     cycle_nodes,
-    cycle_parities,
-    even_odd_cycle,
     forward_closure,
+    has_cycle,
+    is_nontrivial,
     strongly_connected_components,
 )
 from guessable.guesser import MooreGuesser, RankedGuesser, check_bound, synthesize
@@ -111,6 +117,91 @@ def literal_backward_closure(targets, nodes, succ):
     return seen
 
 
+# `cycle_parities` and `even_odd_cycle` as they stood before `has_cycle`
+# replaced them, kept verbatim
+
+
+def cycle_parities(
+    nodes: set, succ: Sequence, priority: Callable[[Node], int]
+) -> set[int]:
+    """Parities (0/1) of the maximum priorities of the cycles inside
+    `nodes`.
+
+    A nontrivial SCC has a cycle through its top priority; every other
+    cycle in it avoids the top-priority nodes, so the search goes on
+    below the top until both parities are found or nothing cycles.
+    """
+    found: set[int] = set()
+    pending = [set(nodes)]
+    while pending and len(found) < 2:
+        sub = pending.pop()
+        for comp in strongly_connected_components(sub, succ):
+            if not is_nontrivial(comp, succ):
+                continue
+            top = max(map(priority, comp))
+            found.add(top % 2)
+            below = {n for n in comp if priority(n) < top}
+            if below:
+                pending.append(below)
+    return found
+
+
+def even_odd_cycle(
+    nodes: set,
+    succ: Sequence,
+    kinds: Sequence[tuple[Callable[[Node], int], Callable[[Node], int]]],
+) -> bool:
+    """True iff some cycle inside `nodes` is of one of the `kinds`: for
+    a kind `(even, odd)`, its maximum `even` priority is even and its
+    maximum `odd` priority is odd.
+
+    Emerson-Lei refinement, one SCC pass shared by all kinds: in a
+    nontrivial SCC whose top `even` priority is odd, or whose top `odd`
+    priority is even, no cycle of that kind passes through those top
+    nodes, so they are dropped and the rest is searched again for that
+    kind; an SCC with both tops of the wanted parity has a cycle
+    through all of its nodes, which is a witness.
+    """
+    pending = [(set(nodes), kinds)]
+    while pending:
+        sub, kinds = pending.pop()
+        for comp in strongly_connected_components(sub, succ):
+            if not is_nontrivial(comp, succ):
+                continue
+            for even, odd in kinds:
+                top = max(map(even, comp))
+                if top % 2 == 0:
+                    label, top = odd, max(map(odd, comp))
+                    if top % 2 == 1:
+                        return True
+                else:
+                    label = even
+                below = {n for n in comp if label(n) < top}
+                if below:
+                    pending.append((below, [(even, odd)]))
+    return False
+
+
+def exhaustive_has_cycle(nodes, succ, kinds):
+    """Some nonempty node subset is strongly connected, carries a cycle
+    and has each label's maximum of the wanted parity: a cycle's nodes
+    form such a subset, and such a subset has a closed walk through all
+    of its nodes."""
+    for size in range(1, len(nodes) + 1):
+        for sub in map(set, itertools.combinations(sorted(nodes), size)):
+            first = min(sub)
+            if (
+                literal_forward_closure([first], sub, succ) != sub
+                or literal_backward_closure([first], sub, succ) != sub
+                or (size == 1 and first not in succ[first])
+            ):
+                continue
+            for kind in kinds:
+                if all(max(label[n] for n in sub) % 2 == p for label, p in kind):
+                    return True
+    return False
+
+
 def literal_check_bound(rg):
     """The two bound conditions and the cap through the ordinal operators."""
     g = rg.guesser
@@ -130,10 +221,10 @@ def literal_check_bound(rg):
 
 
 @st.composite
-def graphs_with_subsets(draw):
+def graphs_with_subsets(draw, max_states=14):
     """Rows over n states, a node subset (whose rows also point outside
     it, or not at all) and a start or target set that may leave it."""
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     succ = draw(
         st.lists(st.lists(state, max_size=4).map(tuple), min_size=n, max_size=n)
@@ -154,6 +245,49 @@ def test_kernels_agree_with_the_literal_forms(graph):
     assert backward_closure(ends, nodes, succ) == literal_backward_closure(
         ends, nodes, succ
     )
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Rows over at most 7 states, a node subset whose rows may point
+    outside it, 1-3 labels and 1-2 kinds of 1-3 pairs over them."""
+    succ, nodes, _ = draw(graphs_with_subsets(7))
+    n = len(succ)
+    labels = draw(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pair = st.tuples(st.sampled_from(labels), st.integers(0, 1))
+    kind = st.lists(pair, min_size=1, max_size=3)
+    kinds = draw(st.lists(kind, min_size=1, max_size=2))
+    return succ, nodes, labels, kinds
+
+
+@PROPERTY
+@given(labelled_graphs())
+def test_has_cycle_agrees_with_the_exhaustive_search(graph):
+    succ, nodes, _, kinds = graph
+    assert has_cycle(nodes, succ, kinds) == exhaustive_has_cycle(nodes, succ, kinds)
+
+
+@PROPERTY
+@given(labelled_graphs())
+def test_has_cycle_agrees_with_the_searches_it_replaced(graph):
+    succ, nodes, labels, _ = graph
+    for label in labels:
+        found = cycle_parities(nodes, succ, label.__getitem__)
+        for parity in (0, 1):
+            assert has_cycle(nodes, succ, [[(label, parity)]]) == (parity in found)
+    for even, odd in itertools.product(labels, repeat=2):
+        for kinds in ([(even, odd)], [(even, odd), (odd, even)]):
+            want = even_odd_cycle(
+                nodes, succ, [(e.__getitem__, o.__getitem__) for e, o in kinds]
+            )
+            asked = [[(e, 0), (o, 1)] for e, o in kinds]
+            assert has_cycle(nodes, succ, asked) == want
 
 
 def test_tarjan_on_a_long_chain_needs_no_recursion():
@@ -184,19 +318,23 @@ class CountingRows(Sequence):
 def test_a_subset_costs_only_its_own_rows():
     rows = CountingRows(200_000)
     sub = {100, 101, 102}  # one cycle 100 -> 101 -> 102 -> 100; other edges leave
+    mod3 = {q: q % 3 for q in sub}  # labels that only hold the subset
+    one = dict.fromkeys(sub, 1)
     for run in (
         lambda: strongly_connected_components(sub, rows),
         lambda: forward_closure([100], sub, rows),
         lambda: backward_closure([102], sub, rows),
-        lambda: cycle_parities(sub, rows, lambda q: q % 3),
+        lambda: has_cycle(sub, rows, [[(mod3, 1)]]),
         lambda: cycle_nodes(sub, rows),
-        lambda: even_odd_cycle(sub, rows, [(lambda q: q % 3, lambda q: 1)]),
+        lambda: has_cycle(sub, rows, [[(mod3, 0), (one, 1)]]),
     ):
         rows.read.clear()
         run()
         assert rows.read <= sub
     assert strongly_connected_components(sub, rows) == [[100, 101, 102]]
-    assert cycle_parities(sub, rows, lambda q: q % 3) == {0}  # its top is 2
+    # its top is 2, and below it 102 -> 100 does not close a cycle
+    assert has_cycle(sub, rows, [[(mod3, 0)]])
+    assert not has_cycle(sub, rows, [[(mod3, 1)]])
 
 
 # -- the bound check ----------------------------------------------------------

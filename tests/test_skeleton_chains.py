@@ -98,7 +98,7 @@ def rendered(chain):
 def assert_skeleton_form(chain):
     """The skeleton starts at 0, `explore` maps it onto itself, and no
     level rises along an edge."""
-    skeleton, levels = chain._skeleton()
+    skeleton, levels = chain.skeleton, chain.levels
     assert skeleton.start == 0
     order, rows = explore(0, skeleton.delta.__getitem__)
     assert order == list(range(skeleton.n_states))
@@ -124,7 +124,7 @@ def assert_forced_levels_agree(chain):
     """On a nested chain every member sits on the skeleton itself, so
     the forced level of a state is the least member whose forced set
     holds it."""
-    skeleton, levels = chain._skeleton()
+    skeleton, levels = chain.skeleton, chain.levels
     forced = [forced_sets(m) for m in chain.sets]
     theta = chain.theta_int
     want = [

@@ -51,7 +51,7 @@ def test_trace_equals_literal_on_scc_dags(seed, alphabet):
 
 
 def test_trace_equals_literal_on_seeded_scc_dags(monkeypatch):
-    below_top = counted(monkeypatch, "cycle_parities")
+    below_top = counted(monkeypatch, "has_cycle")
     rng = random.Random(0)
     ranks = []
     for _ in range(500):
@@ -67,7 +67,7 @@ def test_trace_equals_literal_on_seeded_scc_dags(monkeypatch):
 
 
 def test_only_nodes_below_the_top_are_searched_again(monkeypatch):
-    below_top = counted(monkeypatch, "cycle_parities")
+    below_top = counted(monkeypatch, "has_cycle")
     # 3 -> ring 0 -> 1 -> 2 -> 0 on symbol 0; 0, 1, 2 loop on symbol 1
     s = ParitySet(
         alphabet=2,
@@ -82,7 +82,7 @@ def test_only_nodes_below_the_top_are_searched_again(monkeypatch):
 
 
 def test_single_priority_components_are_not_searched_again(monkeypatch):
-    below_top = counted(monkeypatch, "cycle_parities")
+    below_top = counted(monkeypatch, "has_cycle")
     assert remainder_chain(counter_set(6)).rank.to_int() == 7
     assert below_top == []
 
@@ -132,7 +132,6 @@ def test_one_canonical_guesser_per_trace(monkeypatch):
     classify(s)
     assert len(products) == 1
     assert synthesize(s) is ranked
-    assert synthesize(s, trace) is ranked
     assert repr(trace) == seen
     assert remainder_chain(s) == literal_remainder_chain(s)
     assert synthesize(counter_set(6)) == ranked
