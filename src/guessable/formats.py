@@ -17,7 +17,9 @@ file has `output <state> <bit>` lines instead, plus `bound <state>
 names the directives of each kind; a line of the other kind is
 refused.  A fixed-arity directive (`LINE_WORDS`) takes exactly its
 arguments and a word beyond them is refused; `bound` and `codomain`
-read the rest of the line as one ordinal literal.  Partial transition
+read the rest of the line as one ordinal literal.  A single-valued
+directive (`SINGLE_VALUED`) appears once; a second line of it is
+refused, in machine, chain and family files alike.  Partial transition
 tables are completed with an explicit rejecting sink, and the parser
 reports that it did so.
 """
@@ -76,6 +78,12 @@ LINE_WORDS = {
 }
 
 
+# directives a file gives at most once; a second line is refused
+SINGLE_VALUED = frozenset(
+    {"alphabet", "states", "start", "acceptance", "codomain", "theta", "family"}
+)
+
+
 def _lines(text: str) -> list[list[str]]:
     """The words of each line that has any, `#` comments removed."""
     lines = text.splitlines()
@@ -99,6 +107,15 @@ def _check_arity(row: list[str]) -> None:
 def _bad_line(row: list[str], exc: Exception) -> FormatError:
     """A directive line with missing, malformed or extra arguments."""
     return FormatError(f"bad line {' '.join(row)!r}: {exc}")
+
+
+def _once(seen: set, key: str) -> None:
+    """Refuse a second line of a single-valued directive.  Called once
+    the line's arguments are read, so the errors of earlier lines and a
+    missing or malformed argument of this one come first."""
+    if key in seen:
+        raise FormatError(f"duplicate {key}")
+    seen.add(key)
 
 
 def _set_once(labels: dict, key: str, q: int, value) -> None:
@@ -128,6 +145,7 @@ def _parse_machine(text: str, notes: ParseNotes, kind: str):
     acceptance = "max-even"
     labels = {key: {} for key in ("priority", "output", "bound") if key in own}
     trans: list[tuple[int, int, int]] = []
+    seen: set[str] = set()
     for row in _lines(text):
         key = row[0]
         try:
@@ -154,6 +172,8 @@ def _parse_machine(text: str, notes: ParseNotes, kind: str):
                 _set_once(labels[key], key, q, ordinal_from_text(" ".join(row[2:])))
             else:
                 _set_once(labels[key], key, int(row[1]), int(row[2]))
+            if key in SINGLE_VALUED:
+                _once(seen, key)
             _check_arity(row)
         except FormatError:
             raise
@@ -291,11 +311,13 @@ def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
     notes = ParseNotes()
     theta = None
     members: dict[int, OpenSet] = {}
+    seen: set[str] = set()
     for row in _lines(text):
         key, args = row[0], row[1:]
         try:
             if key == "theta":
                 theta = int(args[0])
+                _once(seen, key)
                 _check_arity(row)
             elif key == "set":
                 idx = int(args[0])
@@ -337,6 +359,7 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
     cylinders: Optional[OracleFamily] = None
     prefix: list[ParitySet] = []
     cycle: list[ParitySet] = []
+    seen: set[str] = set()
     for row in _lines(text):
         key, args = row[0], row[1:]
         try:
@@ -344,6 +367,7 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
                 kind = args[0]
                 if kind == "cylinders":
                     cylinders = cylinders_family(int(args[1]))
+                _once(seen, key)
                 if kind in ("explicit", "cylinders"):
                     _check_arity(args)
             elif key in ("prefix", "cycle"):

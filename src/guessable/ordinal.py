@@ -13,7 +13,10 @@ a sentinel that compares greater than every ordinal and stands for
 
 Each value carries an order key built once at construction, so
 comparing, hashing and equality are tuple operations with no
-Python-level walk over the terms.  Finite values are interned:
+Python-level walk over the terms.  It also stores its finite part and,
+when it is finite, its integer, so the finiteness, successor and
+parity tests, ``to_int``, ``succ``, ``pred`` and the text of a finite
+value read a stored number.  Finite values are interned:
 ``from_int(n)`` returns one object per n.
 """
 
@@ -38,7 +41,10 @@ class OrdinalCNF:
     The order key ``_key`` (not a field) is ``terms`` with each exponent
     replaced by its own key; tuple order on it is the CNF order (larger
     exponent first, then larger coefficient, and a proper prefix is
-    smaller), and equality and hashing read it too.
+    smaller), and equality and hashing read it too.  Two more private
+    attributes are set with the key: ``_finite`` is the n in
+    lambda + n, and ``_int`` is the value as an int when it is finite
+    and None otherwise.
     """
 
     terms: tuple[tuple["OrdinalCNF", int], ...] = ()
@@ -55,6 +61,13 @@ class OrdinalCNF:
             prev = exp
         key = tuple((exp._key, coef) for exp, coef in self.terms)
         object.__setattr__(self, "_key", key)
+        # only the last term can have exponent 0, and a finite value has
+        # no other term
+        terms = self.terms
+        n = terms[-1][1] if terms and terms[-1][0].is_zero else 0
+        finite = not terms or (len(terms) == 1 and n > 0)
+        object.__setattr__(self, "_finite", n)
+        object.__setattr__(self, "_int", n if finite else None)
 
     # -- ordering ---------------------------------------------------
 
@@ -107,23 +120,21 @@ class OrdinalCNF:
 
     @property
     def is_finite(self) -> bool:
-        return all(exp.is_zero for exp, _ in self.terms)
+        return self._int is not None
 
     @property
     def finite_part(self) -> int:
         """The n in a = lambda + n with lambda limit or 0."""
-        if self.terms and self.terms[-1][0].is_zero:
-            return self.terms[-1][1]
-        return 0
+        return self._finite
 
     @property
     def is_successor(self) -> bool:
-        return self.finite_part >= 1
+        return self._finite >= 1
 
     def to_int(self) -> int:
-        if not self.is_finite:
+        if self._int is None:
             raise ValueError(f"{self} is not a finite ordinal")
-        return self.finite_part
+        return self._int
 
     def __str__(self) -> str:
         return to_text(self)
@@ -218,6 +229,8 @@ def add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
 
 
 def succ(a: OrdinalCNF) -> OrdinalCNF:
+    if a._int is not None:
+        return from_int(a._int + 1)
     return add(a, ONE)
 
 
@@ -225,6 +238,8 @@ def pred(a: OrdinalCNF) -> OrdinalCNF:
     """Predecessor of a successor ordinal."""
     if not a.is_successor:
         raise ValueError(f"{a} is not a successor ordinal")
+    if a._int is not None:
+        return from_int(a._int - 1)
     head = a.terms[:-1]
     exp, coef = a.terms[-1]
     if coef > 1:
@@ -234,7 +249,7 @@ def pred(a: OrdinalCNF) -> OrdinalCNF:
 
 def parity(a: OrdinalCNF) -> int:
     """0 for even, 1 for odd: the parity of n in a = lambda + n."""
-    return a.finite_part % 2
+    return a._finite % 2
 
 
 def congruent(a: "OrdinalCNF | int", b: "OrdinalCNF | int") -> bool:
@@ -252,8 +267,8 @@ def congruent(a: "OrdinalCNF | int", b: "OrdinalCNF | int") -> bool:
 
 
 def to_text(a: OrdinalCNF) -> str:
-    if a.is_zero:
-        return "0"
+    if a._int is not None:
+        return str(a._int)
     parts = []
     for exp, coef in a.terms:
         if exp.is_zero:

@@ -173,16 +173,19 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
         chain.append(frozenset(current))
     chain.reverse()
 
-    def ordinal(v: float) -> Rank:
-        return INFINITY if v == math.inf else from_int(v)
-
+    # one ordinal per cost: a finite cost is at most `top`, since an
+    # accepting or rejecting component's larger cost is its rank and a
+    # transient one's costs come from the components below
+    ordinal: dict[float, Rank] = {v: from_int(v) for v in range(top + 1)}
+    ordinal[math.inf] = INFINITY
+    states = sorted(reach)
     trace = RemainderTrace(
         subject=s,
         chain=tuple(chain),
-        alpha_s=from_int(top),
-        state_rank={q: ordinal(rank[q]) for q in sorted(reach)},
-        accept_rank={q: ordinal(acc[q]) for q in sorted(reach)},
-        reject_rank={q: ordinal(rej[q]) for q in sorted(reach)},
+        alpha_s=ordinal[top],
+        state_rank={q: ordinal[rank[q]] for q in states},
+        accept_rank={q: ordinal[acc[q]] for q in states},
+        reject_rank={q: ordinal[rej[q]] for q in states},
     )
     # not a dataclass field, so equality, hash and repr never see it
     object.__setattr__(s, "_remainder_trace", trace)

@@ -448,6 +448,75 @@ def test_a_set_index_given_twice_exits_2(open_files, second):
     assert (code, out, err) == (2, "", "error: duplicate set 0\n")
 
 
+# a second line of a single-valued directive, added to a valid file of
+# the kind in `assert_refused`; each would be read at face value if the
+# first line were dropped (a start state that exists, a wider alphabet
+# completed with a sink, the max-even convention, a larger codomain)
+SECOND_LINES = [
+    ("priority", "alphabet 3"),
+    ("priority", "states 2"),
+    ("priority", "start 1"),
+    ("priority", "acceptance max-even"),
+    ("output", "alphabet 3"),
+    ("output", "states 1"),
+    ("output", "start 0"),
+    ("bound", "codomain 5"),
+]
+
+TWO_STATE_MIN_EVEN = (
+    "alphabet 2\nstates 2\nstart 0\nacceptance min-even\npriority 0 0\n"
+    "priority 1 1\ntrans 0 0 1\ntrans 0 1 1\ntrans 1 0 1\ntrans 1 1 1\n"
+)
+
+
+@pytest.mark.parametrize("kind, line", SECOND_LINES)
+def test_a_single_valued_directive_given_twice_exits_2(open_files, kind, line):
+    first = {
+        "priority": TWO_STATE_MIN_EVEN,
+        "output": FULL_ONE_STATE["output"],
+        "bound": _ranked_guesser_text(),
+    }[kind]
+    message = f"duplicate {line.split()[0]}"
+    assert_refused(open_files, kind, first + line + "\n", message)
+
+
+def test_a_duplicate_is_refused_where_it_is_read():
+    """Errors keep their line order: a bad line before the second one
+    is reported, and one after it is not reached."""
+    with pytest.raises(FormatError, match="^bad line 'states x'"):
+        parse_automaton("alphabet 2\nstates x\nalphabet 2\n")
+    with pytest.raises(FormatError, match="^duplicate alphabet$"):
+        parse_automaton("alphabet 2\nalphabet 2\nstates x\n")
+
+
+@pytest.mark.parametrize("text", ["theta 2\ntheta 1\n", "theta 1\ntheta 1\n"])
+def test_a_theta_given_twice_exits_2(open_files, text):
+    text += "set 0 one.aut\n"
+    with pytest.raises(FormatError, match="^duplicate theta$"):
+        parse_chain(text, str(open_files))
+    chain = open_files / "twice.chain"
+    chain.write_text(text)
+    code, out, err = run(["diff", "build", str(chain)])
+    assert (code, out, err) == (2, "", "error: duplicate theta\n")
+
+
+@pytest.mark.parametrize(
+    "lines", [("family cylinders 2", "family explicit"),
+              ("family explicit", "family cylinders 2")],
+)
+def test_a_family_given_twice_exits_2(open_files, lines):
+    text = "\n".join(lines) + "\ncycle one.aut\n"
+    with pytest.raises(FormatError, match="^duplicate family$"):
+        parse_family(text, str(open_files))
+    family = open_files / "twice.fam"
+    family.write_text(text)
+    guesser = open_files / "g.guess"
+    guesser.write_text(render_guesser(synthesize(FIXTURES["F_ONE"]).guesser))
+    aut = open_files / "one.aut"
+    code, out, err = run(["based", "verify", str(family), str(guesser), str(aut)])
+    assert (code, out, err) == (2, "", "error: duplicate family\n")
+
+
 def test_missing_and_malformed_arguments_keep_their_messages():
     """Arguments are read before their count is checked."""
     head = "alphabet 2\nstates 1\npriority 0 0\n"

@@ -1,8 +1,9 @@
-"""The graph kernels on state numbers and the order-key bound check,
-each against the literal form it replaced: a Tarjan pass over a copied
-adjacency dict, closures testing the node set first, the two
-Emerson-Lei searches `has_cycle` replaced, and a bound check through
-the ordinal operators.  `has_cycle` is also checked against an
+"""The graph kernels on state numbers, the order-key bound check and
+the stored finite part and integer of an ordinal, each against the
+literal form it replaced: a Tarjan pass over a copied adjacency dict,
+closures testing the node set first, the two Emerson-Lei searches
+`has_cycle` replaced, a bound check through the ordinal operators, and
+the ordinal readers that walked the Cantor normal form terms.  `has_cycle` is also checked against an
 exhaustive search of the strongly connected node subsets.  A search on
 a few nodes of a large graph reads only their rows."""
 
@@ -26,13 +27,20 @@ from guessable.guesser import MooreGuesser, RankedGuesser, check_bound, synthesi
 from guessable.ordinal import (
     INFINITY,
     OMEGA,
+    ONE,
     ZERO,
+    OrdinalCNF,
     add,
     from_int,
     from_text,
     omega_power,
+    parity,
+    pred,
+    succ,
+    to_text,
 )
 from guessable.space import ParitySet
+from test_ordinal import ORDINALS
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -416,3 +424,100 @@ def test_an_infinity_bound_fails_the_check():
             assert literal_check_bound(rg) is False
     rg = RankedGuesser(g, (from_text("w + 1"), OMEGA), INFINITY)
     assert check_bound(rg) is True
+
+
+# -- the ordinal readers --------------------------------------------------
+
+# the readers as they stood before each ordinal stored its finite part
+# and integer, kept verbatim except that a method becomes a function of
+# the value and calls the other references, not the stored readers
+
+
+def literal_is_finite(self):
+    return all(exp.is_zero for exp, _ in self.terms)
+
+
+def literal_finite_part(self) -> int:
+    """The n in a = lambda + n with lambda limit or 0."""
+    if self.terms and self.terms[-1][0].is_zero:
+        return self.terms[-1][1]
+    return 0
+
+
+def literal_is_successor(self) -> bool:
+    return literal_finite_part(self) >= 1
+
+
+def literal_to_int(self) -> int:
+    if not literal_is_finite(self):
+        raise ValueError(f"{self} is not a finite ordinal")
+    return literal_finite_part(self)
+
+
+def literal_parity(a: OrdinalCNF) -> int:
+    """0 for even, 1 for odd: the parity of n in a = lambda + n."""
+    return literal_finite_part(a) % 2
+
+
+def literal_succ(a: OrdinalCNF) -> OrdinalCNF:
+    return add(a, ONE)
+
+
+def literal_pred(a: OrdinalCNF) -> OrdinalCNF:
+    """Predecessor of a successor ordinal."""
+    if not literal_is_successor(a):
+        raise ValueError(f"{a} is not a successor ordinal")
+    head = a.terms[:-1]
+    exp, coef = a.terms[-1]
+    if coef > 1:
+        return OrdinalCNF(head + ((exp, coef - 1),))
+    return OrdinalCNF(head)
+
+
+def literal_to_text(a: OrdinalCNF) -> str:
+    if a.is_zero:
+        return "0"
+    parts = []
+    for exp, coef in a.terms:
+        if exp.is_zero:
+            parts.append(str(coef))
+            continue
+        if exp == ONE:
+            base = "w"
+        elif literal_is_finite(exp) or exp == OMEGA:
+            base = f"w^{literal_to_text(exp)}"
+        else:
+            base = f"w^({literal_to_text(exp)})"
+        parts.append(base if coef == 1 else f"{base}*{coef}")
+    return " + ".join(parts)
+
+
+def _outcome(read, a):
+    """What `read(a)` returns, or the type of what it raises."""
+    try:
+        return read(a)
+    except ValueError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(ORDINALS)
+def test_stored_readers_agree_with_the_term_walks(a):
+    assert a.is_finite == literal_is_finite(a)
+    assert a.finite_part == literal_finite_part(a)
+    assert a.is_successor == literal_is_successor(a)
+    assert _outcome(OrdinalCNF.to_int, a) == _outcome(literal_to_int, a)
+    assert parity(a) == literal_parity(a)
+    assert succ(a) == literal_succ(a)
+    assert _outcome(pred, a) == _outcome(literal_pred, a)
+    assert to_text(a) == literal_to_text(a)
+    assert from_text(to_text(a)) == a
+
+
+@PROPERTY
+@given(st.integers(0, 10**20))
+def test_succ_and_pred_of_a_finite_value_are_interned(n):
+    after = succ(from_int(n))
+    assert after is from_int(n + 1)
+    assert pred(after) is from_int(n)
+    assert after.to_int() == n + 1 and to_text(after) == str(n + 1)
