@@ -283,7 +283,6 @@ def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
 
     return RemainderTrace(
         subject=s,
-        chain=tuple(chain),
         alpha_s=from_int(len(chain) - 1),
         state_rank={q: count(q, chain) for q in reach},
         accept_rank={q: count(q, [acc for acc, _ in reaching]) for q in reach},

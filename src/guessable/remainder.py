@@ -11,7 +11,11 @@ connected components, and a component's rank follows from the ranks
 of the components it reaches.  The ranks are therefore computed in one
 pass over the SCC condensation; only the cycle-parity test below a
 component's top priority looks inside it.  The literal stage-by-stage
-iteration survives only as the reference in the oracle module.
+iteration survives only as the reference in the oracle module.  The
+trace keeps only each state's rank and two opinion costs, memory linear
+in the automaton.  Stage beta is the states of rank above beta; the
+rank never rises along an edge, so a stage is nonempty iff it holds the
+start state.
 
 A set has one trace: `remainder_chain` memoises it on the `ParitySet`
 instance it was asked about, so the rank, `synthesize`, `classify`,
@@ -22,8 +26,8 @@ the memo, and an equal set built separately gets its own trace.
 The word-level meaning is recovered through a correspondence this
 module commits to and the oracle module cross-checks: a finite word
 belongs to the stage-beta set iff every state along its run (start
-state included) survives stage beta.  From that, the rank of a word
-is the least stage at which some run state has fallen out.
+state included) survives stage beta, so the rank of a word is the rank
+of the state its run ends in.
 """
 
 from __future__ import annotations
@@ -45,12 +49,13 @@ from .space import ParitySet, Word
 
 @dataclass(frozen=True)
 class RemainderTrace:
-    """The chain Q_0 > Q_1 > ... > Q_N (fixpoint), with per-state ranks.
+    """The chain Q_0 > Q_1 > ... > Q_N (fixpoint), kept as per-state ranks.
 
     `alpha_s` is the stabilization index: the least stage equal to its
     successor.  `state_rank` maps each reachable state to the least
     stage it does not survive, or INFINITY for fixpoint states; every
-    finite rank is a successor.
+    finite rank is a successor.  No stage is stored; `stage` and
+    `chain` read them off the ranks.
 
     `accept_rank` and `reject_rank` are the two opinion costs of a
     state q: `accept_rank[q]` is c(q, 0), the fewest mind changes a
@@ -68,54 +73,62 @@ class RemainderTrace:
     """
 
     subject: ParitySet
-    chain: tuple[frozenset[int], ...]
     alpha_s: OrdinalCNF
     state_rank: Mapping[int, Rank]
     accept_rank: Mapping[int, Rank]
     reject_rank: Mapping[int, Rank]
 
     @property
-    def fixpoint(self) -> frozenset[int]:
-        return self.chain[-1]
+    def rank(self) -> Optional[OrdinalCNF]:
+        """The mind-change rank: the start state's rank, the largest of
+        all, or None when the set is not guessable."""
+        rank = self.state_rank[self.subject.start]
+        return None if rank is INFINITY else rank
 
     @property
     def guessable(self) -> bool:
-        return not self.fixpoint
+        return self.rank is not None
 
     @property
-    def rank(self) -> Optional[OrdinalCNF]:
-        """The mind-change rank: the start state's rank, or None when the
-        set is not guessable."""
-        if not self.guessable:
-            return None
-        rank = self.state_rank[self.subject.start]
-        assert isinstance(rank, OrdinalCNF)
-        return rank
+    def fixpoint(self) -> frozenset[int]:
+        return self.stage(self.alpha_s)
 
     def stage(self, alpha: "OrdinalCNF | int") -> frozenset[int]:
-        """The stage-alpha state set; indices beyond the fixpoint clamp."""
-        if isinstance(alpha, OrdinalCNF):
-            if not alpha.is_finite:
-                return self.fixpoint
-            alpha = alpha.to_int()
-        return self.chain[min(alpha, len(self.chain) - 1)]
+        """The states of rank above alpha; from `alpha_s` on, the fixpoint."""
+        if not isinstance(alpha, OrdinalCNF):
+            alpha = from_int(alpha)
+        return frozenset(q for q, r in self.state_rank.items() if r > alpha)
+
+    @property
+    def chain(self) -> tuple[frozenset[int], ...]:
+        """Stages 0 to `alpha_s`, built on each read: about n * rank / 2
+        entries, so only `--trace` and the tests ask for it."""
+        by_rank: dict[Rank, list[int]] = {}
+        for q, r in self.state_rank.items():
+            by_rank.setdefault(r, []).append(q)
+        current = set(by_rank.get(INFINITY, ()))
+        chain = [frozenset(current)]
+        for i in range(self.alpha_s.to_int(), 0, -1):
+            current.update(by_rank.get(from_int(i), ()))
+            chain.append(frozenset(current))
+        return tuple(reversed(chain))
 
     def gap_stages(self) -> list[int]:
         """Stages alpha where the word-level set is nonempty but carries
         no infinite sequence.  The theory leaves open whether this can
         happen; it does, so instances are surfaced rather than assumed
-        away."""
-        out = []
-        for alpha in range(len(self.chain)):
-            if not s_alpha_empty(self, from_int(alpha)) and rm_alpha_empty(
-                self, from_int(alpha)
-            ):
-                out.append(alpha)
-        return out
+        away.  A cycle keeps one rank all round, so they run from the
+        largest rank of a state on a cycle up to the start's rank."""
+        rank = self.rank
+        if rank is None:
+            return []
+        on_cycle = cycle_nodes(set(self.state_rank), self.subject.delta)
+        floor = max((self.state_rank[q].to_int() for q in on_cycle), default=0)
+        return list(range(floor, rank.to_int()))
 
 
 def remainder_chain(s: ParitySet) -> RemainderTrace:
-    """The chain and every rank in one pass over the SCC condensation.
+    """Every rank and opinion cost in one pass over the SCC condensation.
 
     Unreachable states are pruned first; emptiness of the fixpoint is
     a statement about words, and words only see reachable states.
@@ -163,15 +176,6 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
 
     rank = {q: 1 + min(acc[q], rej[q]) for q in acc}
     top = max((rk for rk in rank.values() if rk != math.inf), default=0)
-    by_rank: dict[float, list[int]] = {}
-    for q, rk in rank.items():
-        by_rank.setdefault(rk, []).append(q)
-    current = set(by_rank.get(math.inf, ()))
-    chain = [frozenset(current)]
-    for i in range(top, 0, -1):
-        current.update(by_rank.get(i, ()))
-        chain.append(frozenset(current))
-    chain.reverse()
 
     # one ordinal per cost: a finite cost is at most `top`, since an
     # accepting or rejecting component's larger cost is its rank and a
@@ -181,7 +185,6 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     states = sorted(reach)
     trace = RemainderTrace(
         subject=s,
-        chain=tuple(chain),
         alpha_s=ordinal[top],
         state_rank={q: ordinal[rank[q]] for q in states},
         accept_rank={q: ordinal[acc[q]] for q in states},
@@ -193,15 +196,9 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
 
 
 def word_rank(trace: RemainderTrace, word: Word) -> Rank:
-    """Least stage at which the word falls out of the chain; INFINITY if
-    every run state sits in the fixpoint.  Equals the minimum of the
-    state ranks along the run."""
-    best: Rank = INFINITY
-    for q in trace.subject.run_states(word):
-        r = trace.state_rank[q]
-        if r < best:
-            best = r
-    return best
+    """Least stage at which the word falls out of the chain: the rank of
+    the state its run ends in, as ranks never rise along the run."""
+    return trace.state_rank[trace.subject.state_after(word)]
 
 
 def in_s_alpha(trace: RemainderTrace, word: Word, alpha: OrdinalCNF) -> bool:

@@ -1,5 +1,11 @@
+import random
+import tracemalloc
+
+import pytest
+
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_INF1, F_NO11, F_ONE
 from guessable.ordinal import INFINITY, OrdinalCNF, from_int, pred
+from guessable.randgen import random_parity_set, random_scc_dag
 from guessable.remainder import (
     in_s_alpha,
     is_guessable,
@@ -9,6 +15,7 @@ from guessable.remainder import (
     word_rank,
 )
 from guessable.space import complement, words_up_to
+from test_fast_paths import counter_set
 
 
 class TestChains:
@@ -65,12 +72,14 @@ class TestWordRank:
                     assert isinstance(r, OrdinalCNF) and r.is_successor
 
     def test_rank_equals_last_state_rank(self, small_corpus):
-        # the running minimum is realised by the final state
+        # ranks never rise along a run, so the least state rank on it,
+        # the stage at which the word falls out, is the final state's
         for s in small_corpus["all"]:
             trace = remainder_chain(s)
             for word in words_up_to(2, 5):
-                last = trace.state_rank[s.state_after(word)]
-                assert word_rank(trace, word) == last
+                least = min(trace.state_rank[q] for q in s.run_states(word))
+                assert trace.state_rank[s.state_after(word)] == least
+                assert word_rank(trace, word) == least
 
     def test_prefix_monotonicity(self, small_corpus):
         # extending a word can only lower its rank, and fixpoint
@@ -134,6 +143,12 @@ class TestStageMembership:
         assert in_s_alpha(tri, (0, 1), OMEGA)
         assert not rm_alpha_empty(tri, OMEGA)
 
+    def test_negative_stage_is_refused(self):
+        trace = remainder_chain(F_ONE)
+        with pytest.raises(ValueError):
+            trace.stage(-1)
+        assert trace.stage(0) == frozenset({0, 1})
+
     def test_gap_at_cyl1(self):
         # nonempty stage-1 word set whose branches all die out: the open
         # question's answer is yes, surfaced rather than assumed away
@@ -141,6 +156,41 @@ class TestStageMembership:
         assert trace.gap_stages() == [1]
         assert not s_alpha_empty(trace, from_int(1))
         assert rm_alpha_empty(trace, from_int(1))
+
+    def test_gaps_match_the_per_stage_definition(self):
+        def literal_gaps(trace):
+            stages = map(from_int, range(trace.alpha_s.to_int() + 1))
+            return [
+                alpha.to_int()
+                for alpha in stages
+                if not s_alpha_empty(trace, alpha) and rm_alpha_empty(trace, alpha)
+            ]
+
+        rng = random.Random(0)
+        sets = [random_parity_set(rng) for _ in range(3000)]
+        sets += [random_scc_dag(rng, alphabet=k) for k in (2, 3) for _ in range(500)]
+        with_gaps = 0
+        for s in sets:
+            for t in (s, complement(s)):
+                trace = remainder_chain(t)
+                gaps = trace.gap_stages()
+                assert gaps == literal_gaps(trace)
+                with_gaps += bool(gaps)
+        assert with_gaps >= 1
+
+    def test_trace_memory_is_linear(self):
+        # C_3200 has 6,402 states and rank 3,201; its stages would hold
+        # about 5.1 million state entries if the trace stored them
+        s = counter_set(3200)
+        tracemalloc.start()
+        try:
+            trace = remainder_chain(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert trace.rank == from_int(3201)
+        assert trace.gap_stages() == []
 
 
 class TestGuessability:
