@@ -81,7 +81,8 @@ from .diff_hierarchy import (
     normalize_h,
 )
 from .based_guessing import (
-    BitGuesser,
+    CylinderFamily,
+    ExplicitFamily,
     NotEventuallyPeriodicError,
     OracleFamily,
     cylinder_simulation,

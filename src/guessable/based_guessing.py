@@ -2,11 +2,11 @@
 bits of the input point in a fixed countable family of sets instead of
 reading symbols.
 
-Only families whose bit streams are decidable are supported: explicit
-eventually periodic families (a finite prefix of sets followed by a
-repeating cycle of sets) and the structured family of all one-symbol
-cylinders.  On an ultimately periodic point every supported family
-produces an eventually periodic bit stream, so limits are exact.
+Only families whose bit streams are decidable are supported: an
+`ExplicitFamily`, a finite prefix of sets followed by a repeating cycle
+of sets, and the `CylinderFamily` of all one-symbol cylinders.  On an
+ultimately periodic point every supported family produces an
+eventually periodic bit stream, so limits are exact.
 """
 
 from __future__ import annotations
@@ -25,97 +25,86 @@ from .space import (
 )
 from .guesser import MooreGuesser, limit_on_up
 
-BitGuesser = MooreGuesser
-
 
 class NotEventuallyPeriodicError(ValueError):
     """Raised when a stream-limit question needs an explicit family."""
 
 
-@dataclass(frozen=True)
 class OracleFamily:
-    """A countable family of sets, finitely presented.
+    """A countable family of sets over `alphabet`, finitely presented:
+    `bit(w, i)` is the membership bit of w in member i, and
+    `periodicity(w)` a correct, not necessarily minimal, (preperiod,
+    period) of the bit stream at w."""
 
-    kind "explicit": member i is prefix[i] for i < len(prefix) and then
-    cycles through `cycle`.  kind "cylinders": member i*k+j is the set
-    of points whose symbol at position i equals j; bits are read off
-    the point directly.
-    """
 
-    kind: str
-    alphabet: int
-    prefix: tuple[ParitySet, ...] = ()
-    cycle: tuple[ParitySet, ...] = ()
+@dataclass(frozen=True)
+class ExplicitFamily(OracleFamily):
+    """Member i is prefix[i] for i < len(prefix) and then cycles through
+    `cycle`, so the stream repeats with the member cycle once past the
+    member prefix.  The alphabet is the members' own."""
+
+    prefix: tuple[ParitySet, ...]
+    cycle: tuple[ParitySet, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("explicit", "cylinders"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "explicit":
-            if not self.cycle:
-                raise ValueError("explicit family needs a nonempty cycle")
-            for member in self.prefix + self.cycle:
-                if member.alphabet != self.alphabet:
-                    raise AlphabetMismatchError(
-                        "family members must share the family alphabet"
-                    )
-        else:
-            if self.prefix or self.cycle:
-                raise ValueError("cylinder family takes no explicit members")
+        if not self.cycle:
+            raise ValueError("explicit family needs a nonempty cycle")
+        if len({m.alphabet for m in self.prefix + self.cycle}) > 1:
+            raise AlphabetMismatchError("family members must share the family alphabet")
 
-    def member(self, i: int) -> ParitySet:
-        if self.kind != "explicit":
-            raise ValueError("only explicit families carry member automata")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
+    @property
+    def alphabet(self) -> int:
+        return self.cycle[0].alphabet
+
+    def bit(self, w: UPWord, i: int) -> int:
+        n = len(self.prefix)
+        member = self.prefix[i] if i < n else self.cycle[(i - n) % len(self.cycle)]
+        return membership_up(member, w)
+
+    def periodicity(self, w: UPWord) -> tuple[int, int]:
+        return len(self.prefix), len(self.cycle)
+
+
+@dataclass(frozen=True)
+class CylinderFamily(OracleFamily):
+    """Member i*k+j is the set of points whose symbol at position i
+    equals j; bits are read off the point directly, and the stream
+    repeats with one block of k bits per period symbol once past the
+    word prefix."""
+
+    alphabet: int
+
+    def __post_init__(self) -> None:
+        if self.alphabet < 2:
+            raise ValueError("alphabet size must be >= 2")
+
+    def bit(self, w: UPWord, i: int) -> int:
+        return int(w.symbol(i // self.alphabet) == i % self.alphabet)
+
+    def periodicity(self, w: UPWord) -> tuple[int, int]:
+        return self.alphabet * len(w.prefix), self.alphabet * len(w.period)
 
 
 def explicit_family(
     prefix: tuple[ParitySet, ...], cycle: tuple[ParitySet, ...]
-) -> OracleFamily:
-    members = prefix + cycle
-    if not members:
-        raise ValueError("family needs at least one member")
-    return OracleFamily(
-        kind="explicit",
-        alphabet=members[0].alphabet,
-        prefix=prefix,
-        cycle=cycle,
-    )
+) -> ExplicitFamily:
+    return ExplicitFamily(prefix, cycle)
 
 
-def cylinders_family(alphabet: int) -> OracleFamily:
-    if alphabet < 2:
-        raise ValueError("alphabet size must be >= 2")
-    return OracleFamily(kind="cylinders", alphabet=alphabet)
-
-
-def family_bit(family: OracleFamily, w: UPWord, i: int) -> int:
-    if family.kind == "explicit":
-        return membership_up(family.member(i), w)
-    k = family.alphabet
-    return 1 if w.symbol(i // k) == i % k else 0
+def cylinders_family(alphabet: int) -> CylinderFamily:
+    return CylinderFamily(alphabet)
 
 
 def family_stream(family: OracleFamily, w: UPWord, n: int) -> list[int]:
     """The first n bits of the family's membership stream at w."""
     _check_word(w, family.alphabet)
-    return [family_bit(family, w, i) for i in range(n)]
+    return [family.bit(w, i) for i in range(n)]
 
 
 def stream_periodicity(family: OracleFamily, w: UPWord) -> tuple[int, int]:
-    """(preperiod, period) of the full infinite stream at w.
-
-    Explicit families repeat with the member cycle once past the
-    member prefix; the cylinder family repeats with one bit block per
-    period symbol once past the word prefix.  The reported period is
-    correct, not necessarily minimal.
-    """
+    """(preperiod, period) of the full infinite stream at w."""
     _check_word(w, family.alphabet)
-    if family.kind == "explicit":
-        return len(family.prefix), len(family.cycle)
-    k = family.alphabet
-    return k * len(w.prefix), k * len(w.period)
+    return family.periodicity(w)
 
 
 def stream_up_word(family: OracleFamily, w: UPWord) -> UPWord:
@@ -125,7 +114,7 @@ def stream_up_word(family: OracleFamily, w: UPWord) -> UPWord:
     return UPWord(tuple(bits[:pre]), tuple(bits[pre:]))
 
 
-def last_bit_guesser() -> BitGuesser:
+def last_bit_guesser() -> MooreGuesser:
     """Two-state guesser whose opinion is the last bit read; 0 before
     any bit arrives (a recorded convention for the empty tuple)."""
     return MooreGuesser(
@@ -134,7 +123,7 @@ def last_bit_guesser() -> BitGuesser:
 
 
 def verify_based(
-    guesser: BitGuesser, family: OracleFamily, s: ParitySet, w: UPWord
+    guesser: MooreGuesser, family: OracleFamily, s: ParitySet, w: UPWord
 ) -> bool:
     """Exact check that the guesser, fed the family's bit stream at w,
     converges to the membership bit of w in s."""
@@ -151,7 +140,7 @@ def limsup_liminf_check(
 ) -> bool:
     """True iff at this point the membership bit equals both the liminf
     and the limsup of the family's membership bits."""
-    if family.kind != "explicit":
+    if not isinstance(family, ExplicitFamily):
         raise NotEventuallyPeriodicError(
             "limit comparison needs an explicit (eventually periodic) family"
         )
@@ -161,7 +150,7 @@ def limsup_liminf_check(
     return min(tail) == chi and max(tail) == chi
 
 
-def cylinder_simulation(guesser: MooreGuesser, alphabet: int) -> BitGuesser:
+def cylinder_simulation(guesser: MooreGuesser, alphabet: int) -> MooreGuesser:
     """Lift a symbol-reading guesser to a bit guesser over the cylinder
     family: decode each block of k bits back into the symbol it
     indicates (the position of the 1), then step the inner machine.

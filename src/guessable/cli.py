@@ -266,8 +266,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     text = _read(args.file)
-    kind = formats.machine_kind(text) if args.kind == "auto" else args.kind
-    if kind == "guesser":
+    if formats.machine_kind(text) == "guesser":
         guesser, _, notes = formats.parse_guesser(text)
         dot = formats.guesser_to_dot(guesser)
     else:
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="GraphViz rendering of a machine")
     p.add_argument("file")
-    p.add_argument("--kind", choices=["auto", "automaton", "guesser"], default="auto")
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -15,9 +15,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import cycle_nodes, explore, is_nontrivial, strongly_connected_components
+from .cycles import explore, is_nontrivial, strongly_connected_components
 from .ordinal import OrdinalCNF, congruent, from_int, parity, pred, succ
-from .space import Machine, OpenSet, ParitySet, UPWord, make_open, product
+from .space import Machine, OpenSet, ParitySet, UPWord, make_open, open_subset, product
 from .guesser import (
     MooreGuesser,
     RankedGuesser,
@@ -57,19 +57,16 @@ class OpenChain:
     target {q : level(q) <= eta} on the skeleton.  The level never increases
     along an edge, so every member is absorbing and the members nest.
 
-    `OpenChain(sets)` takes the members themselves and their reachable
-    `product` as the skeleton, and checks on it that the members
-    increase.  A product state holds one bit per member, whether the
-    state is in that member's target; a bit never falls along an edge,
-    since every target is absorbing, so the bits are constant on any
-    cycle.  A point of one member lies outside the next iff its run
-    ends on a cycle whose bits have a 1 before a 0, so one `cycle_nodes`
-    search over the states whose bits are not sorted decides the whole
-    chain.  `guesser_to_chain` hands over the normalized guesser as the
-    skeleton, with its bound as the levels, and builds the `OpenSet`
-    members only when `sets` is read.  Either skeleton is numbered by
-    `explore` breadth-first from state 0, so `explore` maps it onto
-    itself: `d_theta` and `chain_to_guesser` read its rows as they are.
+    `OpenChain(sets)` takes the members themselves.  It first checks
+    with `open_subset` that each member lies in the next, so a chain
+    that fails to increase is refused on the pair products of neighbours,
+    before the product of all its members is built; that reachable
+    `product` is then the skeleton.  `guesser_to_chain` hands over the
+    normalized guesser as the skeleton, with its bound as the levels, and
+    builds the `OpenSet` members only when `sets` is read.  Either
+    skeleton is numbered by `explore` breadth-first from state 0, so
+    `explore` maps it onto itself: `d_theta` and `chain_to_guesser` read
+    its rows as they are.
     """
 
     def __init__(self, sets: tuple[OpenSet, ...]) -> None:
@@ -79,11 +76,12 @@ class OpenChain:
         for member in sets:
             if member.alphabet != k:
                 raise ChainNotIncreasingError("chain members must share an alphabet")
+        for a, b in zip(sets, sets[1:]):
+            if not open_subset(a, b):
+                raise ChainNotIncreasingError("chain members must increase")
         theta = len(sets)
         order, rows = product(*(m.automaton for m in sets))
         bits = [[q in m.target for q, m in zip(p, sets)] for p in order]
-        if cycle_nodes({i for i, b in enumerate(bits) if b != sorted(b)}, rows):
-            raise ChainNotIncreasingError("chain members must increase")
         self._sets: Optional[tuple[OpenSet, ...]] = tuple(sets)
         self.skeleton = Machine(k, 0, tuple(rows))
         self.levels = tuple(b.index(True) if True in b else theta for b in bits)

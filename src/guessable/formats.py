@@ -12,16 +12,18 @@ Machine files are line oriented with `#` comments.  An automaton file:
 
 An optional `acceptance min-even` line declares min-parity input,
 converted to the global max-even convention at parse time.  A guesser
-file has `output <state> <bit>` lines instead, plus `bound <state>
-<ordinal>` and `codomain <ordinal>` lines when ranked.  `MACHINE_KINDS`
-names the directives of each kind; a line of the other kind is
-refused.  A fixed-arity directive (`LINE_WORDS`) takes exactly its
-arguments and a word beyond them is refused; `bound` and `codomain`
-read the rest of the line as one ordinal literal.  A single-valued
-directive (`SINGLE_VALUED`) appears once; a second line of it is
-refused, in machine, chain and family files alike.  Partial transition
-tables are completed with an explicit rejecting sink, and the parser
-reports that it did so.
+file has `output <state> <bit>` lines instead, plus a `codomain
+<ordinal>` line and a `bound <state> <ordinal>` line for every state
+when ranked.  `MACHINE_KINDS` names the directives of each kind; a
+line of the other kind is refused.  A fixed-arity directive
+(`LINE_WORDS`) takes exactly its arguments and a word beyond them is
+refused; `bound` and `codomain` read the rest of the line as one
+ordinal literal.  A single-valued directive (`SINGLE_VALUED`) appears
+once; a second line of it is refused, in machine, chain and family
+files alike.  Partial transition tables are completed with an explicit
+rejecting sink, of bound 0 in a ranked guesser, and the parser reports
+that it did so.  A family file builds an `ExplicitFamily` from its
+member lines or a `CylinderFamily`, which takes none.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .ordinal import (
 from .space import Machine, OpenSet, ParitySet, open_from_parity
 from .guesser import MooreGuesser, RankedGuesser
 from .diff_hierarchy import OpenChain
-from .based_guessing import OracleFamily, cylinders_family, explicit_family
+from .based_guessing import CylinderFamily, ExplicitFamily, OracleFamily
 
 
 # transitions a machine file may declare (states x alphabet); missing
@@ -221,6 +223,8 @@ def _parse_machine(text: str, notes: ParseNotes, kind: str):
         table = [[sink if c is None else c for c in row] for row in table]
         table.append([sink] * alphabet)
         found[sink] = sink_value
+        if labels.get("bound"):
+            labels["bound"][sink] = ZERO
         notes.add(
             f"completed {missing} missing transitions with a rejecting sink"
         )
@@ -277,7 +281,10 @@ def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], Par
     if bounds or codomain is not None:
         if codomain is None:
             raise FormatError("bound lines need a codomain line")
-        bound = tuple(bounds.get(q, ZERO) for q in range(n))
+        for q in range(n):
+            if q not in bounds:
+                raise FormatError(f"missing bound for state {q}")
+        bound = tuple(bounds[q] for q in range(n))
         ranked = RankedGuesser(guesser=guesser, bound=bound, codomain=codomain)
     return guesser, ranked, notes
 
@@ -353,12 +360,10 @@ def render_chain(paths: list[str]) -> str:
 
 def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
     """Family file: `family explicit` with `prefix <path>` / `cycle
-    <path>` member lines, or `family cylinders <k>`."""
+    <path>` member lines, or `family cylinders <k>` alone."""
     notes = ParseNotes()
-    kind = None
-    cylinders: Optional[OracleFamily] = None
-    prefix: list[ParitySet] = []
-    cycle: list[ParitySet] = []
+    kind = cylinders = None
+    members: dict[str, list[ParitySet]] = {"prefix": [], "cycle": []}
     seen: set[str] = set()
     for row in _lines(text):
         key, args = row[0], row[1:]
@@ -366,26 +371,27 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
             if key == "family":
                 kind = args[0]
                 if kind == "cylinders":
-                    cylinders = cylinders_family(int(args[1]))
+                    cylinders = CylinderFamily(int(args[1]))
                 _once(seen, key)
                 if kind in ("explicit", "cylinders"):
                     _check_arity(args)
-            elif key in ("prefix", "cycle"):
-                _, automaton = _load_member(base_dir, args, notes)
-                (prefix if key == "prefix" else cycle).append(automaton)
+            elif key in members:
+                members[key].append(_load_member(base_dir, args, notes)[1])
             else:
                 raise FormatError(f"unknown directive {key!r} in family file")
         except FormatError:
             raise
         except (IndexError, ValueError) as exc:
             raise _bad_line(row, exc) from exc
-    if kind == "cylinders":
-        assert cylinders is not None
+    prefix, cycle = tuple(members["prefix"]), tuple(members["cycle"])
+    if cylinders is not None:
+        if prefix or cycle:
+            raise FormatError("cylinder family takes no member lines")
         return cylinders, notes
     if kind == "explicit":
         if not cycle:
             raise FormatError("explicit family needs at least one cycle member")
-        return explicit_family(tuple(prefix), tuple(cycle)), notes
+        return ExplicitFamily(prefix, cycle), notes
     raise FormatError("missing or unknown family directive")
 
 

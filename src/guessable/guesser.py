@@ -25,7 +25,6 @@ from .cycles import (
 )
 from .ordinal import OrdinalCNF, order_key
 from .space import (
-    AlphabetMismatchError,
     Machine,
     ParitySet,
     UPWord,
@@ -83,9 +82,6 @@ class RankedGuesser:
 
 
 def evaluate(g: MooreGuesser, word: Word) -> int:
-    for a in word:
-        if not 0 <= a < g.alphabet:
-            raise AlphabetMismatchError(f"symbol {a} outside alphabet {g.alphabet}")
     return g.output[g.state_after(word)]
 
 

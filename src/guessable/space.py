@@ -196,6 +196,7 @@ class Machine:
         return len(self.delta)
 
     def state_after(self, word: Word) -> int:
+        _check_symbols(word, self.alphabet)
         q = self.start
         for a in word:
             q = self.delta[q][a]
@@ -203,6 +204,7 @@ class Machine:
 
     def run_states(self, word: Word) -> list[int]:
         """States visited reading `word`, start state included."""
+        _check_symbols(word, self.alphabet)
         q = self.start
         states = [q]
         for a in word:
@@ -279,6 +281,13 @@ def _check_word(w: UPWord, alphabet: int) -> None:
         raise AlphabetMismatchError(
             f"word uses symbol {w.max_symbol} outside alphabet {alphabet}"
         )
+
+
+def _check_symbols(word: Word, alphabet: int) -> None:
+    """Refuse a finite word with a symbol outside the alphabet."""
+    if word and (min(word) < 0 or max(word) >= alphabet):
+        a = next(a for a in word if not 0 <= a < alphabet)
+        raise AlphabetMismatchError(f"symbol {a} outside alphabet {alphabet}")
 
 
 def _check_alphabets(*operands) -> int:

@@ -1,6 +1,8 @@
 import pytest
 
 from guessable.based_guessing import (
+    CylinderFamily,
+    ExplicitFamily,
     NotEventuallyPeriodicError,
     cylinder_simulation,
     cylinders_family,
@@ -13,7 +15,13 @@ from guessable.based_guessing import (
 )
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_NO11, F_ONE
 from guessable.guesser import evaluate, synthesize, verify_on_up
-from guessable.space import UPWord, complement
+from guessable.space import (
+    AlphabetMismatchError,
+    UPWord,
+    compile_clopen,
+    complement,
+    cylinder,
+)
 
 
 def up(text):
@@ -46,6 +54,30 @@ class TestFamilyStream:
                 bits = family_stream(fam, w, pre + 3 * per)
                 for i in range(pre, pre + 2 * per):
                     assert bits[i] == bits[i + per]
+
+
+class TestFamilyTypes:
+    def test_explicit_family_reads_its_alphabet_off_its_members(self):
+        ternary = compile_clopen(cylinder((2,), 3))
+        fam = explicit_family((), (ternary,))
+        assert fam == ExplicitFamily((), (ternary,)) and fam.alphabet == 3
+        assert family_stream(fam, up("2(0)"), 2) == [1, 1]
+        with pytest.raises(
+            AlphabetMismatchError, match="^family members must share the family alphabet$"
+        ):
+            explicit_family((F_ONE,), (ternary,))
+
+    def test_explicit_family_needs_a_cycle(self):
+        with pytest.raises(ValueError, match="^explicit family needs a nonempty cycle$"):
+            explicit_family((F_ONE,), ())
+
+    def test_cylinder_family(self):
+        fam = cylinders_family(3)
+        assert fam == CylinderFamily(3)
+        assert [fam.bit(up("2(0)"), i) for i in range(6)] == [0, 0, 1, 1, 0, 0]
+        assert fam.periodicity(up("21(0)")) == (6, 3)
+        with pytest.raises(ValueError, match="^alphabet size must be >= 2$"):
+            CylinderFamily(1)
 
 
 class TestLastBit:

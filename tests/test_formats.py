@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guessable.based_guessing import CylinderFamily, ExplicitFamily
 from guessable.fixtures import F_NO11, F_ONE, FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
     FormatError,
@@ -186,12 +187,12 @@ class TestChainAndFamilyFiles:
         (tmp_path / "one.aut").write_text(render_automaton(F_ONE))
         text = "family explicit\nprefix one.aut\ncycle one.aut\n"
         family, _ = parse_family(text, str(tmp_path))
-        assert family.kind == "explicit"
+        assert isinstance(family, ExplicitFamily)
         assert len(family.prefix) == 1 and len(family.cycle) == 1
 
     def test_family_cylinders(self, tmp_path):
         family, _ = parse_family("family cylinders 2\n", str(tmp_path))
-        assert family.kind == "cylinders" and family.alphabet == 2
+        assert isinstance(family, CylinderFamily) and family.alphabet == 2
 
     def test_family_needs_cycle(self, tmp_path):
         (tmp_path / "one.aut").write_text(render_automaton(F_ONE))

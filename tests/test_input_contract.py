@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import guessable.cli
 from guessable.cli import main
+from guessable.diff_hierarchy import ChainNotIncreasingError, OpenChain
 from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
     FormatError,
@@ -26,7 +27,7 @@ from guessable.formats import (
     render_guesser,
 )
 from guessable.guesser import constant_guesser, divergence_witness, synthesize
-from guessable.ordinal import NESTING_LIMIT, compare, from_text, to_text
+from guessable.ordinal import NESTING_LIMIT, ZERO, compare, from_text, to_text
 from guessable.oracle import (
     SAMPLE_CELL_BUDGET,
     BudgetExceededError,
@@ -34,7 +35,7 @@ from guessable.oracle import (
     draw_tables,
     sample_tables,
 )
-from guessable.space import ParitySet, UPWord
+from guessable.space import ParitySet, UPWord, make_open
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -79,6 +80,28 @@ def test_bad_family_lines_exit_2(open_files, text):
     code, _, err = run(["based", "verify", str(family), str(guesser), str(aut)])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family cylinders 2\ncycle one.aut\n",
+        "family cylinders 2\nprefix one.aut\n",
+        "cycle one.aut\nfamily cylinders 2\n",
+    ],
+)
+def test_member_lines_under_a_cylinder_family_exit_2(open_files, text):
+    """A member line is refused, not dropped, whichever line comes first."""
+    message = "cylinder family takes no member lines"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_family(text, str(open_files))
+    family = open_files / "cyl.fam"
+    family.write_text(text)
+    guesser = open_files / "g.guess"
+    guesser.write_text(render_guesser(synthesize(FIXTURES["F_ONE"]).guesser))
+    aut = open_files / "one.aut"
+    code, out, err = run(["based", "verify", str(family), str(guesser), str(aut)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_chain_member_notes_carry_their_path(open_files):
@@ -178,6 +201,28 @@ def test_declared_theta_is_checked_before_allocation(open_files):
     assert (code, out) == (2, "")
     assert err == "error: chain must define sets 0..theta-1\n"
     assert peak < 1_000_000
+
+
+def _position_member(j):
+    """The open set of points with symbol 1 at position j, on j + 3
+    states: one per position up to j, then accept and reject."""
+    delta = [(i + 1, i + 1) for i in range(j)]
+    delta += [(j + 2, j + 1), (j + 1, j + 1), (j + 2, j + 2)]
+    return make_open(2, 0, tuple(delta), [j + 1])
+
+
+def test_a_chain_that_fails_to_increase_is_refused_before_its_product():
+    """No member of this chain lies in the next; the product of all
+    fourteen members has tens of thousands of states."""
+    members = tuple(_position_member(j) for j in range(14))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainNotIncreasingError, match="^chain members must increase$"):
+            OpenChain(members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sampled_table_size_is_checked_before_allocation():
@@ -339,6 +384,24 @@ def assert_refused(open_files, kind, text, message):
 def test_duplicate_per_state_lines_exit_2(open_files, kind):
     message = f"duplicate {kind} for state 0"
     assert_refused(open_files, kind, DUPLICATE_LINES[kind], message)
+
+
+@pytest.mark.parametrize(
+    "text, state",
+    [
+        ("alphabet 2\nstates 2\noutput 0 0\noutput 1 0\nbound 0 1\ncodomain 2\n", 1),
+        ("alphabet 2\nstates 1\noutput 0 0\ncodomain 2\n", 0),
+    ],
+)
+def test_a_ranked_guesser_without_a_bound_exits_2(open_files, text, state):
+    """A missing bound line is refused, not read as bound 0."""
+    assert_refused(open_files, "bound", text, f"missing bound for state {state}")
+
+
+def test_the_completion_sink_of_a_ranked_guesser_has_bound_0():
+    text = _ranked_guesser_text().replace("trans 0 1 0\n", "")
+    guesser, ranked, _ = parse_guesser(text)
+    assert guesser.n_states == 2 and ranked.bound == (ZERO, ZERO)
 
 
 @pytest.mark.parametrize(

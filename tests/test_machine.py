@@ -6,8 +6,10 @@ import pytest
 
 from guessable.cycles import explore
 from guessable.diff_hierarchy import bound_limit_on_up
-from guessable.fixtures import F_NO11
-from guessable.guesser import MooreGuesser, synthesize
+from guessable.fixtures import F_CYL1, F_NO11
+from guessable.guesser import MooreGuesser, evaluate, mind_changes, synthesize
+from guessable.ordinal import ZERO
+from guessable.remainder import in_s_alpha, remainder_chain, word_rank
 from guessable.space import AlphabetMismatchError, Machine, ParitySet, UPWord
 
 
@@ -70,6 +72,26 @@ def test_bound_limit_checks_the_alphabet():
     assert bound_limit_on_up(ranked, UPWord((), (0,))).to_int() == 2
     with pytest.raises(AlphabetMismatchError):
         bound_limit_on_up(ranked, UPWord((), (2,)))
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_finite_runs_check_the_alphabet(symbol):
+    """A symbol outside the alphabet is refused, not read as another
+    symbol through a negative index or past the end of a row."""
+    trace = remainder_chain(F_CYL1)
+    guesser = synthesize(F_CYL1).guesser
+    word = (symbol, symbol, 0)
+    message = f"^symbol {symbol} outside alphabet 2$"
+    for check in (
+        lambda: word_rank(trace, (symbol,)),
+        lambda: in_s_alpha(trace, word, ZERO),
+        lambda: mind_changes(guesser, word),
+        lambda: evaluate(guesser, word),
+        lambda: F_CYL1.state_after(word),
+        lambda: F_CYL1.run_states(word),
+    ):
+        with pytest.raises(AlphabetMismatchError, match=message):
+            check()
 
 
 def test_explore_numbers_in_breadth_first_discovery_order():
