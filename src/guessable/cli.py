@@ -272,7 +272,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     else:
         automaton, notes = formats.parse_automaton(text)
         dot = formats.to_dot(automaton)
-    _print_notes(notes)
+    _print_notes(notes, f"{args.file}: ")
     sys.stdout.write(dot)
     return 0
 

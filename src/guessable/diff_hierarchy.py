@@ -360,8 +360,9 @@ def classify(s: ParitySet) -> Classification:
     The chain comes from the canonical guesser with its codomain widened
     to theta+1: as it is when its root outputs 0, flipped to the
     complement when only the complement is witnessed, and otherwise
-    with a root that outputs 0 under the least bound its successors
-    allow.
+    with a root that outputs 0 under the bound c(start, 0) =
+    `accept_rank[start]`, the fewest mind changes a guesser needs from
+    the start on opinion 0 and at most theta on this side.
     """
     trace = remainder_chain(s)
     rank = trace.rank
@@ -381,12 +382,5 @@ def classify(s: ParitySet) -> Classification:
     elif side is Side.COMPLEMENT:
         rooted = RankedGuesser(flip_outputs(g), wide.bound, wide.codomain)
     else:
-        root_bound = max(
-            [wide.bound[g.start]]
-            + [
-                wide.bound[n] if g.output[n] == 0 else succ(wide.bound[n])
-                for n in g.delta[g.start]
-            ]
-        )
-        rooted = _split_root(wide, 0, root_bound)
+        rooted = _split_root(wide, 0, trace.accept_rank[s.start])
     return Classification(rank=rank, side=side, chain=guesser_to_chain(rooted))

@@ -36,13 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cycles import (
-    cycle_nodes,
-    forward_closure,
-    has_cycle,
-    is_nontrivial,
-    strongly_connected_components,
-)
+from .cycles import has_cycle, is_nontrivial, strongly_connected_components
 from .ordinal import INFINITY, OrdinalCNF, Rank, from_int
 from .space import ParitySet, Word
 
@@ -69,7 +63,10 @@ class RemainderTrace:
     chain, each cost is the highest rank of a state on an accepting
     (even maximum) or rejecting (odd maximum) cycle reachable from q,
     or 0 when there is none: inside stage i the state still reaches
-    such a cycle iff the cost exceeds i.
+    such a cycle iff the cost exceeds i.  The two costs differ by at
+    most one (an accepting or rejecting pair does, and a transient one
+    takes maxima of pairs that do) and are INFINITY together, so
+    `rm_alpha_empty` and `gap_stages` read the start's pair alone.
     """
 
     subject: ParitySet
@@ -95,8 +92,7 @@ class RemainderTrace:
 
     def stage(self, alpha: "OrdinalCNF | int") -> frozenset[int]:
         """The states of rank above alpha; from `alpha_s` on, the fixpoint."""
-        if not isinstance(alpha, OrdinalCNF):
-            alpha = from_int(alpha)
+        alpha = _ordinal(alpha)
         return frozenset(q for q, r in self.state_rank.items() if r > alpha)
 
     @property
@@ -118,13 +114,14 @@ class RemainderTrace:
         no infinite sequence.  The theory leaves open whether this can
         happen; it does, so instances are surfaced rather than assumed
         away.  A cycle keeps one rank all round, so they run from the
-        largest rank of a state on a cycle up to the start's rank."""
-        rank = self.rank
-        if rank is None:
+        start's larger cost, the top rank of a reachable cycle, up to
+        its rank, one more than its smaller cost: that is the cost
+        itself when the two are equal, and no stage otherwise."""
+        if self.rank is None:
             return []
-        on_cycle = cycle_nodes(set(self.state_rank), self.subject.delta)
-        floor = max((self.state_rank[q].to_int() for q in on_cycle), default=0)
-        return list(range(floor, rank.to_int()))
+        start = self.subject.start
+        cost = self.accept_rank[start]
+        return [cost.to_int()] if cost == self.reject_rank[start] else []
 
 
 def remainder_chain(s: ParitySet) -> RemainderTrace:
@@ -201,33 +198,37 @@ def word_rank(trace: RemainderTrace, word: Word) -> Rank:
     return trace.state_rank[trace.subject.state_after(word)]
 
 
-def in_s_alpha(trace: RemainderTrace, word: Word, alpha: OrdinalCNF) -> bool:
+def _ordinal(alpha: "OrdinalCNF | int") -> OrdinalCNF:
+    """A stage index as an ordinal; `from_int` refuses a negative int."""
+    return alpha if isinstance(alpha, OrdinalCNF) else from_int(alpha)
+
+
+def in_s_alpha(trace: RemainderTrace, word: Word, alpha: "OrdinalCNF | int") -> bool:
     """Membership of a word in the stage-alpha set: rank strictly above
     alpha, i.e. every run state survives stage alpha."""
-    return word_rank(trace, word) > alpha
+    return word_rank(trace, word) > _ordinal(alpha)
 
 
-def s_alpha_empty(trace: RemainderTrace, alpha: OrdinalCNF) -> bool:
+def s_alpha_empty(trace: RemainderTrace, alpha: "OrdinalCNF | int") -> bool:
     """The stage-alpha word set is empty iff the empty word already fell
     out (the stage sets are closed under prefixes)."""
     return not in_s_alpha(trace, (), alpha)
 
 
-def rm_alpha_empty(trace: RemainderTrace, alpha: OrdinalCNF) -> bool:
+def rm_alpha_empty(trace: RemainderTrace, alpha: "OrdinalCNF | int") -> bool:
     """True iff no infinite run from the start stays inside stage alpha
     forever, i.e. the stage carries no point.
 
+    A run ends on a cycle of one rank, and ranks never rise along it,
+    so the stage carries a point iff a cost of the start exceeds alpha.
     This is not the same as the stage word set being empty: the word
     set can be nonempty while every branch of it dies out (see
     RemainderTrace.gap_stages).  When it holds, the next word stage is
     empty.
     """
-    allowed = set(trace.stage(alpha))
-    if trace.subject.start not in allowed:
-        return True
-    succ = trace.subject.delta
-    reach = forward_closure([trace.subject.start], allowed, succ)
-    return not (cycle_nodes(reach, succ) & reach)
+    alpha = _ordinal(alpha)
+    start = trace.subject.start
+    return trace.accept_rank[start] <= alpha and trace.reject_rank[start] <= alpha
 
 
 def is_guessable(s: ParitySet) -> bool:

@@ -445,10 +445,10 @@ class ClopenTable:
     def encode(self, word: Word) -> int:
         if len(word) < self.depth:
             raise ValueError("word shorter than table depth")
+        head = word[: self.depth]
+        _check_symbols(head, self.alphabet)
         code = 0
-        for a in word[: self.depth]:
-            if not 0 <= a < self.alphabet:
-                raise ValueError(f"symbol {a} outside alphabet")
+        for a in head:
             code = code * self.alphabet + a
         return code
 
@@ -463,9 +463,7 @@ class ClopenTable:
 def cylinder(s: Word, alphabet: int = 2) -> ClopenTable:
     """The basic open set of all sequences extending s, as a table of
     depth len(s)."""
-    for a in s:
-        if not 0 <= a < alphabet:
-            raise ValueError(f"symbol {a} outside alphabet {alphabet}")
+    _check_symbols(s, alphabet)
     values = [0] * alphabet ** len(s)
     code = 0
     for a in s:

@@ -607,6 +607,19 @@ def test_export_dot_refuses_an_automaton_with_an_output_line(open_files):
     assert err == "error: unknown directive 'priority'\n"
 
 
+def test_export_dot_notes_carry_the_path(open_files):
+    path = open_files / "partial.aut"
+    path.write_text(
+        "alphabet 2\nstates 2\npriority 0 1\npriority 1 2\n"
+        "trans 0 1 1\ntrans 1 0 1\n"
+    )
+    code, out, err = run(["export-dot", str(path)])
+    assert code == 0 and out.startswith("digraph")
+    assert err == (
+        f"note: {path}: completed 2 missing transitions with a rejecting sink\n"
+    )
+
+
 # -- command line fuzz ---------------------------------------------------
 
 INT = st.integers(-2, 40)

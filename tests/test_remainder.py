@@ -2,9 +2,13 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
 
+from guessable.cycles import cycle_nodes, forward_closure
+from guessable.diff_hierarchy import _split_root, classify, guesser_to_chain
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_INF1, F_NO11, F_ONE
-from guessable.ordinal import INFINITY, OrdinalCNF, from_int, pred
+from guessable.guesser import synthesize
+from guessable.ordinal import INFINITY, OMEGA, OrdinalCNF, from_int, pred, succ
 from guessable.randgen import random_parity_set, random_scc_dag
 from guessable.remainder import (
     in_s_alpha,
@@ -15,7 +19,28 @@ from guessable.remainder import (
     word_rank,
 )
 from guessable.space import complement, words_up_to
-from test_fast_paths import counter_set
+from test_fast_paths import PROPERTY, counter_set, parity_sets
+
+
+@pytest.fixture(scope="module")
+def seeded_traces():
+    """3,000 random parity sets and 1,000 random SCC DAGs, each with its
+    complement, as traces."""
+    rng = random.Random(0)
+    sets = [random_parity_set(rng) for _ in range(3000)]
+    sets += [random_scc_dag(rng, alphabet=k) for k in (2, 3) for _ in range(500)]
+    return [remainder_chain(t) for s in sets for t in (s, complement(s))]
+
+
+def literal_rm_alpha_empty(trace, alpha):
+    """Stage alpha carries no point iff no cycle inside it is reachable
+    from the start within it: the closure and cycle search themselves."""
+    allowed = set(trace.stage(alpha))
+    if trace.subject.start not in allowed:
+        return True
+    succ_rows = trace.subject.delta
+    reach = forward_closure([trace.subject.start], allowed, succ_rows)
+    return not (cycle_nodes(reach, succ_rows) & reach)
 
 
 class TestChains:
@@ -147,6 +172,11 @@ class TestStageMembership:
         trace = remainder_chain(F_ONE)
         with pytest.raises(ValueError):
             trace.stage(-1)
+        for query in (s_alpha_empty, rm_alpha_empty):
+            with pytest.raises(ValueError):
+                query(trace, -1)
+        with pytest.raises(ValueError):
+            in_s_alpha(trace, (0,), -1)
         assert trace.stage(0) == frozenset({0, 1})
 
     def test_gap_at_cyl1(self):
@@ -157,26 +187,70 @@ class TestStageMembership:
         assert not s_alpha_empty(trace, from_int(1))
         assert rm_alpha_empty(trace, from_int(1))
 
-    def test_gaps_match_the_per_stage_definition(self):
+    def test_gaps_match_the_per_stage_definition(self, seeded_traces):
         def literal_gaps(trace):
             stages = map(from_int, range(trace.alpha_s.to_int() + 1))
             return [
                 alpha.to_int()
                 for alpha in stages
-                if not s_alpha_empty(trace, alpha) and rm_alpha_empty(trace, alpha)
+                if not s_alpha_empty(trace, alpha)
+                and literal_rm_alpha_empty(trace, alpha)
             ]
 
-        rng = random.Random(0)
-        sets = [random_parity_set(rng) for _ in range(3000)]
-        sets += [random_scc_dag(rng, alphabet=k) for k in (2, 3) for _ in range(500)]
         with_gaps = 0
-        for s in sets:
-            for t in (s, complement(s)):
-                trace = remainder_chain(t)
-                gaps = trace.gap_stages()
-                assert gaps == literal_gaps(trace)
-                with_gaps += bool(gaps)
+        for trace in seeded_traces:
+            gaps = trace.gap_stages()
+            assert gaps == literal_gaps(trace)
+            with_gaps += bool(gaps)
         assert with_gaps >= 1
+
+    def test_point_emptiness_matches_the_cycle_search(self, seeded_traces):
+        hopeless = 0
+        for trace in seeded_traces:
+            hopeless += not trace.guessable
+            stages = [*map(from_int, range(trace.alpha_s.to_int() + 2)), OMEGA]
+            for alpha in stages:
+                assert rm_alpha_empty(trace, alpha) == literal_rm_alpha_empty(
+                    trace, alpha
+                )
+        assert hopeless >= 1
+
+    def test_the_root_bound_is_the_least_its_successors_allow(self, seeded_traces):
+        # where the canonical root outputs 1 on the SELF or BOTH side,
+        # classify splits the root under c(start, 0); the least bound
+        # the root's successors allow is the same number
+        split = 0
+        for trace in seeded_traces:
+            s = trace.subject
+            if not trace.guessable:
+                continue
+            theta = from_int(max(trace.rank.to_int() - 1, 1))
+            wide = synthesize(s).with_codomain(succ(theta))
+            g = wide.guesser
+            if g.output[g.start] == 0 or not trace.accept_rank[s.start] <= theta:
+                continue
+            least = max(
+                [wide.bound[g.start]]
+                + [
+                    wide.bound[n] if g.output[n] == 0 else succ(wide.bound[n])
+                    for n in g.delta[g.start]
+                ]
+            )
+            assert least == trace.accept_rank[s.start]
+            assert classify(s).chain == guesser_to_chain(_split_root(wide, 0, least))
+            split += 1
+        assert split >= 1
+
+    def test_int_and_ordinal_stages_agree(self):
+        for s in (F_ONE, F_CYL1, F_INF1, F_NO11):
+            trace = remainder_chain(s)
+            for i in range(trace.alpha_s.to_int() + 2):
+                alpha = from_int(i)
+                assert trace.stage(i) == trace.stage(alpha)
+                assert s_alpha_empty(trace, i) == s_alpha_empty(trace, alpha)
+                assert rm_alpha_empty(trace, i) == rm_alpha_empty(trace, alpha)
+                for word in words_up_to(2, 3):
+                    assert in_s_alpha(trace, word, i) == in_s_alpha(trace, word, alpha)
 
     def test_trace_memory_is_linear(self):
         # C_3200 has 6,402 states and rank 3,201; its stages would hold
@@ -191,6 +265,17 @@ class TestStageMembership:
         assert peak < 16 * 2**20
         assert trace.rank == from_int(3201)
         assert trace.gap_stages() == []
+
+
+@PROPERTY
+@given(parity_sets())
+def test_the_two_costs_differ_by_at_most_one(s):
+    trace = remainder_chain(s)
+    for q, c0 in trace.accept_rank.items():
+        c1 = trace.reject_rank[q]
+        assert (c0 is INFINITY) == (c1 is INFINITY)
+        if c0 is not INFINITY:
+            assert abs(c0.to_int() - c1.to_int()) <= 1
 
 
 class TestGuessability:

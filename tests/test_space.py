@@ -123,6 +123,18 @@ class TestClopen:
         with pytest.raises(ValueError):
             cylinder((2,), alphabet=2)
 
+    def test_symbols_outside_the_alphabet_name_its_size(self):
+        table = ClopenTable(3, 2, tuple([0] * 9))
+        for bad in (-1, 3):
+            message = f"^symbol {bad} outside alphabet 3$"
+            with pytest.raises(AlphabetMismatchError, match=message):
+                table.encode((0, bad, 0))
+        # symbols past the table's depth are not read
+        assert table.encode((2, 1, 7)) == 7
+        message = "^symbol 3 outside alphabet 3$"
+        with pytest.raises(AlphabetMismatchError, match=message):
+            cylinder((1, 3), alphabet=3)
+
     def test_compile_full(self):
         assert equivalent(compile_clopen(cylinder(())), F_FULL)
 
