@@ -26,6 +26,13 @@ equivalence for a cycle whose two sides' maxima differ in parity, and
 the remainder ranks for the parity a component's top does not give.
 None of them builds a parity product.
 
+A component of one state is decided from that state alone, here and
+in every consumer of the condensation: its only possible cycle is its
+self-loop, on which every label's top is the state's own label, and
+nothing lies below that top to search again.  Most components are
+single states, and each then costs one row lookup instead of a set, a
+maximum over its members and a second search.
+
 `parity_components` yields the components holding the cycles of each
 maximum priority of one parity: `parity_cycle_nodes` is their union,
 and the divergence witness anchors its wrong-side cycles in them.
@@ -141,12 +148,17 @@ def strongly_connected_components(nodes: set, succ: Sequence) -> list[list[Node]
                 work.pop()
                 lowest = low[node]
                 if lowest == index[node]:
-                    comp = stack[pos:]
-                    del stack[pos:]
-                    for member in comp:
-                        index[member] = done
-                    comp.sort()
-                    components.append(comp)
+                    if pos == len(stack) - 1:  # one node: no slice or sort
+                        stack.pop()
+                        index[node] = done
+                        components.append([node])
+                    else:
+                        comp = stack[pos:]
+                        del stack[pos:]
+                        for member in comp:
+                            index[member] = done
+                        comp.sort()
+                        components.append(comp)
                 elif lowest < low[work[-1][0]]:
                     # a node that is not a component's root has a parent
                     low[work[-1][0]] = lowest
@@ -165,8 +177,10 @@ def cycle_nodes(nodes: set, succ: Sequence) -> set:
     """Nodes lying on some cycle inside `nodes`."""
     out: set = set()
     for comp in strongly_connected_components(nodes, succ):
-        if is_nontrivial(comp, succ):
+        if len(comp) > 1:
             out.update(comp)
+        elif comp[0] in succ[comp[0]]:
+            out.add(comp[0])
     return out
 
 
@@ -187,7 +201,17 @@ def has_cycle(nodes: set, succ: Sequence, kinds: Sequence[Kind]) -> bool:
     while pending:
         sub, wanted = pending.pop()
         for comp in strongly_connected_components(sub, succ):
-            if not is_nontrivial(comp, succ):
+            if len(comp) == 1:
+                # its one possible cycle is a self-loop, on which every
+                # label's top is the node's own, with nothing below it
+                node = comp[0]
+                if node in succ[node]:
+                    for kind in wanted:
+                        for label, parity in kind:
+                            if label[node] % 2 != parity:
+                                break
+                        else:
+                            return True
                 continue
             for kind in wanted:
                 for label, parity in kind:
@@ -215,7 +239,11 @@ def parity_components(
             continue
         sub = {n for n in nodes if priority(n) <= p}
         for comp in strongly_connected_components(sub, succ):
-            if is_nontrivial(comp, succ) and any(priority(n) == p for n in comp):
+            if len(comp) == 1:
+                node = comp[0]
+                if priority(node) == p and node in succ[node]:
+                    yield comp, p
+            elif any(priority(n) == p for n in comp):
                 yield comp, p
 
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import explore, is_nontrivial, strongly_connected_components
+from .cycles import explore, strongly_connected_components
 from .ordinal import OrdinalCNF, congruent, from_int, parity, pred, succ
 from .space import Machine, OpenSet, ParitySet, UPWord, make_open, open_subset, product
 from .guesser import (
@@ -163,8 +163,12 @@ def _forced_levels(skeleton: Machine, levels: tuple[int, ...]) -> list[int]:
     succ = skeleton.delta
     forced = [0] * skeleton.n_states
     for comp in strongly_connected_components(set(range(len(succ))), succ):
-        inside = set(comp)
-        value = levels[comp[0]] if is_nontrivial(comp, succ) else 0
+        if len(comp) == 1:
+            # one state cycles only through a self-loop
+            q = comp[0]
+            inside, value = comp, levels[q] if q in succ[q] else 0
+        else:
+            inside, value = set(comp), levels[comp[0]]
         for q in comp:
             for n in succ[q]:
                 if n not in inside and forced[n] > value:

@@ -18,7 +18,6 @@ from typing import Optional
 
 from .cycles import (
     explore,
-    is_nontrivial,
     parity_components,
     shortest_word_path,
     strongly_connected_components,
@@ -162,10 +161,16 @@ def synthesize(s: ParitySet) -> RankedGuesser:
     if not trace.guessable:
         raise NotGuessableError("fixpoint is nonempty; no guesser exists")
     accept, reject = trace.accept_rank, trace.reject_rank
+    # every cost of a guessable set is finite, so each has an order key
     decision: dict[int, Optional[int]] = {}
+    bound: dict[int, OrdinalCNF] = {}
     for q, c0 in accept.items():
         c1 = reject[q]
-        decision[q] = 1 if c1 < c0 else 0 if c0 < c1 else None
+        k0, k1 = order_key(c0), order_key(c1)
+        if k1 < k0:
+            decision[q], bound[q] = 1, c1
+        else:
+            decision[q], bound[q] = (0 if k0 < k1 else None), c0
 
     def out_for(q: int, prev: int) -> int:
         d = decision[q]
@@ -184,7 +189,7 @@ def synthesize(s: ParitySet) -> RankedGuesser:
     )
     ranked = RankedGuesser(
         guesser=guesser,
-        bound=tuple(min(accept[q], reject[q]) for q, _ in order),
+        bound=tuple(bound[q] for q, _ in order),
         codomain=trace.alpha_s,
     )
     # not a dataclass field, so equality and repr never see it
@@ -228,7 +233,7 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
 
     # (a) cycles with oscillating opinion
     for comp in strongly_connected_components(nodes, rows):
-        if not is_nontrivial(comp, rows):
+        if len(comp) == 1:  # one state holds one opinion
             continue
         comp_set = set(comp)
         if len({out[n] for n in comp}) < 2:

@@ -11,12 +11,13 @@ read the same way at any scale.  The one extra value is ``INFINITY``,
 a sentinel that compares greater than every ordinal and stands for
 "never leaves the chain".
 
-Each value carries an order key built once at construction, so
-comparing, hashing and equality are tuple operations with no
-Python-level walk over the terms.  It also stores its finite part and,
-when it is finite, its integer, so the finiteness, successor and
-parity tests, ``to_int``, ``succ``, ``pred`` and the text of a finite
-value read a stored number.  Finite values are interned:
+Each value carries an order key and its hash, built once at
+construction, so comparing and equality are tuple operations and
+hashing reads a stored number, with no Python-level walk over the
+terms.  It also stores its finite part and, when it is finite, its
+integer, so the finiteness, successor and parity tests, ``to_int``,
+``succ``, ``pred`` and the text of a finite value read a stored
+number.  Finite values are interned:
 ``from_int(n)`` returns one object per n.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import TypeAlias
 
 
 # parenthesised exponents a literal may nest (w^(w^(w + 1)) nests 2);
@@ -41,10 +42,10 @@ class OrdinalCNF:
     The order key ``_key`` (not a field) is ``terms`` with each exponent
     replaced by its own key; tuple order on it is the CNF order (larger
     exponent first, then larger coefficient, and a proper prefix is
-    smaller), and equality and hashing read it too.  Two more private
-    attributes are set with the key: ``_finite`` is the n in
-    lambda + n, and ``_int`` is the value as an int when it is finite
-    and None otherwise.
+    smaller), and equality reads it too.  Three more private attributes
+    are set with the key: ``_hash`` is the key's hash, ``_finite`` is
+    the n in lambda + n, and ``_int`` is the value as an int when it is
+    finite and None otherwise.
     """
 
     terms: tuple[tuple["OrdinalCNF", int], ...] = ()
@@ -61,6 +62,7 @@ class OrdinalCNF:
             prev = exp
         key = tuple((exp._key, coef) for exp, coef in self.terms)
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
         # only the last term can have exponent 0, and a finite value has
         # no other term
         terms = self.terms
@@ -77,7 +79,7 @@ class OrdinalCNF:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, OrdinalCNF):
@@ -173,7 +175,9 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-Rank = Union[OrdinalCNF, _Infinity]
+# a string, not a `Union`: typing caches every `Union` it builds, and
+# that cache would keep this module's classes alive after a re-import
+Rank: TypeAlias = "OrdinalCNF | _Infinity"
 
 ZERO = OrdinalCNF()
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cycles import has_cycle, is_nontrivial, strongly_connected_components
+from .cycles import has_cycle, strongly_connected_components
 from .ordinal import INFINITY, OrdinalCNF, Rank, from_int
 from .space import ParitySet, Word
 
@@ -149,22 +149,30 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     acc: dict[int, float] = {}
     rej: dict[int, float] = {}
     for comp in strongly_connected_components(reach, succ):
-        members = set(comp)
+        if len(comp) == 1:
+            # one state: its one possible cycle is a self-loop, whose top
+            # is the state's own priority, with nothing below it
+            q = comp[0]
+            members, peak, mixed = comp, prio[q], False
+            cyclic = q in succ[q]
+        else:
+            # a strongly connected component has a cycle through every
+            # node, so one through its top priority; the other parity
+            # can only come from a cycle below the top
+            members, cyclic = set(comp), True
+            peak = max(map(prio.__getitem__, comp))
+            below = {q for q in comp if prio[q] < peak}
+            mixed = bool(below) and has_cycle(below, succ, [[(prio, 1 - peak % 2)]])
         a = r = 0
         for q in comp:
             for nq in succ[q]:
                 if nq not in members:
                     a = max(a, acc[nq])
                     r = max(r, rej[nq])
-        if is_nontrivial(comp, succ):
-            # a strongly connected component has a cycle through every
-            # node, so one through its top priority; the other parity
-            # can only come from a cycle below the top
-            peak = max(map(prio.__getitem__, comp))
-            below = {q for q in comp if prio[q] < peak}
-            if below and has_cycle(below, succ, [[(prio, 1 - peak % 2)]]):
-                a = r = math.inf
-            elif peak % 2 == 0:
+        if mixed:
+            a = r = math.inf
+        elif cyclic:
+            if peak % 2 == 0:
                 a = 1 + r
             else:
                 r = 1 + a

@@ -5,12 +5,19 @@ closures testing the node set first, the two Emerson-Lei searches
 `has_cycle` replaced, a bound check through the ordinal operators, and
 the ordinal readers that walked the Cantor normal form terms.  `has_cycle` is also checked against an
 exhaustive search of the strongly connected node subsets.  A search on
-a few nodes of a large graph reads only their rows."""
+a few nodes of a large graph reads only their rows.
+
+The consumers of the condensation decide a one-state component from
+its own state; on graphs made mostly of single states, with and
+without self-loops, each is checked against its body from before that
+rule, and the remainder trace against the literal stage iteration."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections.abc import Callable, Sequence
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +28,12 @@ from guessable.cycles import (
     forward_closure,
     has_cycle,
     is_nontrivial,
+    parity_components,
     strongly_connected_components,
 )
+from guessable.diff_hierarchy import _forced_levels
 from guessable.guesser import MooreGuesser, RankedGuesser, check_bound, synthesize
+from guessable.oracle import literal_remainder_chain
 from guessable.ordinal import (
     INFINITY,
     OMEGA,
@@ -39,7 +49,10 @@ from guessable.ordinal import (
     succ,
     to_text,
 )
-from guessable.space import ParitySet
+from guessable.randgen import random_parity_set
+from guessable.remainder import remainder_chain
+from guessable.space import ParitySet, complement
+from test_fast_paths import counter_set
 from test_ordinal import ORDINALS
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -190,6 +203,65 @@ def even_odd_cycle(
     return False
 
 
+# `has_cycle`, `parity_components`, `cycle_nodes` and `_forced_levels` as
+# they stood before a one-state component was decided from its own
+# state, kept verbatim but for the names
+
+
+def literal_has_cycle(nodes: set, succ: Sequence, kinds) -> bool:
+    pending = [(set(nodes), kinds)]
+    while pending:
+        sub, wanted = pending.pop()
+        for comp in strongly_connected_components(sub, succ):
+            if not is_nontrivial(comp, succ):
+                continue
+            for kind in wanted:
+                for label, parity in kind:
+                    top = max(map(label.__getitem__, comp))
+                    if top % 2 != parity:
+                        below = {n for n in comp if label[n] < top}
+                        if below:
+                            pending.append((below, [kind]))
+                        break
+                else:
+                    return True
+    return False
+
+
+def literal_parity_components(
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
+):
+    for p in sorted({priority(n) for n in nodes}):
+        if p % 2 != want:
+            continue
+        sub = {n for n in nodes if priority(n) <= p}
+        for comp in strongly_connected_components(sub, succ):
+            if is_nontrivial(comp, succ) and any(priority(n) == p for n in comp):
+                yield comp, p
+
+
+def literal_cycle_nodes(nodes: set, succ: Sequence) -> set:
+    out: set = set()
+    for comp in strongly_connected_components(nodes, succ):
+        if is_nontrivial(comp, succ):
+            out.update(comp)
+    return out
+
+
+def literal_forced_levels(succ: Sequence, levels: Sequence[int]) -> list[int]:
+    forced = [0] * len(succ)
+    for comp in strongly_connected_components(set(range(len(succ))), succ):
+        inside = set(comp)
+        value = levels[comp[0]] if is_nontrivial(comp, succ) else 0
+        for q in comp:
+            for n in succ[q]:
+                if n not in inside and forced[n] > value:
+                    value = forced[n]
+        for q in comp:
+            forced[q] = value
+    return forced
+
+
 def exhaustive_has_cycle(nodes, succ, kinds):
     """Some nonempty node subset is strongly connected, carries a cycle
     and has each label's maximum of the wanted parity: a cycle's nodes
@@ -256,10 +328,10 @@ def test_kernels_agree_with_the_literal_forms(graph):
 
 
 @st.composite
-def labelled_graphs(draw):
+def labelled_graphs(draw, graphs=graphs_with_subsets(7)):
     """Rows over at most 7 states, a node subset whose rows may point
     outside it, 1-3 labels and 1-2 kinds of 1-3 pairs over them."""
-    succ, nodes, _ = draw(graphs_with_subsets(7))
+    succ, nodes, _ = draw(graphs)
     n = len(succ)
     labels = draw(
         st.lists(
@@ -296,6 +368,97 @@ def test_has_cycle_agrees_with_the_searches_it_replaced(graph):
             )
             asked = [[(e, 0), (o, 1)] for e, o in kinds]
             assert has_cycle(nodes, succ, asked) == want
+
+
+@st.composite
+def single_state_graphs(draw, max_states=9):
+    """Rows over n states that are mostly one-state components: a chain
+    or DAG whose edges lead to later states, each state with or without
+    a self-loop, and now and then an edge to any state, which can close
+    a larger component.  The node subset is every state or a part."""
+    n = draw(st.integers(1, max_states))
+    succ = []
+    for q in range(n):
+        row = [q + 1] if q + 1 < n and draw(st.booleans()) else []
+        if q + 1 < n:
+            row += draw(st.lists(st.integers(q + 1, n - 1), max_size=2))
+        if draw(st.booleans()):
+            row.append(q)
+        if draw(st.integers(0, 5)) == 0:
+            row.append(draw(st.integers(0, n - 1)))
+        succ.append(tuple(draw(st.permutations(row))))
+    everything = st.just(set(range(n)))
+    nodes = draw(st.one_of(everything, everything, st.sets(st.integers(0, n - 1))))
+    return succ, nodes, set()
+
+
+@PROPERTY
+@given(labelled_graphs(single_state_graphs()))
+def test_one_state_components_are_decided_as_before(graph):
+    succ, nodes, labels, kinds = graph
+    assert strongly_connected_components(nodes, succ) == literal_scc(nodes, succ)
+    found = has_cycle(nodes, succ, kinds)
+    assert found == literal_has_cycle(nodes, succ, kinds)
+    assert found == exhaustive_has_cycle(nodes, succ, kinds)
+    for label in labels:
+        for parity in (0, 1):
+            kind = [[(label, parity)]]
+            assert has_cycle(nodes, succ, kind) == literal_has_cycle(nodes, succ, kind)
+            assert list(
+                parity_components(nodes, succ, label.__getitem__, parity)
+            ) == list(literal_parity_components(nodes, succ, label.__getitem__, parity))
+    assert cycle_nodes(nodes, succ) == literal_cycle_nodes(nodes, succ)
+    skeleton = SimpleNamespace(delta=succ, n_states=len(succ))
+    assert _forced_levels(skeleton, labels[0]) == literal_forced_levels(
+        succ, labels[0]
+    )
+
+
+@st.composite
+def single_state_sets(draw, max_states=10):
+    """Parity sets whose every symbol stays put or leads to a later
+    state, now and then to any state: chains and DAGs of one-state
+    components, with and without self-loops, and a few larger ones."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, max_states))
+    delta = []
+    for q in range(n):
+        later = st.integers(q + 1, n - 1) if q + 1 < n else st.just(q)
+        row = draw(st.lists(later, min_size=k, max_size=k))
+        if draw(st.booleans()):
+            row[draw(st.integers(0, k - 1))] = q
+        if draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, k - 1))] = draw(st.integers(0, n - 1))
+        delta.append(tuple(row))
+    priority = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return ParitySet(
+        alphabet=k, start=0, delta=tuple(delta), priority=tuple(priority)
+    )
+
+
+@PROPERTY
+@given(single_state_sets())
+def test_trace_equals_literal_on_single_state_sets(s):
+    for t in (s, complement(s)):
+        assert remainder_chain(t) == literal_remainder_chain(t)
+
+
+def test_trace_equals_literal_on_counters_and_random_sets():
+    for m in range(12):
+        for t in (counter_set(m), complement(counter_set(m))):
+            assert remainder_chain(t) == literal_remainder_chain(t)
+    rng = random.Random(20)
+    transient = looping = 0
+    for _ in range(1500):
+        s = random_parity_set(rng, alphabet=rng.choice([2, 3]), max_states=8)
+        assert remainder_chain(s) == literal_remainder_chain(s)
+        for comp in strongly_connected_components(s.reachable_states(), s.delta):
+            if len(comp) == 1:
+                if comp[0] in s.delta[comp[0]]:
+                    looping += 1
+                else:
+                    transient += 1
+    assert transient >= 100 and looping >= 300
 
 
 def test_tarjan_on_a_long_chain_needs_no_recursion():

@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +242,8 @@ def test_equal_ordinals_built_apart_hash_equal(a):
     for again in (OrdinalCNF(a.terms), from_text(to_text(a)), add(a, ZERO)):
         assert literal_compare(again, a) == 0
         assert again == a and hash(again) == hash(a)
+    # the stored hash is the key's, so sets of ordinals iterate as before
+    assert hash(a) == hash(a._key)
     assert a < INFINITY and not (a >= INFINITY) and a != INFINITY
     assert succ(a) > a and literal_compare(succ(a), a) == 1
 
@@ -268,3 +273,30 @@ def test_keys_leave_the_dataclass_surface_alone():
     assert ZERO is from_int(0) and ONE is from_int(1)
     with pytest.raises(ValueError):
         from_text("\u00b2")
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+old = weakref.ref(importlib.import_module("guessable.ordinal").OrdinalCNF)
+for name in [n for n in sys.modules if n.split(".")[0] == "guessable"]:
+    del sys.modules[name]
+importlib.import_module("guessable")
+gc.collect()
+print(old() is None)
+"""
+
+
+def test_a_reimport_lets_the_old_classes_go():
+    """A benchmark re-imports the package once per set-up; nothing the
+    module builds at import, such as a typing alias over its classes,
+    may keep the old generation alive."""
+    ordinal_py = sys.modules[OrdinalCNF.__module__].__file__
+    package = os.path.dirname(os.path.abspath(ordinal_py))
+    out = subprocess.run(
+        [sys.executable, "-c", REIMPORT],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(package)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "True"
