@@ -39,7 +39,6 @@ from .space import (
     open_from_parity,
     open_subset,
     open_union,
-    product_boolean,
 )
 from .remainder import (
     RemainderTrace,
@@ -100,7 +99,6 @@ from .oracle import (
     cross_validate,
     draw_tables,
     exhaustive_tables,
-    literal_remainder_chain,
     sample_tables,
     truncated_guesser,
     truncated_remainder,

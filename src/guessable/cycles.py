@@ -13,18 +13,21 @@ graph, stay as cheap as the subsets.
 `explore` is the one builder of reachable products: it numbers the
 keys reachable from a start key in breadth-first discovery order and
 returns the numbered transition rows, from which every product
-construction (the plain product of machines, boolean products, the
-canonical guesser, chain and bound conversions) assembles its machine
-and on which every search here runs.
+construction (the plain product of machines, the canonical guesser,
+chain and bound conversions) assembles its machine and on which every
+search here runs.
 
-`has_cycle` is the one search for a cycle of a wanted kind, by
+`cycle_components` is the one search for cycles of a wanted kind, by
 Emerson-Lei refinement: split into SCCs, drop the nodes of a top
-label that no wanted cycle can pass through, and split what is left
-again.  A kind names a parity for the maximum of each of some labels
-along the cycle: emptiness asks for an even maximum priority,
-equivalence for a cycle whose two sides' maxima differ in parity, and
-the remainder ranks for the parity a component's top does not give.
-None of them builds a parity product.
+label, and split what is left again, yielding each component whose
+tops have the wanted parities.  A kind names a parity for the maximum
+of each of some labels along the cycle: emptiness asks for an even
+maximum priority, equivalence for a cycle whose two sides' maxima
+differ in parity, the remainder ranks for the parity a component's
+top does not give, and `open_subset` for any cycle at all.  `has_cycle`
+asks whether it yields anything; the divergence witness reads every
+component of a wrong-side parity and anchors its cycles at their
+tops.  None of them builds a parity product.
 
 A component of one state is decided from that state alone, here and
 in every consumer of the condensation: its only possible cycle is its
@@ -33,9 +36,6 @@ nothing lies below that top to search again.  Most components are
 single states, and each then costs one row lookup instead of a set, a
 maximum over its members and a second search.
 
-`parity_components` yields the components holding the cycles of each
-maximum priority of one parity: `parity_cycle_nodes` is their union,
-and the divergence witness anchors its wrong-side cycles in them.
 `shortest_word_path` spells a path's symbols as positions in the rows.
 """
 
@@ -45,7 +45,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Node = Hashable
 # (label, parity) pairs: a cycle is of the kind when the maximum of each
-# label along it has that parity
+# label along it has that parity; the empty kind takes any cycle
 Kind = Sequence[tuple[Sequence[int], int]]
 
 
@@ -84,25 +84,6 @@ def forward_closure(starts: Iterable[Node], nodes: set, succ: Sequence) -> set:
             if m not in seen and m in nodes:
                 seen.add(m)
                 stack.append(m)
-    return seen
-
-
-def backward_closure(targets: Iterable[Node], nodes: set, succ: Sequence) -> set:
-    """Nodes inside `nodes` from which a target is reachable without
-    leaving `nodes`."""
-    pred: dict[Node, list[Node]] = {n: [] for n in nodes}
-    for n in nodes:
-        for m in succ[n]:
-            if m in nodes:
-                pred[m].append(n)
-    seen = {t for t in targets if t in nodes}
-    stack = list(seen)
-    while stack:
-        n = stack.pop()
-        for p in pred[n]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
     return seen
 
 
@@ -165,37 +146,26 @@ def strongly_connected_components(nodes: set, succ: Sequence) -> list[list[Node]
     return components
 
 
-def is_nontrivial(component: Sequence[Node], succ: Sequence) -> bool:
-    """The component carries a cycle: more than one node, or a self-loop."""
-    if len(component) > 1:
-        return True
-    node = component[0]
-    return node in succ[node]
+def cycle_components(
+    nodes: set, succ: Sequence, kinds: Sequence[Kind]
+) -> Iterator[list[Node]]:
+    """Yield the components of the Emerson-Lei refinement inside `nodes`
+    whose top of every label of one of the `kinds` has that label's
+    parity (0/1), once for each such kind.  A kind is a list of
+    `(label, parity)` pairs, each label a sequence indexed by state; a
+    cycle is of that kind when the maximum of every label along it has
+    the paired parity, and the empty kind takes any cycle.
 
-
-def cycle_nodes(nodes: set, succ: Sequence) -> set:
-    """Nodes lying on some cycle inside `nodes`."""
-    out: set = set()
-    for comp in strongly_connected_components(nodes, succ):
-        if len(comp) > 1:
-            out.update(comp)
-        elif comp[0] in succ[comp[0]]:
-            out.add(comp[0])
-    return out
-
-
-def has_cycle(nodes: set, succ: Sequence, kinds: Sequence[Kind]) -> bool:
-    """True iff some cycle inside `nodes` is of one of the `kinds`.  A
-    kind is a list of `(label, parity)` pairs, each label a sequence
-    indexed by state; a cycle is of that kind when the maximum of every
-    label along it has the paired parity (0/1).
-
-    Emerson-Lei refinement, one SCC pass shared by all kinds: a
-    nontrivial SCC whose top of every label of a kind has that label's
-    parity has a cycle through all of its nodes, which is a witness.
-    Otherwise no cycle of that kind passes through the top nodes of the
-    first label whose top has the wrong parity, so those nodes are
-    dropped and the rest is searched again for that kind alone.
+    One SCC pass is shared by all kinds.  A nontrivial SCC whose tops
+    all have the wanted parities has a cycle through all of its nodes
+    and is yielded.  Otherwise no cycle of that kind passes through the
+    top nodes of the first label of the wrong parity.  Either way the
+    top nodes of the last label read (after a match, the kind's last
+    one) are dropped and the rest is searched again for that kind
+    alone; a match of the empty kind has no label and ends its search.
+    So for one label each yielded component with top p is the SCC of
+    the priority <= p nodes that holds it, and every such SCC that
+    holds a p-node and a cycle is yielded.
     """
     pending = [(set(nodes), kinds)]
     while pending:
@@ -211,59 +181,25 @@ def has_cycle(nodes: set, succ: Sequence, kinds: Sequence[Kind]) -> bool:
                             if label[node] % 2 != parity:
                                 break
                         else:
-                            return True
+                            yield comp
                 continue
             for kind in wanted:
                 for label, parity in kind:
                     top = max(map(label.__getitem__, comp))
                     if top % 2 != parity:
-                        below = {n for n in comp if label[n] < top}
-                        if below:
-                            pending.append((below, [kind]))
                         break
                 else:
-                    return True
-    return False
+                    yield comp
+                    if not kind:  # any cycle: no top to search below
+                        continue
+                below = {n for n in comp if label[n] < top}
+                if below:
+                    pending.append((below, [kind]))
 
 
-def parity_components(
-    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
-) -> Iterator[tuple[list[Node], int]]:
-    """Yield `(component, p)` for each priority p of parity `want`
-    (0/1), increasing, and each nontrivial SCC of the priority<=p
-    subgraph that visits a priority-p node: a cycle has maximum priority
-    p iff it lies in one of these components and visits such a node.
-    """
-    for p in sorted({priority(n) for n in nodes}):
-        if p % 2 != want:
-            continue
-        sub = {n for n in nodes if priority(n) <= p}
-        for comp in strongly_connected_components(sub, succ):
-            if len(comp) == 1:
-                node = comp[0]
-                if priority(node) == p and node in succ[node]:
-                    yield comp, p
-            elif any(priority(n) == p for n in comp):
-                yield comp, p
-
-
-def parity_cycle_nodes(
-    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
-) -> set:
-    """Nodes on a cycle whose maximum priority has parity `want` (0/1)."""
-    result: set = set()
-    for comp, _ in parity_components(nodes, succ, priority, want):
-        result.update(comp)
-    return result
-
-
-def can_reach_parity_cycle(
-    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
-) -> set:
-    """Nodes from which a cycle with max-priority parity `want` is
-    reachable without leaving `nodes`."""
-    anchors = parity_cycle_nodes(nodes, succ, priority, want)
-    return backward_closure(anchors, nodes, succ)
+def has_cycle(nodes: set, succ: Sequence, kinds: Sequence[Kind]) -> bool:
+    """True iff some cycle inside `nodes` is of one of the `kinds`."""
+    return next(cycle_components(nodes, succ, kinds), None) is not None
 
 
 def shortest_word_path(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import (
+    cycle_components,
     explore,
-    parity_components,
     shortest_word_path,
     strongly_connected_components,
 )
@@ -248,10 +248,16 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
         add_candidate(anchor, word1 + leg2[0])
 
     # (b) constant-opinion cycles on the wrong side of membership: with
-    # opinion b, a top priority of parity b means membership 1-b
+    # opinion b, a top priority of parity b means membership 1-b; each
+    # refinement component with such a top p holds the cycles of
+    # maximum p through its p-nodes, and a side with no priority of
+    # parity b has none, so it costs no SCC pass
     for b in (0, 1):
         sub_b = {n for n in nodes if out[n] == b}
-        for comp, p in parity_components(sub_b, rows, prio.__getitem__, b):
+        if not any(prio[n] % 2 == b for n in sub_b):
+            continue
+        for comp in cycle_components(sub_b, rows, [[(prio, b)]]):
+            p = max(map(prio.__getitem__, comp))
             anchor = min(n for n in comp if prio[n] == p)
             found = shortest_word_path(anchor, {anchor}, set(comp), rows)
             if found is not None:

@@ -10,8 +10,10 @@ That restricts the oracle to clopen sets by design; the automaton
 route is the only way to non-clopen sets, and its validation burden
 is carried by the cross checks below.
 
-It also keeps the literal stage-by-stage iteration of the remainder
-chain on automaton states, the reference for the one-pass trace.
+Only the cross checks here are part of the package: the literal
+stage-by-stage iteration of the remainder chain on automaton states,
+the reference for the one-pass trace, is read by the tests alone and
+is kept with them in `tests/literal.py`.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .cycles import can_reach_parity_cycle
 from .guesser import evaluate, synthesize
-from .ordinal import INFINITY, Rank, from_int
-from .remainder import RemainderTrace, remainder_chain, word_rank
-from .space import ClopenTable, ParitySet, Word, compile_clopen, words_up_to
+from .ordinal import INFINITY
+from .remainder import remainder_chain, word_rank
+from .space import ClopenTable, Word, compile_clopen, words_up_to
 
 
 class BudgetExceededError(ValueError):
@@ -249,42 +250,3 @@ def cross_validate(
             if evaluate(ranked.guesser, word) != guesser_value(table, tree, word):
                 report.guess_mismatches.append((table, word))
     return report
-
-
-def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
-    """The remainder trace by iterating the both-continuations step to
-    its fixpoint, one stage at a time, with every per-state value read
-    off the stages literally: a state's rank is the first stage it is
-    missing from, and its accepting (rejecting) value counts the
-    stages in which it still reaches an accepting (rejecting) cycle
-    without leaving the stage."""
-    reach = s.reachable_states()
-    succ = s.delta
-    prio = lambda q: s.priority[q]
-
-    chain = [frozenset(reach)]
-    reaching: list[tuple[set, set]] = []
-    while True:
-        current = set(chain[-1])
-        acc = can_reach_parity_cycle(current, succ, prio, want=0)
-        rej = can_reach_parity_cycle(current, succ, prio, want=1)
-        reaching.append((acc, rej))
-        nxt = frozenset(acc & rej)
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
-
-    fixpoint = chain[-1]
-
-    def count(q: int, stage_sets) -> Rank:
-        if q in fixpoint:
-            return INFINITY
-        return from_int(sum(1 for sets in stage_sets if q in sets))
-
-    return RemainderTrace(
-        subject=s,
-        alpha_s=from_int(len(chain) - 1),
-        state_rank={q: count(q, chain) for q in reach},
-        accept_rank={q: count(q, [acc for acc, _ in reaching]) for q in reach},
-        reject_rank={q: count(q, [rej for _, rej in reaching]) for q in reach},
-    )

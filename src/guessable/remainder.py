@@ -11,11 +11,11 @@ connected components, and a component's rank follows from the ranks
 of the components it reaches.  The ranks are therefore computed in one
 pass over the SCC condensation; only the cycle-parity test below a
 component's top priority looks inside it.  The literal stage-by-stage
-iteration survives only as the reference in the oracle module.  The
-trace keeps only each state's rank and two opinion costs, memory linear
-in the automaton.  Stage beta is the states of rank above beta; the
-rank never rises along an edge, so a stage is nonempty iff it holds the
-start state.
+iteration survives only as the reference the tests compare against,
+outside the package.  The trace keeps only each state's rank and two
+opinion costs, memory linear in the automaton.  Stage beta is the
+states of rank above beta; the rank never rises along an edge, so a
+stage is nonempty iff it holds the start state.
 
 A set has one trace: `remainder_chain` memoises it on the `ParitySet`
 instance it was asked about, so the rank, `synthesize`, `classify`,
@@ -98,7 +98,8 @@ class RemainderTrace:
     @property
     def chain(self) -> tuple[frozenset[int], ...]:
         """Stages 0 to `alpha_s`, built on each read: about n * rank / 2
-        entries, so only `--trace` and the tests ask for it."""
+        entries, so only `--trace`, the tests and the benchmark's checks,
+        which take its length, ask for it."""
         by_rank: dict[Rank, list[int]] = {}
         for q, r in self.state_rank.items():
             by_rank.setdefault(r, []).append(q)

@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import getitem
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
-from .cycles import cycle_nodes, explore, forward_closure, has_cycle
+from .cycles import explore, forward_closure, has_cycle
 
 Word = tuple[int, ...]
 
@@ -341,83 +341,6 @@ def equivalent(s: ParitySet, t: ParitySet) -> bool:
     return not has_cycle(set(range(len(rows))), rows, differ)
 
 
-# -- boolean products -----------------------------------------------
-#
-# The reference construction that the tests compare the decision
-# procedures against; no decision procedure builds it.  Complement is
-# free (bump priorities).  Intersection is the real construction: the
-# conjunction of two max-even parity conditions is a Streett condition
-# (one pair per odd priority per side), and a deterministic Streett
-# condition turns back into a parity condition with an index
-# appearance record, whose size is factorial in the number of
-# priorities.  The record keeps pair indices ordered by how recently
-# they were granted; a request strictly in front of every grant is a
-# suspicious event and emits an odd priority, a grant at the frontmost
-# touched position emits an even one.  Union, difference and xor
-# reduce to intersection and complement.  Pointwise correctness on all
-# UP words is exercised exhaustively in the test suite.
-
-BooleanOp = Literal["and", "or", "xor", "diff"]
-
-
-def product_boolean(s: ParitySet, t: ParitySet, op: BooleanOp) -> ParitySet:
-    _check_alphabets(s, t)
-    if op == "and":
-        return _intersection(s, t)
-    if op == "or":
-        return complement(_intersection(complement(s), complement(t)))
-    if op == "diff":
-        return _intersection(s, complement(t))
-    if op == "xor":
-        return product_boolean(
-            product_boolean(s, t, "diff"), product_boolean(t, s, "diff"), "or"
-        )
-    raise ValueError(f"unknown boolean op {op!r}")
-
-
-def _intersection(s: ParitySet, t: ParitySet) -> ParitySet:
-    k = s.alphabet
-    pairs: list[tuple[int, int]] = []
-    for o in sorted({p for p in s.priority if p % 2 == 1}):
-        pairs.append((0, o))
-    for o in sorted({p for p in t.priority if p % 2 == 1}):
-        pairs.append((1, o))
-    npairs = len(pairs)
-
-    def events(sq: int, tq: int) -> tuple[set[int], set[int]]:
-        prios = (s.priority[sq], t.priority[tq])
-        grants = {j for j, (side, o) in enumerate(pairs) if prios[side] > o}
-        requests = {j for j, (side, o) in enumerate(pairs) if prios[side] == o}
-        return grants, requests
-
-    def emit(record: tuple[int, ...], grants: set[int], requests: set[int]) -> int:
-        pos = {j: i + 1 for i, j in enumerate(record)}
-        g = min((pos[j] for j in grants), default=None)
-        r = min((pos[j] for j in requests), default=None)
-        if g is None and r is None:
-            return 0
-        if g is not None and (r is None or g <= r):
-            return 2 * (npairs + 1 - g)
-        return 2 * (npairs + 1 - r) - 1
-
-    def advance(record: tuple[int, ...], grants: set[int]) -> tuple[int, ...]:
-        stay = tuple(j for j in record if j not in grants)
-        moved = tuple(j for j in record if j in grants)
-        return stay + moved
-
-    prio: list[int] = []
-
-    def successors(key: tuple[int, int, tuple[int, ...]]):
-        sq, tq, record = key
-        grants, requests = events(sq, tq)
-        prio.append(emit(record, grants, requests))
-        rec_next = advance(record, grants)
-        return [(ns, nt, rec_next) for ns, nt in zip(s.delta[sq], t.delta[tq])]
-
-    _, rows = explore((s.start, t.start, tuple(range(npairs))), successors)
-    return ParitySet(alphabet=k, start=0, delta=tuple(rows), priority=tuple(prio))
-
-
 # -- clopen tables --------------------------------------------------
 
 
@@ -587,4 +510,4 @@ def open_subset(a: OpenSet, b: OpenSet) -> bool:
     escaping = {
         i for i, (p, q) in enumerate(order) if p in a.target and q not in b.target
     }
-    return not cycle_nodes(escaping, rows)
+    return not has_cycle(escaping, rows, [()])

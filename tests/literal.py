@@ -1,0 +1,219 @@
+"""The literal references the tests compare the library against, each
+kept once and built from nothing it checks.
+
+- The graph kernels the one-pass remainder trace and the refinement
+  search `cycles.cycle_components` replaced: a component carries a
+  cycle, the backward closure, the nodes on some cycle, and one SCC
+  pass per priority for the cycles of each maximum priority of one
+  parity.  They read only `strongly_connected_components`.
+- `literal_remainder_chain`, the stage-by-stage iteration of the
+  remainder chain on automaton states, the reference for the trace.
+- `product_boolean`, the index-appearance-record boolean product, the
+  reference for equivalence, emptiness, `open_subset` and
+  `open_union`.
+
+The file is named so that pytest does not collect it; the test modules
+import it by name.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, Literal, Sequence
+
+from guessable.cycles import Node, explore, strongly_connected_components
+from guessable.ordinal import INFINITY, Rank, from_int
+from guessable.remainder import RemainderTrace
+from guessable.space import ParitySet, _check_alphabets, complement
+
+# -- graph kernels ----------------------------------------------------------
+
+
+def is_nontrivial(component: Sequence[Node], succ: Sequence) -> bool:
+    """The component carries a cycle: more than one node, or a self-loop."""
+    if len(component) > 1:
+        return True
+    node = component[0]
+    return node in succ[node]
+
+
+def backward_closure(targets: Iterable[Node], nodes: set, succ: Sequence) -> set:
+    """Nodes inside `nodes` from which a target is reachable without
+    leaving `nodes`."""
+    pred: dict[Node, list[Node]] = {n: [] for n in nodes}
+    for n in nodes:
+        for m in succ[n]:
+            if m in nodes:
+                pred[m].append(n)
+    seen = {t for t in targets if t in nodes}
+    stack = list(seen)
+    while stack:
+        n = stack.pop()
+        for p in pred[n]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def cycle_nodes(nodes: set, succ: Sequence) -> set:
+    """Nodes lying on some cycle inside `nodes`."""
+    out: set = set()
+    for comp in strongly_connected_components(nodes, succ):
+        if is_nontrivial(comp, succ):
+            out.update(comp)
+    return out
+
+
+def parity_components(
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
+):
+    """Yield `(component, p)` for each priority p of parity `want`
+    (0/1), increasing, and each nontrivial SCC of the priority<=p
+    subgraph that visits a priority-p node: a cycle has maximum priority
+    p iff it lies in one of these components and visits such a node.
+    """
+    for p in sorted({priority(n) for n in nodes}):
+        if p % 2 != want:
+            continue
+        sub = {n for n in nodes if priority(n) <= p}
+        for comp in strongly_connected_components(sub, succ):
+            if is_nontrivial(comp, succ) and any(priority(n) == p for n in comp):
+                yield comp, p
+
+
+def parity_cycle_nodes(
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
+) -> set:
+    """Nodes on a cycle whose maximum priority has parity `want` (0/1)."""
+    result: set = set()
+    for comp, _ in parity_components(nodes, succ, priority, want):
+        result.update(comp)
+    return result
+
+
+def can_reach_parity_cycle(
+    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
+) -> set:
+    """Nodes from which a cycle with max-priority parity `want` is
+    reachable without leaving `nodes`."""
+    anchors = parity_cycle_nodes(nodes, succ, priority, want)
+    return backward_closure(anchors, nodes, succ)
+
+
+# -- the remainder chain ------------------------------------------------------
+
+
+def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
+    """The remainder trace by iterating the both-continuations step to
+    its fixpoint, one stage at a time, with every per-state value read
+    off the stages literally: a state's rank is the first stage it is
+    missing from, and its accepting (rejecting) value counts the
+    stages in which it still reaches an accepting (rejecting) cycle
+    without leaving the stage."""
+    reach = s.reachable_states()
+    succ = s.delta
+    prio = lambda q: s.priority[q]
+
+    chain = [frozenset(reach)]
+    reaching: list[tuple[set, set]] = []
+    while True:
+        current = set(chain[-1])
+        acc = can_reach_parity_cycle(current, succ, prio, want=0)
+        rej = can_reach_parity_cycle(current, succ, prio, want=1)
+        reaching.append((acc, rej))
+        nxt = frozenset(acc & rej)
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+
+    fixpoint = chain[-1]
+
+    def count(q: int, stage_sets) -> Rank:
+        if q in fixpoint:
+            return INFINITY
+        return from_int(sum(1 for sets in stage_sets if q in sets))
+
+    return RemainderTrace(
+        subject=s,
+        alpha_s=from_int(len(chain) - 1),
+        state_rank={q: count(q, chain) for q in reach},
+        accept_rank={q: count(q, [acc for acc, _ in reaching]) for q in reach},
+        reject_rank={q: count(q, [rej for _, rej in reaching]) for q in reach},
+    )
+
+
+# -- boolean products -----------------------------------------------
+#
+# The reference construction that the tests compare the decision
+# procedures against; no decision procedure builds it.  Complement is
+# free (bump priorities).  Intersection is the real construction: the
+# conjunction of two max-even parity conditions is a Streett condition
+# (one pair per odd priority per side), and a deterministic Streett
+# condition turns back into a parity condition with an index
+# appearance record, whose size is factorial in the number of
+# priorities.  The record keeps pair indices ordered by how recently
+# they were granted; a request strictly in front of every grant is a
+# suspicious event and emits an odd priority, a grant at the frontmost
+# touched position emits an even one.  Union, difference and xor
+# reduce to intersection and complement.  Pointwise correctness on all
+# UP words is exercised exhaustively in the test suite.
+
+BooleanOp = Literal["and", "or", "xor", "diff"]
+
+
+def product_boolean(s: ParitySet, t: ParitySet, op: BooleanOp) -> ParitySet:
+    _check_alphabets(s, t)
+    if op == "and":
+        return _intersection(s, t)
+    if op == "or":
+        return complement(_intersection(complement(s), complement(t)))
+    if op == "diff":
+        return _intersection(s, complement(t))
+    if op == "xor":
+        return product_boolean(
+            product_boolean(s, t, "diff"), product_boolean(t, s, "diff"), "or"
+        )
+    raise ValueError(f"unknown boolean op {op!r}")
+
+
+def _intersection(s: ParitySet, t: ParitySet) -> ParitySet:
+    k = s.alphabet
+    pairs: list[tuple[int, int]] = []
+    for o in sorted({p for p in s.priority if p % 2 == 1}):
+        pairs.append((0, o))
+    for o in sorted({p for p in t.priority if p % 2 == 1}):
+        pairs.append((1, o))
+    npairs = len(pairs)
+
+    def events(sq: int, tq: int) -> tuple[set[int], set[int]]:
+        prios = (s.priority[sq], t.priority[tq])
+        grants = {j for j, (side, o) in enumerate(pairs) if prios[side] > o}
+        requests = {j for j, (side, o) in enumerate(pairs) if prios[side] == o}
+        return grants, requests
+
+    def emit(record: tuple[int, ...], grants: set[int], requests: set[int]) -> int:
+        pos = {j: i + 1 for i, j in enumerate(record)}
+        g = min((pos[j] for j in grants), default=None)
+        r = min((pos[j] for j in requests), default=None)
+        if g is None and r is None:
+            return 0
+        if g is not None and (r is None or g <= r):
+            return 2 * (npairs + 1 - g)
+        return 2 * (npairs + 1 - r) - 1
+
+    def advance(record: tuple[int, ...], grants: set[int]) -> tuple[int, ...]:
+        stay = tuple(j for j in record if j not in grants)
+        moved = tuple(j for j in record if j in grants)
+        return stay + moved
+
+    prio: list[int] = []
+
+    def successors(key: tuple[int, int, tuple[int, ...]]):
+        sq, tq, record = key
+        grants, requests = events(sq, tq)
+        prio.append(emit(record, grants, requests))
+        rec_next = advance(record, grants)
+        return [(ns, nt, rec_next) for ns, nt in zip(s.delta[sq], t.delta[tq])]
+
+    _, rows = explore((s.start, t.start, tuple(range(npairs))), successors)
+    return ParitySet(alphabet=k, start=0, delta=tuple(rows), priority=tuple(prio))

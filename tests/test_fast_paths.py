@@ -14,7 +14,7 @@ import guessable.diff_hierarchy
 import guessable.guesser
 import guessable.space
 from guessable.cli import main
-from guessable.cycles import forward_closure, parity_cycle_nodes
+from guessable.cycles import forward_closure
 from guessable.diff_hierarchy import (
     ChainNotIncreasingError,
     OpenChain,
@@ -40,7 +40,6 @@ from guessable.guesser import (
     mind_change_rank,
     synthesize,
 )
-from guessable.oracle import literal_remainder_chain
 from guessable.ordinal import from_int, pred
 from guessable.randgen import duplicate_state, random_parity_set
 from guessable.remainder import remainder_chain
@@ -52,8 +51,9 @@ from guessable.space import (
     make_open,
     open_subset,
     open_union,
-    product_boolean,
 )
+import literal
+from literal import literal_remainder_chain, parity_cycle_nodes, product_boolean
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -468,7 +468,7 @@ def test_no_decision_builds_the_iar_product(monkeypatch, tmp_path):
         built.append((s, t))
         raise AssertionError("index-appearance-record product built")
 
-    monkeypatch.setattr(guessable.space, "_intersection", refuse)
+    monkeypatch.setattr(literal, "_intersection", refuse)
     opens = (OPEN_EMPTY, OPEN_FULL, OPEN_ONE, OPEN_FACTOR_11)
     for a in opens:
         for b in opens:

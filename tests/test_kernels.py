@@ -1,11 +1,14 @@
 """The graph kernels on state numbers, the order-key bound check and
 the stored finite part and integer of an ordinal, each against the
 literal form it replaced: a Tarjan pass over a copied adjacency dict,
-closures testing the node set first, the two Emerson-Lei searches
-`has_cycle` replaced, a bound check through the ordinal operators, and
-the ordinal readers that walked the Cantor normal form terms.  `has_cycle` is also checked against an
-exhaustive search of the strongly connected node subsets.  A search on
-a few nodes of a large graph reads only their rows.
+the forward closure testing the node set first, the two Emerson-Lei
+searches `has_cycle` replaced, a bound check through the ordinal
+operators, and the ordinal readers that walked the Cantor normal form
+terms.  `has_cycle` is also checked against an exhaustive search of
+the strongly connected node subsets, and the components
+`cycle_components` yields for one label against one SCC pass per
+priority.  A search on a few nodes of a large graph reads only their
+rows.
 
 The consumers of the condensation decide a one-state component from
 its own state; on graphs made mostly of single states, with and
@@ -23,17 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 from guessable.cycles import (
     Node,
-    backward_closure,
-    cycle_nodes,
+    cycle_components,
     forward_closure,
     has_cycle,
-    is_nontrivial,
-    parity_components,
     strongly_connected_components,
 )
 from guessable.diff_hierarchy import _forced_levels
 from guessable.guesser import MooreGuesser, RankedGuesser, check_bound, synthesize
-from guessable.oracle import literal_remainder_chain
 from guessable.ordinal import (
     INFINITY,
     OMEGA,
@@ -52,6 +51,13 @@ from guessable.ordinal import (
 from guessable.randgen import random_parity_set
 from guessable.remainder import remainder_chain
 from guessable.space import ParitySet, complement
+from literal import (
+    backward_closure,
+    cycle_nodes,
+    is_nontrivial,
+    literal_remainder_chain,
+    parity_components,
+)
 from test_fast_paths import counter_set
 from test_ordinal import ORDINALS
 
@@ -121,23 +127,6 @@ def literal_forward_closure(starts, nodes, succ):
     return seen
 
 
-def literal_backward_closure(targets, nodes, succ):
-    pred = {n: [] for n in nodes}
-    for n in nodes:
-        for m in succ[n]:
-            if m in nodes:
-                pred[m].append(n)
-    seen = {t for t in targets if t in nodes}
-    stack = list(seen)
-    while stack:
-        n = stack.pop()
-        for p in pred[n]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
-
-
 # `cycle_parities` and `even_odd_cycle` as they stood before `has_cycle`
 # replaced them, kept verbatim
 
@@ -203,9 +192,9 @@ def even_odd_cycle(
     return False
 
 
-# `has_cycle`, `parity_components`, `cycle_nodes` and `_forced_levels` as
-# they stood before a one-state component was decided from its own
-# state, kept verbatim but for the names
+# `has_cycle` and `_forced_levels` as they stood before a one-state
+# component was decided from its own state, kept verbatim but for the
+# names
 
 
 def literal_has_cycle(nodes: set, succ: Sequence, kinds) -> bool:
@@ -226,26 +215,6 @@ def literal_has_cycle(nodes: set, succ: Sequence, kinds) -> bool:
                 else:
                     return True
     return False
-
-
-def literal_parity_components(
-    nodes: set, succ: Sequence, priority: Callable[[Node], int], want: int
-):
-    for p in sorted({priority(n) for n in nodes}):
-        if p % 2 != want:
-            continue
-        sub = {n for n in nodes if priority(n) <= p}
-        for comp in strongly_connected_components(sub, succ):
-            if is_nontrivial(comp, succ) and any(priority(n) == p for n in comp):
-                yield comp, p
-
-
-def literal_cycle_nodes(nodes: set, succ: Sequence) -> set:
-    out: set = set()
-    for comp in strongly_connected_components(nodes, succ):
-        if is_nontrivial(comp, succ):
-            out.update(comp)
-    return out
 
 
 def literal_forced_levels(succ: Sequence, levels: Sequence[int]) -> list[int]:
@@ -272,7 +241,7 @@ def exhaustive_has_cycle(nodes, succ, kinds):
             first = min(sub)
             if (
                 literal_forward_closure([first], sub, succ) != sub
-                or literal_backward_closure([first], sub, succ) != sub
+                or backward_closure([first], sub, succ) != sub
                 or (size == 1 and first not in succ[first])
             ):
                 continue
@@ -322,15 +291,13 @@ def test_kernels_agree_with_the_literal_forms(graph):
     assert forward_closure(ends, nodes, succ) == literal_forward_closure(
         ends, nodes, succ
     )
-    assert backward_closure(ends, nodes, succ) == literal_backward_closure(
-        ends, nodes, succ
-    )
 
 
 @st.composite
 def labelled_graphs(draw, graphs=graphs_with_subsets(7)):
     """Rows over at most 7 states, a node subset whose rows may point
-    outside it, 1-3 labels and 1-2 kinds of 1-3 pairs over them."""
+    outside it, 1-3 labels and 1-2 kinds of 0-3 pairs over them: the
+    empty kind takes any cycle."""
     succ, nodes, _ = draw(graphs)
     n = len(succ)
     labels = draw(
@@ -341,7 +308,7 @@ def labelled_graphs(draw, graphs=graphs_with_subsets(7)):
         )
     )
     pair = st.tuples(st.sampled_from(labels), st.integers(0, 1))
-    kind = st.lists(pair, min_size=1, max_size=3)
+    kind = st.lists(pair, max_size=3)
     kinds = draw(st.lists(kind, min_size=1, max_size=2))
     return succ, nodes, labels, kinds
 
@@ -351,6 +318,24 @@ def labelled_graphs(draw, graphs=graphs_with_subsets(7)):
 def test_has_cycle_agrees_with_the_exhaustive_search(graph):
     succ, nodes, _, kinds = graph
     assert has_cycle(nodes, succ, kinds) == exhaustive_has_cycle(nodes, succ, kinds)
+
+
+def assert_components_per_priority(nodes, succ, labels):
+    """For one label and parity, the refinement components paired with
+    their tops are the components of the one-pass-per-priority search."""
+    for label in labels:
+        for parity in (0, 1):
+            found = cycle_components(nodes, succ, [[(label, parity)]])
+            assert sorted(
+                (comp, max(label[n] for n in comp)) for comp in found
+            ) == sorted(parity_components(nodes, succ, label.__getitem__, parity))
+
+
+@PROPERTY
+@given(labelled_graphs())
+def test_cycle_components_are_the_per_priority_components(graph):
+    succ, nodes, labels, _ = graph
+    assert_components_per_priority(nodes, succ, labels)
 
 
 @PROPERTY
@@ -404,10 +389,8 @@ def test_one_state_components_are_decided_as_before(graph):
         for parity in (0, 1):
             kind = [[(label, parity)]]
             assert has_cycle(nodes, succ, kind) == literal_has_cycle(nodes, succ, kind)
-            assert list(
-                parity_components(nodes, succ, label.__getitem__, parity)
-            ) == list(literal_parity_components(nodes, succ, label.__getitem__, parity))
-    assert cycle_nodes(nodes, succ) == literal_cycle_nodes(nodes, succ)
+    assert_components_per_priority(nodes, succ, labels)
+    assert has_cycle(nodes, succ, [()]) == bool(cycle_nodes(nodes, succ))
     skeleton = SimpleNamespace(delta=succ, n_states=len(succ))
     assert _forced_levels(skeleton, labels[0]) == literal_forced_levels(
         succ, labels[0]
@@ -494,9 +477,9 @@ def test_a_subset_costs_only_its_own_rows():
     for run in (
         lambda: strongly_connected_components(sub, rows),
         lambda: forward_closure([100], sub, rows),
-        lambda: backward_closure([102], sub, rows),
+        lambda: has_cycle(sub, rows, [()]),
         lambda: has_cycle(sub, rows, [[(mod3, 1)]]),
-        lambda: cycle_nodes(sub, rows),
+        lambda: list(cycle_components(sub, rows, [[(mod3, 0)], [(mod3, 1)]])),
         lambda: has_cycle(sub, rows, [[(mod3, 0), (one, 1)]]),
     ):
         rows.read.clear()

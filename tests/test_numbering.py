@@ -12,8 +12,9 @@ that search missed the open complement of the clopen random set 1189
 side went from SELF to BOTH; every chain is unchanged.  The
 `divergence_witness` digest pins the counterexamples the guesser-set
 product search prints; it was taken while the search for wrong-side
-constant-opinion cycles still scanned the priorities itself, before it
-read `cycles.parity_components`.
+constant-opinion cycles still scanned the priorities itself, and it
+still holds now that the search reads the refinement components of
+`cycles.cycle_components`.
 """
 
 import hashlib
@@ -48,7 +49,8 @@ from guessable.randgen import (
     random_parity_set,
 )
 from guessable.remainder import remainder_chain
-from guessable.space import complement, open_subset, product_boolean
+from guessable.space import complement, open_subset
+from literal import product_boolean
 from test_fast_paths import counter_set
 
 OPEN_FIXTURES = (OPEN_EMPTY, OPEN_FACTOR_11, OPEN_ONE, OPEN_FULL)

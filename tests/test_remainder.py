@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from guessable.cycles import cycle_nodes, forward_closure
+from guessable.cycles import forward_closure
 from guessable.diff_hierarchy import _split_root, classify, guesser_to_chain
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_INF1, F_NO11, F_ONE
 from guessable.guesser import synthesize
@@ -19,6 +19,7 @@ from guessable.remainder import (
     word_rank,
 )
 from guessable.space import complement, words_up_to
+from literal import cycle_nodes
 from test_fast_paths import PROPERTY, counter_set, parity_sets
 
 

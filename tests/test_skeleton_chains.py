@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 import guessable.diff_hierarchy
 import guessable.space
 from guessable.cli import main
-from guessable.cycles import backward_closure, cycle_nodes, explore
+from guessable.cycles import explore
 from guessable.diff_hierarchy import (
     OpenChain,
     _forced_levels,
@@ -42,6 +42,7 @@ from guessable.randgen import (
 )
 from guessable.remainder import remainder_chain
 from guessable.space import OpenSet, complement
+from literal import backward_closure, cycle_nodes
 from test_fast_paths import (
     PROPERTY,
     counter_set,

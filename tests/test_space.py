@@ -27,9 +27,9 @@ from guessable.space import (
     is_empty,
     membership_up,
     open_subset,
-    product_boolean,
     words_up_to,
 )
+from literal import product_boolean
 
 
 def up(text):

@@ -6,7 +6,9 @@ priority.  The trace is checked against the literal stage iteration on
 sets whose components cycle through several priorities, the memo is
 checked to be invisible from outside and bound to one instance, and
 the verdicts that read the trace are checked to share one condensation
-pass and one canonical guesser.
+pass and one canonical guesser.  The divergence witness of a canonical
+guesser makes one condensation pass of its product, with no
+wrong-side search on a side that holds no priority of its parity.
 """
 
 import dataclasses
@@ -14,14 +16,16 @@ import random
 
 from hypothesis import given, strategies as st
 
+import guessable.cycles
 import guessable.guesser
 import guessable.remainder
 from guessable.diff_hierarchy import classify
-from guessable.guesser import mind_change_rank, synthesize
-from guessable.oracle import cross_validate, draw_tables, literal_remainder_chain
+from guessable.guesser import divergence_witness, mind_change_rank, synthesize
+from guessable.oracle import cross_validate, draw_tables
 from guessable.randgen import random_scc_dag
 from guessable.remainder import remainder_chain
 from guessable.space import ParitySet, complement
+from literal import literal_remainder_chain
 from test_fast_paths import PROPERTY, counter_set
 
 
@@ -113,6 +117,19 @@ def test_one_condensation_pass_per_set(monkeypatch):
     trace = remainder_chain(s)
     assert len(passes) == 1
     assert rank == trace.rank == classification.rank == ranked.codomain
+
+
+def test_witness_of_a_counter_guesser_makes_one_pass(monkeypatch):
+    sets = [t for m in (3, 6, 12) for t in (counter_set(m), complement(counter_set(m)))]
+    guessers = [synthesize(t).guesser for t in sets]
+    scc = "strongly_connected_components"
+    on_product = counted(monkeypatch, scc, guessable.guesser)
+    refining = counted(monkeypatch, scc, guessable.cycles)
+    for t, g in zip(sets, guessers):
+        on_product.clear()
+        refining.clear()
+        assert divergence_witness(g, t) is None
+        assert len(on_product) + len(refining) == 1
 
 
 def test_cross_validate_builds_one_trace_per_table(monkeypatch):
