@@ -162,7 +162,8 @@ def cycle_components(
     top nodes of the first label of the wrong parity.  Either way the
     top nodes of the last label read (after a match, the kind's last
     one) are dropped and the rest is searched again for that kind
-    alone; a match of the empty kind has no label and ends its search.
+    alone, unless no node of the rest has that label's wanted parity;
+    a match of the empty kind has no label and ends its search.
     So for one label each yielded component with top p is the SCC of
     the priority <= p nodes that holds it, and every such SCC that
     holds a p-node and a cycle is yielded.
@@ -193,7 +194,9 @@ def cycle_components(
                     if not kind:  # any cycle: no top to search below
                         continue
                 below = {n for n in comp if label[n] < top}
-                if below:
+                # a cycle of the kind below needs a top of the wanted
+                # parity there, so a set without such a node is dropped
+                if any(label[n] % 2 == parity for n in below):
                     pending.append((below, [kind]))
 
 

@@ -3,6 +3,8 @@
 This module recomputes stage sets, word ranks and the canonical
 guesser directly from their definitions on the tree of words of
 length <= d, and exists to cross-check the automaton pipeline.  The
+stage sets are built once per table, as the chain is iterated, and the
+guesser's case split reads the stage it names from them.  The
 convention that makes the literal recursion terminate: below depth d
 every subtree is membership-constant, so an infinite extension stays
 inside a stage set exactly when all of its prefixes up to depth d do.
@@ -12,8 +14,9 @@ is carried by the cross checks below.
 
 Only the cross checks here are part of the package: the literal
 stage-by-stage iteration of the remainder chain on automaton states,
-the reference for the one-pass trace, is read by the tests alone and
-is kept with them in `tests/literal.py`.
+and the guesser that rebuilds each stage from the word ranks, the
+references for the trace and for the kept stages, are read by the
+tests alone and are kept with them in `tests/literal.py`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .guesser import evaluate, synthesize
 from .ordinal import INFINITY
@@ -59,11 +62,14 @@ def _cells(alphabet: int, depth: int, budget: int, what: str) -> int:
 @dataclass(frozen=True)
 class TruncatedTree:
     """Stage ranks of every node of the depth-d word tree, computed by
-    running the stage step until the node set stops shrinking."""
+    running the stage step until the node set stops shrinking, and the
+    stages themselves: `stages[i]` is `{w : ranks[w] > i}`, from every
+    word of length <= d down to the empty one at `least_empty_stage`."""
 
     table: ClopenTable
     ranks: dict[Word, int]
     least_empty_stage: int
+    stages: tuple[frozenset[Word], ...]
 
     def rank_of(self, word: Word) -> int:
         """Rank of an arbitrary word; beyond depth d the subtree is
@@ -74,7 +80,7 @@ class TruncatedTree:
 
 
 def _extension_classes(
-    table: ClopenTable, node: Word, stage: set[Word]
+    table: ClopenTable, node: Word, stage: AbstractSet[Word]
 ) -> set[int]:
     """Membership classes of infinite extensions of `node` that stay in
     the current stage: classes of depth-d descendants whose whole
@@ -103,26 +109,20 @@ def truncated_remainder(table: ClopenTable) -> TruncatedTree:
     """Stagewise word-level chain, literally: a node survives into the
     next stage iff extensions of both classes remain available through
     the current stage."""
-    nodes = list(words_up_to(table.alphabet, table.depth))
-    stage: set[Word] = set(nodes)
+    stage = frozenset(words_up_to(table.alphabet, table.depth))
+    stages = [stage]
     ranks: dict[Word, int] = {}
-    least_empty = None
-    index = 0
-    while True:
-        index += 1
-        survivors = {
+    while stage:
+        survivors = frozenset(
             w for w in stage if len(_extension_classes(table, w, stage)) == 2
-        }
-        for w in stage - survivors:
-            ranks[w] = index
-        if not survivors and least_empty is None:
-            least_empty = index
+        )
         if survivors == stage:
-            break
+            raise AssertionError("clopen stage chain failed to empty")
+        for w in stage - survivors:
+            ranks[w] = len(stages)
+        stages.append(survivors)
         stage = survivors
-    if least_empty is None:
-        raise AssertionError("clopen stage chain failed to empty")
-    return TruncatedTree(table=table, ranks=ranks, least_empty_stage=least_empty)
+    return TruncatedTree(table, ranks, len(stages) - 1, tuple(stages))
 
 
 def truncated_guesser(table: ClopenTable) -> dict[Word, int]:
@@ -155,13 +155,8 @@ def _guess_at(
     if len(word) > table.depth:
         # homogeneous below depth d: the one available class wins
         return table.lookup(word)
-    rank = tree.rank_of(word)
-    stage_prev = {
-        w
-        for w in words_up_to(table.alphabet, table.depth)
-        if tree.rank_of(w) > rank - 1
-    }
-    classes = _extension_classes(table, word, stage_prev)
+    # stage r - 1 for the word's rank r: the last stage it lies in
+    classes = _extension_classes(table, word, tree.stages[tree.rank_of(word) - 1])
     if len(classes) == 2:
         raise AssertionError("rank mismatch: both classes at a ranked node")
     if classes:

@@ -8,6 +8,9 @@ kept once and built from nothing it checks.
   parity.  They read only `strongly_connected_components`.
 - `literal_remainder_chain`, the stage-by-stage iteration of the
   remainder chain on automaton states, the reference for the trace.
+- `literal_guesser_value`, the oracle's guesser case split with each
+  stage rebuilt from the word ranks, the reference for the stages
+  `oracle.TruncatedTree` keeps.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
   `open_union`.
@@ -21,9 +24,17 @@ from __future__ import annotations
 from typing import Callable, Iterable, Literal, Sequence
 
 from guessable.cycles import Node, explore, strongly_connected_components
+from guessable.oracle import TruncatedTree, _extension_classes
 from guessable.ordinal import INFINITY, Rank, from_int
 from guessable.remainder import RemainderTrace
-from guessable.space import ParitySet, _check_alphabets, complement
+from guessable.space import (
+    ClopenTable,
+    ParitySet,
+    Word,
+    _check_alphabets,
+    complement,
+    words_up_to,
+)
 
 # -- graph kernels ----------------------------------------------------------
 
@@ -140,6 +151,36 @@ def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
         accept_rank={q: count(q, [acc for acc, _ in reaching]) for q in reach},
         reject_rank={q: count(q, [rej for _, rej in reaching]) for q in reach},
     )
+
+
+# -- the truncated guesser ---------------------------------------------------
+
+
+def literal_guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
+    """The canonical guesser at `word` by the oracle's case split, with
+    stage r - 1 for each prefix's rank r rebuilt by scanning the rank
+    of every word of length <= d."""
+    out: dict[Word, int] = {}
+    for i in range(len(word) + 1):
+        prefix = word[:i]
+        if len(prefix) > table.depth:
+            out[prefix] = table.lookup(prefix)
+            continue
+        rank = tree.rank_of(prefix)
+        stage_prev = {
+            w
+            for w in words_up_to(table.alphabet, table.depth)
+            if tree.rank_of(w) > rank - 1
+        }
+        classes = _extension_classes(table, prefix, stage_prev)
+        assert len(classes) < 2, "rank mismatch: both classes at a ranked node"
+        if classes:
+            out[prefix] = classes.pop()
+        elif prefix:
+            out[prefix] = out[prefix[:-1]]
+        else:
+            out[prefix] = 0
+    return out[word]
 
 
 # -- boolean products -----------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from guessable.oracle import (
@@ -9,7 +11,21 @@ from guessable.oracle import (
     truncated_guesser,
     truncated_remainder,
 )
-from guessable.space import ClopenTable, cylinder
+from guessable.space import ClopenTable, cylinder, words_up_to
+from literal import literal_guesser_value
+
+
+def binary_tables():
+    """Every binary table of depth <= 3."""
+    return itertools.chain.from_iterable(exhaustive_tables(2, d) for d in range(4))
+
+
+def reference_tables():
+    """The binary tables, every ternary table of depth 1 and 200 seeded
+    ternary tables of depth 2."""
+    return itertools.chain(
+        binary_tables(), exhaustive_tables(3, 1), sample_tables(3, 2, 200, seed=0)
+    )
 
 
 class TestTruncatedRemainder:
@@ -37,6 +53,18 @@ class TestTruncatedRemainder:
         tree = truncated_remainder(cylinder((1,)))
         assert tree.rank_of((1, 0, 1)) == 1
 
+    def test_stages_are_the_rank_sets(self):
+        for table in binary_tables():
+            tree = truncated_remainder(table)
+            words = set(words_up_to(2, table.depth))
+            assert tree.stages[0] == words
+            for before, after in zip(tree.stages, tree.stages[1:]):
+                assert after <= before
+            for i, stage in enumerate(tree.stages):
+                assert stage == {w for w in words if tree.ranks[w] > i}
+            empty = [i for i, stage in enumerate(tree.stages) if not stage]
+            assert empty[0] == tree.least_empty_stage
+
 
 class TestTruncatedGuesser:
     def test_cylinder_one(self):
@@ -59,6 +87,30 @@ class TestTruncatedGuesser:
         table = truncated_guesser(t)
         assert table[(0,)] == 1  # all extensions of 0 belong
         assert table[(1,)] == table[()]  # still split below 1: inherit
+
+    def test_guesser_value_reads_the_table_of_guesses(self):
+        for table in binary_tables():
+            tree = truncated_remainder(table)
+            guesses = truncated_guesser(table)
+            for word in words_up_to(2, table.depth + 3):
+                if len(word) <= table.depth + 1:
+                    want = guesses[word]
+                else:
+                    want = table.lookup(word)
+                assert guesser_value(table, tree, word) == want
+
+    def test_stages_read_equal_stages_rebuilt(self):
+        words = 0
+        for table in reference_tables():
+            tree = truncated_remainder(table)
+            guesses = truncated_guesser(table)
+            for word in words_up_to(table.alphabet, table.depth + 2):
+                want = literal_guesser_value(table, tree, word)
+                assert guesser_value(table, tree, word) == want
+                if len(word) <= table.depth + 1:
+                    assert guesses[word] == want
+                words += 1
+        assert words == 41_218
 
 
 class TestEnumeration:

@@ -8,7 +8,9 @@ checked to be invisible from outside and bound to one instance, and
 the verdicts that read the trace are checked to share one condensation
 pass and one canonical guesser.  The divergence witness of a canonical
 guesser makes one condensation pass of its product, with no
-wrong-side search on a side that holds no priority of its parity.
+wrong-side search on a side that holds no priority of its parity, and
+the refinement searches no set below a top that holds no node of the
+wanted parity.
 """
 
 import dataclasses
@@ -130,6 +132,19 @@ def test_witness_of_a_counter_guesser_makes_one_pass(monkeypatch):
         refining.clear()
         assert divergence_witness(g, t) is None
         assert len(on_product) + len(refining) == 1
+
+
+def test_no_search_below_a_top_without_the_wanted_parity(monkeypatch):
+    passes = counted(monkeypatch, "strongly_connected_components", guessable.cycles)
+    ring = ((1,), (0,))  # 0 -> 1 -> 0
+    # an odd top with an odd node below it: no even cycle, nothing to refine
+    assert not guessable.cycles.has_cycle({0, 1}, ring, [[((3, 1), 0)]])
+    assert len(passes) == 1
+    passes.clear()
+    # an even top with an odd node below it: the ring, and nothing more
+    found = list(guessable.cycles.cycle_components({0, 1}, ring, [[((2, 1), 0)]]))
+    assert found == [[0, 1]]
+    assert len(passes) == 1
 
 
 def test_cross_validate_builds_one_trace_per_table(monkeypatch):
