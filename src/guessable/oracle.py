@@ -4,7 +4,8 @@ This module recomputes stage sets, word ranks and the canonical
 guesser directly from their definitions on the tree of words of
 length <= d, and exists to cross-check the automaton pipeline.  The
 stage sets are built once per table, as the chain is iterated, and the
-guesser's case split reads the stage it names from them.  The
+guesser's case split reads the stage it names from them; it runs once
+per word per table, each word reading its parent's guess.  The
 convention that makes the literal recursion terminate: below depth d
 every subtree is membership-constant, so an infinite extension stays
 inside a stage set exactly when all of its prefixes up to depth d do.
@@ -14,9 +15,10 @@ is carried by the cross checks below.
 
 Only the cross checks here are part of the package: the literal
 stage-by-stage iteration of the remainder chain on automaton states,
-and the guesser that rebuilds each stage from the word ranks, the
-references for the trace and for the kept stages, are read by the
-tests alone and are kept with them in `tests/literal.py`.
+the guesser that rebuilds each stage from the word ranks and the
+guesser that walks one word's prefixes, the references for the trace,
+the kept stages and the one sweep per table, are read by the tests
+alone and are kept with them in `tests/literal.py`.
 """
 
 from __future__ import annotations
@@ -130,20 +132,15 @@ def truncated_guesser(table: ClopenTable) -> dict[Word, int]:
     case split: with extensions available inside the previous stage,
     output their common class; with none, inherit the parent's output
     (0 at the root)."""
-    tree = truncated_remainder(table)
+    return _guesses(table, truncated_remainder(table), table.depth + 1)
+
+
+def _guesses(table: ClopenTable, tree: TruncatedTree, length: int) -> dict[Word, int]:
+    """The guess at each word of length <= `length`, its parent's first."""
     out: dict[Word, int] = {}
-    for word in words_up_to(table.alphabet, table.depth + 1):
+    for word in words_up_to(table.alphabet, length):
         out[word] = _guess_at(table, tree, word, out)
     return out
-
-
-def guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
-    """Guesser output at a single word of any length."""
-    out: dict[Word, int] = {}
-    for i in range(len(word) + 1):
-        prefix = word[:i]
-        out[prefix] = _guess_at(table, tree, prefix, out)
-    return out[word]
 
 
 def _guess_at(
@@ -226,7 +223,8 @@ def cross_validate(
     word_length: int = 4,
 ) -> CrossValidationReport:
     """For each table, compare word ranks and guesser outputs between
-    the literal recursion here and the automaton pipeline."""
+    the literal recursion here and the automaton pipeline; the case
+    split runs once per word of length <= min(word_length, d)."""
     report = CrossValidationReport()
     for table in tables:
         report.tables_checked += 1
@@ -237,11 +235,13 @@ def cross_validate(
             report.rank_infinite.append(table)
             continue
         ranked = synthesize(automaton)
+        guesses = _guesses(table, tree, min(word_length, table.depth))
         for word in words_up_to(table.alphabet, word_length):
             want = tree.rank_of(word)
             got = word_rank(trace, word)
             if got is INFINITY or got.to_int() != want:
                 report.rank_mismatches.append((table, word))
-            if evaluate(ranked.guesser, word) != guesser_value(table, tree, word):
+            guess = guesses[word] if word in guesses else table.lookup(word)
+            if evaluate(ranked.guesser, word) != guess:
                 report.guess_mismatches.append((table, word))
     return report

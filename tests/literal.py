@@ -11,6 +11,9 @@ kept once and built from nothing it checks.
 - `literal_guesser_value`, the oracle's guesser case split with each
   stage rebuilt from the word ranks, the reference for the stages
   `oracle.TruncatedTree` keeps.
+- `guesser_value`, the oracle's case split at one word, run afresh on
+  each of its prefixes, the reference for the one sweep per table that
+  `oracle.cross_validate` and `oracle.truncated_guesser` read.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
   `open_union`.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Literal, Sequence
 
 from guessable.cycles import Node, explore, strongly_connected_components
-from guessable.oracle import TruncatedTree, _extension_classes
+from guessable.oracle import TruncatedTree, _extension_classes, _guess_at
 from guessable.ordinal import INFINITY, Rank, from_int
 from guessable.remainder import RemainderTrace
 from guessable.space import (
@@ -154,6 +157,16 @@ def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
 
 
 # -- the truncated guesser ---------------------------------------------------
+
+
+def guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
+    """The canonical guesser at a single word of any length, by the
+    oracle's own case split on each of its prefixes in turn."""
+    out: dict[Word, int] = {}
+    for i in range(len(word) + 1):
+        prefix = word[:i]
+        out[prefix] = _guess_at(table, tree, prefix, out)
+    return out[word]
 
 
 def literal_guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:

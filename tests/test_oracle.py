@@ -1,18 +1,22 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from guessable import oracle
+from guessable.guesser import evaluate
 from guessable.oracle import (
     BudgetExceededError,
     cross_validate,
     exhaustive_tables,
-    guesser_value,
     sample_tables,
     truncated_guesser,
     truncated_remainder,
 )
-from guessable.space import ClopenTable, cylinder, words_up_to
-from literal import literal_guesser_value
+from guessable.ordinal import INFINITY, from_int
+from guessable.remainder import remainder_chain
+from guessable.space import ClopenTable, compile_clopen, cylinder, words_up_to
+from literal import guesser_value, literal_guesser_value
 
 
 def binary_tables():
@@ -153,3 +157,99 @@ class TestCrossValidation:
             assert tree.least_empty_stage == want
             rank = mind_change_rank(compile_clopen(table))
             assert rank is not None and rank.to_int() == want
+
+
+def per_word_mismatches(tables, word_length):
+    """The mismatch lists of `cross_validate` by a loop that decides each
+    word's guess afresh from its prefixes; it reads `synthesize` and
+    `word_rank` through the oracle module, so a patch there reaches both."""
+    ranks, guesses = [], []
+    for table in tables:
+        automaton = compile_clopen(table)
+        trace = remainder_chain(automaton)
+        tree = truncated_remainder(table)
+        ranked = oracle.synthesize(automaton)
+        for word in words_up_to(table.alphabet, word_length):
+            got = oracle.word_rank(trace, word)
+            if got is INFINITY or got.to_int() != tree.rank_of(word):
+                ranks.append((table, word))
+            if evaluate(ranked.guesser, word) != guesser_value(table, tree, word):
+                guesses.append((table, word))
+    return ranks, guesses
+
+
+def flip_last_state(synthesize):
+    def flipped(s):
+        ranked = synthesize(s)
+        output = list(ranked.guesser.output)
+        output[-1] = 1 - output[-1]
+        guesser = dataclasses.replace(ranked.guesser, output=tuple(output))
+        return dataclasses.replace(ranked, guesser=guesser)
+
+    return flipped
+
+
+def off_by_one_on_odd_sums(word_rank):
+    def shifted(trace, word):
+        rank = word_rank(trace, word)
+        return from_int(rank.to_int() + 1) if sum(word) % 2 else rank
+
+    return shifted
+
+
+class TestOneSweepPerTable:
+    TABLES = [*exhaustive_tables(2, 3), *sample_tables(3, 2, 60, seed=5)]
+
+    @pytest.mark.parametrize("patch", [None, "synthesize", "word_rank"])
+    def test_mismatches_equal_the_per_word_loop(self, monkeypatch, patch):
+        if patch == "synthesize":
+            monkeypatch.setattr(oracle, patch, flip_last_state(oracle.synthesize))
+        elif patch == "word_rank":
+            monkeypatch.setattr(oracle, patch, off_by_one_on_odd_sums(oracle.word_rank))
+        found = [0, 0]
+        for depth in (3, 2):
+            tables = [t for t in self.TABLES if t.depth == depth]
+            for word_length in (0, 1, depth, depth + 2):
+                report = cross_validate(tables, word_length)
+                ranks, guesses = per_word_mismatches(tables, word_length)
+                assert report.tables_checked == len(tables)
+                assert not report.rank_infinite
+                assert report.rank_mismatches == ranks
+                assert report.guess_mismatches == guesses
+                found[0] += len(ranks)
+                found[1] += len(guesses)
+        # each patch leaves mismatches of its own kind to find
+        assert [n > 0 for n in found] == [patch == "word_rank", patch == "synthesize"]
+
+    def test_each_short_word_is_decided_once(self, monkeypatch):
+        calls = []
+        guess_at = oracle._guess_at
+
+        def spy(table, tree, word, memo):
+            calls.append((table, word))
+            return guess_at(table, tree, word, memo)
+
+        monkeypatch.setattr(oracle, "_guess_at", spy)
+        tables = [*exhaustive_tables(2, 2), *sample_tables(3, 2, 10, seed=1)]
+        for word_length in (0, 1, 2, 4):
+            calls.clear()
+            assert cross_validate(tables, word_length).ok
+            want = [
+                (t, w)
+                for t in tables
+                for w in words_up_to(t.alphabet, min(word_length, t.depth))
+            ]
+            assert calls == want
+
+    def test_long_words_leave_the_guesses_at_depth(self, monkeypatch):
+        kept = []
+        guesses = oracle._guesses
+
+        def spy(table, tree, length):
+            kept.append(guesses(table, tree, length))
+            return kept[-1]
+
+        monkeypatch.setattr(oracle, "_guesses", spy)
+        table = ClopenTable(2, 2, (0, 1, 1, 0))
+        assert cross_validate([table], word_length=12).ok
+        assert [set(out) for out in kept] == [set(words_up_to(2, 2))]
