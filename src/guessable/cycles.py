@@ -25,9 +25,11 @@ of each of some labels along the cycle: emptiness asks for an even
 maximum priority, equivalence for a cycle whose two sides' maxima
 differ in parity, the remainder ranks for the parity a component's
 top does not give, and `open_subset` for any cycle at all.  `has_cycle`
-asks whether it yields anything; the divergence witness reads every
-component of a wrong-side parity and anchors its cycles at their
-tops.  None of them builds a parity product.
+asks whether it yields anything; the divergence witness asks for three
+kinds on the whole guesser-set product, over its opinion, the flipped
+opinion and the priority: both opinions (an oscillating cycle), opinion
+0 under an even top, and opinion 1 under an odd top (a constant opinion
+on the wrong side).  None of them builds a parity product.
 
 A component of one state is decided from that state alone, here and
 in every consumer of the condensation: its only possible cycle is its

@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import (
-    cycle_components,
-    explore,
-    shortest_word_path,
-    strongly_connected_components,
-)
+from .cycles import cycle_components, explore, shortest_word_path
 from .ordinal import OrdinalCNF, order_key
 from .space import (
     Machine,
@@ -202,6 +197,12 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     counterexample: a reachable cycle on which the opinion oscillates,
     or stays constant on the wrong side of membership.
 
+    One refinement search over the whole product asks for three kinds
+    of cycle, which exclude each other: both opinions occur (the
+    opinion oscillates); the opinion stays 0 under an even top
+    priority (the point is a member); the opinion stays 1 under an odd
+    top (the point is not a member).
+
     Returns None exactly when no reachable product cycle falsifies,
     which certifies the guesser on every ultimately periodic word.
     The search is deterministic; candidates are generated shortest
@@ -220,48 +221,30 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
             if j > i and parent[j] is None:
                 parent[j] = (i, a)
                 depth[j] = depth[i] + 1
-    nodes = set(range(len(order)))
     out = [g.output[p] for p, _ in order]
+    flipped = [1 - b for b in out]
     prio = [s.priority[q] for _, q in order]
+    kinds = [[(out, 1), (flipped, 1)], [(out, 0), (prio, 0)], [(flipped, 0), (prio, 1)]]
 
     # (depth + period length, depth, anchor, period): the order of
     # (|u| + |v|, |u|, u, v) over the witnesses u(v)
     candidates: list[tuple[int, int, int, Word]] = []
-
-    def add_candidate(anchor: int, period: Word) -> None:
-        candidates.append((depth[anchor] + len(period), depth[anchor], anchor, period))
-
-    # (a) cycles with oscillating opinion
-    for comp in strongly_connected_components(nodes, rows):
-        if len(comp) == 1:  # one state holds one opinion
-            continue
+    for comp in cycle_components(set(range(len(order))), rows, kinds):
         comp_set = set(comp)
-        if len({out[n] for n in comp}) < 2:
-            continue
-        anchor = min(comp)
-        other = {n for n in comp_set if out[n] != out[anchor]}
-        leg1 = shortest_word_path(anchor, other, comp_set, rows)
-        assert leg1 is not None
-        word1, mid = leg1
-        leg2 = shortest_word_path(mid, {anchor}, comp_set, rows)
-        assert leg2 is not None
-        add_candidate(anchor, word1 + leg2[0])
-
-    # (b) constant-opinion cycles on the wrong side of membership: with
-    # opinion b, a top priority of parity b means membership 1-b; each
-    # refinement component with such a top p holds the cycles of
-    # maximum p through its p-nodes, and a side with no priority of
-    # parity b has none, so it costs no SCC pass
-    for b in (0, 1):
-        sub_b = {n for n in nodes if out[n] == b}
-        if not any(prio[n] % 2 == b for n in sub_b):
-            continue
-        for comp in cycle_components(sub_b, rows, [[(prio, b)]]):
+        other = {n for n in comp if out[n] != out[comp[0]]}
+        if other:
+            # the opinion oscillates: from the least node to the other
+            # opinion and back
+            anchor = comp[0]
+            word1, mid = shortest_word_path(anchor, other, comp_set, rows)
+            period = word1 + shortest_word_path(mid, {anchor}, comp_set, rows)[0]
+        else:
+            # a constant opinion on the wrong side: the shortest closed
+            # walk through the least node of top priority
             p = max(map(prio.__getitem__, comp))
             anchor = min(n for n in comp if prio[n] == p)
-            found = shortest_word_path(anchor, {anchor}, set(comp), rows)
-            if found is not None:
-                add_candidate(anchor, found[0])
+            period = shortest_word_path(anchor, {anchor}, comp_set, rows)[0]
+        candidates.append((depth[anchor] + len(period), depth[anchor], anchor, period))
 
     if not candidates:
         return None

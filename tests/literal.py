@@ -6,6 +6,10 @@ kept once and built from nothing it checks.
   cycle, the backward closure, the nodes on some cycle, and one SCC
   pass per priority for the cycles of each maximum priority of one
   parity.  They read only `strongly_connected_components`.
+- `literal_divergence_witness`, the guesser-set product search with
+  one SCC pass for oscillating cycles and, for each opinion, the
+  per-priority components of the wrong-side parity, the reference for
+  the single refinement search of `guesser.divergence_witness`.
 - `literal_remainder_chain`, the stage-by-stage iteration of the
   remainder chain on automaton states, the reference for the trace.
 - `literal_guesser_value`, the oracle's guesser case split with each
@@ -26,16 +30,24 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Literal, Sequence
 
-from guessable.cycles import Node, explore, strongly_connected_components
+from guessable.cycles import (
+    Node,
+    explore,
+    shortest_word_path,
+    strongly_connected_components,
+)
+from guessable.guesser import MooreGuesser
 from guessable.oracle import TruncatedTree, _extension_classes, _guess_at
 from guessable.ordinal import INFINITY, Rank, from_int
 from guessable.remainder import RemainderTrace
 from guessable.space import (
     ClopenTable,
     ParitySet,
+    UPWord,
     Word,
     _check_alphabets,
     complement,
+    product,
     words_up_to,
 )
 
@@ -154,6 +166,56 @@ def literal_remainder_chain(s: ParitySet) -> RemainderTrace:
         accept_rank={q: count(q, [acc for acc, _ in reaching]) for q in reach},
         reject_rank={q: count(q, [rej for _, rej in reaching]) for q in reach},
     )
+
+
+# -- the divergence witness --------------------------------------------------
+
+
+def literal_divergence_witness(g: MooreGuesser, s: ParitySet) -> UPWord | None:
+    """The least counterexample u(v) by (|u| + |v|, |u|, u, v) among
+    the candidates of three searches of the guesser-set product: each
+    nontrivial SCC holding both opinions, anchored at its least node
+    with a period to the other opinion and back; and for each opinion
+    b, each component of `parity_components` of parity b inside the
+    nodes of opinion b, anchored at its least top-priority node with
+    its shortest closed walk.  None when there is no candidate."""
+    _check_alphabets(s, g)
+    order, rows = product(g, s)
+    # the access word of each node along its breadth-first tree edge
+    access: list[Word | None] = [()] + [None] * (len(order) - 1)
+    for i, row in enumerate(rows):
+        for a, j in enumerate(row):
+            if access[j] is None:
+                access[j] = access[i] + (a,)
+    out = [g.output[p] for p, _ in order]
+    prio = [s.priority[q] for _, q in order]
+
+    candidates: list[tuple[int, int, Word, Word]] = []
+
+    def add(anchor: int, period: Word) -> None:
+        u = access[anchor]
+        candidates.append((len(u) + len(period), len(u), u, period))
+
+    for comp in strongly_connected_components(set(range(len(order))), rows):
+        comp_set = set(comp)
+        other = {n for n in comp if out[n] != out[comp[0]]}
+        if other:
+            leg1 = shortest_word_path(comp[0], other, comp_set, rows)
+            assert leg1 is not None
+            leg2 = shortest_word_path(leg1[1], {comp[0]}, comp_set, rows)
+            assert leg2 is not None
+            add(comp[0], leg1[0] + leg2[0])
+    for b in (0, 1):
+        sub = {n for n in range(len(order)) if out[n] == b}
+        for comp, p in parity_components(sub, rows, prio.__getitem__, want=b):
+            anchor = min(n for n in comp if prio[n] == p)
+            loop = shortest_word_path(anchor, {anchor}, set(comp), rows)
+            assert loop is not None
+            add(anchor, loop[0])
+    if not candidates:
+        return None
+    _, _, u, v = min(candidates)
+    return UPWord(u, v)
 
 
 # -- the truncated guesser ---------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from guessable.based_guessing import last_bit_guesser
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_INF1, F_NO11, F_ONE
 from guessable.guesser import (
     MooreGuesser,
@@ -19,9 +20,10 @@ from guessable.guesser import (
 )
 from guessable.oracle import exhaustive_tables
 from guessable.ordinal import ZERO, from_int
-from guessable.randgen import random_moore_guesser
+from guessable.randgen import random_moore_guesser, random_parity_set, random_scc_dag
 from guessable.remainder import remainder_chain
 from guessable.space import UPWord, compile_clopen, complement, words_up_to
+from literal import literal_divergence_witness
 
 
 def up(text):
@@ -225,6 +227,35 @@ class TestDivergenceWitness:
                 w = divergence_witness(g, s)
                 assert w is not None
                 assert not verify_on_up(g, s, w)
+
+    @pytest.mark.parametrize(
+        "g, s, text",
+        [
+            (last_bit_guesser(), F_INF1, "(10)"),  # the opinion oscillates
+            (constant_guesser(2, 0), F_INF1, "(1)"),  # 0 under an even top
+            (constant_guesser(2, 1), F_INF1, "(0)"),  # 1 under an odd top
+            (last_bit_guesser(), F_CYL1, "(01)"),
+        ],
+    )
+    def test_one_exact_witness_per_kind(self, g, s, text):
+        assert str(divergence_witness(g, s)) == text
+
+    def test_witness_equals_literal_on_larger_pairs(self):
+        # guessers of up to 8 states against sets of up to 12 states and
+        # priorities up to 7, then against guessable SCC-DAG sets
+        rng = random.Random(41)
+        pairs = []
+        for k in (2, 3):
+            for _ in range(1000):
+                g = random_moore_guesser(rng, alphabet=k, max_states=8)
+                s = random_parity_set(rng, alphabet=k, max_states=12, max_priority=7)
+                pairs.append((g, s))
+        for i in range(1000):
+            s = random_scc_dag(rng, alphabet=2 + i % 2)
+            g = random_moore_guesser(rng, alphabet=s.alphabet, max_states=8)
+            pairs.append((g, s))
+        for g, s in pairs:
+            assert divergence_witness(g, s) == literal_divergence_witness(g, s)
 
     def test_witness_deterministic(self):
         a = divergence_witness(FLIPPER, F_FULL)

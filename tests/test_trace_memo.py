@@ -7,9 +7,9 @@ sets whose components cycle through several priorities, the memo is
 checked to be invisible from outside and bound to one instance, and
 the verdicts that read the trace are checked to share one condensation
 pass and one canonical guesser.  The divergence witness of a canonical
-guesser makes one condensation pass of its product, with no
-wrong-side search on a side that holds no priority of its parity, and
-the refinement searches no set below a top that holds no node of the
+guesser makes one condensation pass of its product, the nodes a
+witness searches grow linearly with the counter's bound, and the
+refinement searches no set below a top that holds no node of the
 wanted parity.
 """
 
@@ -21,8 +21,14 @@ from hypothesis import given, strategies as st
 import guessable.cycles
 import guessable.guesser
 import guessable.remainder
+from guessable.based_guessing import last_bit_guesser
 from guessable.diff_hierarchy import classify
-from guessable.guesser import divergence_witness, mind_change_rank, synthesize
+from guessable.guesser import (
+    constant_guesser,
+    divergence_witness,
+    mind_change_rank,
+    synthesize,
+)
 from guessable.oracle import cross_validate, draw_tables
 from guessable.randgen import random_scc_dag
 from guessable.remainder import remainder_chain
@@ -124,14 +130,32 @@ def test_one_condensation_pass_per_set(monkeypatch):
 def test_witness_of_a_counter_guesser_makes_one_pass(monkeypatch):
     sets = [t for m in (3, 6, 12) for t in (counter_set(m), complement(counter_set(m)))]
     guessers = [synthesize(t).guesser for t in sets]
-    scc = "strongly_connected_components"
-    on_product = counted(monkeypatch, scc, guessable.guesser)
-    refining = counted(monkeypatch, scc, guessable.cycles)
+    passes = counted(monkeypatch, "strongly_connected_components", guessable.cycles)
     for t, g in zip(sets, guessers):
-        on_product.clear()
-        refining.clear()
+        passes.clear()
         assert divergence_witness(g, t) is None
-        assert len(on_product) + len(refining) == 1
+        assert len(passes) == 1
+
+
+def test_witness_searches_linearly_many_nodes(monkeypatch):
+    # summed over the SCC passes of one witness, the nodes searched at
+    # most a little over double when the counter's bound m doubles
+    guessers = {
+        "canonical": lambda t: synthesize(t).guesser,
+        "constant-0": lambda t: constant_guesser(2, 0),
+        "last-bit": lambda t: last_bit_guesser(),
+    }
+    passes = counted(monkeypatch, "strongly_connected_components", guessable.cycles)
+    for name, guesser in guessers.items():
+        for flip in (False, True):
+            searched = []
+            for m in (100, 200):
+                t = complement(counter_set(m)) if flip else counter_set(m)
+                g = guesser(t)
+                passes.clear()
+                divergence_witness(g, t)
+                searched.append(sum(len(nodes) for nodes, _ in passes))
+            assert searched[1] <= 2.5 * searched[0], (name, flip, searched)
 
 
 def test_no_search_below_a_top_without_the_wanted_parity(monkeypatch):
