@@ -77,7 +77,7 @@ def _rank_text(rank) -> str:
 
 
 def _print_stages(trace) -> None:
-    for i, stage in enumerate(trace.chain):
+    for i, stage in enumerate(trace.stages()):
         body = ",".join(str(q) for q in sorted(stage))
         print(f"Q[{i}] = {{{body}}}")
 

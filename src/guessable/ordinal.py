@@ -12,19 +12,21 @@ a sentinel that compares greater than every ordinal and stands for
 "never leaves the chain".
 
 Each value carries an order key and its hash, built once at
-construction, so comparing and equality are tuple operations and
-hashing reads a stored number, with no Python-level walk over the
-terms.  It also stores its finite part and, when it is finite, its
-integer, so the finiteness, successor and parity tests, ``to_int``,
-``succ``, ``pred`` and the text of a finite value read a stored
-number.  Finite values are interned:
-``from_int(n)`` returns one object per n.
+construction, so ``<`` and equality are tuple operations and hashing
+reads a stored number, with no Python-level walk over the terms.
+``functools.total_ordering`` derives ``<=``, ``>`` and ``>=`` from
+``<`` and ``==``, so the order, and ``INFINITY``'s place above every
+ordinal, is written once per class.  Each value also stores its
+finite part and, when it is finite, its integer, so the finiteness,
+successor and parity tests, ``to_int``, ``succ``, ``pred`` and the
+text of a finite value read a stored number.  Finite values are
+interned: ``from_int(n)`` returns one object per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import TypeAlias
 
 
@@ -34,6 +36,7 @@ from typing import TypeAlias
 NESTING_LIMIT = 100
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class OrdinalCNF:
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
@@ -88,27 +91,6 @@ class OrdinalCNF:
             return True
         return NotImplemented
 
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, OrdinalCNF):
-            return self._key <= other._key
-        if other is INFINITY:
-            return True
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, OrdinalCNF):
-            return self._key > other._key
-        if other is INFINITY:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, OrdinalCNF):
-            return self._key >= other._key
-        if other is INFINITY:
-            return False
-        return NotImplemented
-
     def __add__(self, other: "OrdinalCNF | int") -> "OrdinalCNF":
         if isinstance(other, int):
             other = from_int(other)
@@ -145,6 +127,7 @@ class OrdinalCNF:
         return f"OrdinalCNF({to_text(self)!r})"
 
 
+@total_ordering
 class _Infinity:
     """Sentinel above every ordinal; used for ranks that never fall."""
 
@@ -155,16 +138,11 @@ class _Infinity:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    # against an ordinal these return NotImplemented, so Python asks the
-    # ordinal's reflected method, which ranks INFINITY above it
+    # against an ordinal this returns NotImplemented, so Python asks the
+    # ordinal's reflected method, which ranks INFINITY above it; the
+    # derived `<=`, `>` and `>=` pass NotImplemented on the same way
     def __lt__(self, other: object) -> bool:
         return False if other is self else NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return True if other is self else NotImplemented
-
-    __gt__ = __lt__
-    __ge__ = __le__
 
     def __str__(self) -> str:
         return "INFTY"

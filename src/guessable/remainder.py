@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .cycles import has_cycle, strongly_connected_components
 from .ordinal import INFINITY, OrdinalCNF, Rank, from_int
@@ -49,7 +49,7 @@ class RemainderTrace:
     successor.  `state_rank` maps each reachable state to the least
     stage it does not survive, or INFINITY for fixpoint states; every
     finite rank is a successor.  No stage is stored; `stage` and
-    `chain` read them off the ranks.
+    `stages` read them off the ranks.
 
     `accept_rank` and `reject_rank` are the two opinion costs of a
     state q: `accept_rank[q]` is c(q, 0), the fewest mind changes a
@@ -95,20 +95,25 @@ class RemainderTrace:
         alpha = _ordinal(alpha)
         return frozenset(q for q, r in self.state_rank.items() if r > alpha)
 
-    @property
-    def chain(self) -> tuple[frozenset[int], ...]:
-        """Stages 0 to `alpha_s`, built on each read: about n * rank / 2
-        entries, so only `--trace`, the tests and the benchmark's checks,
-        which take its length, ask for it."""
+    def stages(self) -> Iterator[frozenset[int]]:
+        """Stages 0 to `alpha_s`, one at a time: stage i is stage i - 1
+        without the states of rank i, so a reader that keeps no stage
+        holds one, however deep the chain."""
         by_rank: dict[Rank, list[int]] = {}
         for q, r in self.state_rank.items():
             by_rank.setdefault(r, []).append(q)
-        current = set(by_rank.get(INFINITY, ()))
-        chain = [frozenset(current)]
-        for i in range(self.alpha_s.to_int(), 0, -1):
-            current.update(by_rank.get(from_int(i), ()))
-            chain.append(frozenset(current))
-        return tuple(reversed(chain))
+        stage = frozenset(self.state_rank)
+        yield stage
+        for i in range(1, self.alpha_s.to_int() + 1):
+            stage = stage.difference(by_rank[from_int(i)])
+            yield stage
+
+    @property
+    def chain(self) -> tuple[frozenset[int], ...]:
+        """Every stage of `stages` at once, about n * rank / 2 entries:
+        only the tests and the benchmark's checks, which take its
+        length, read it."""
+        return tuple(self.stages())
 
     def gap_stages(self) -> list[int]:
         """Stages alpha where the word-level set is nonempty but carries

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from guessable.formats import (
 )
 from guessable.guesser import constant_guesser, synthesize
 from guessable.space import equivalent
+from test_fast_paths import counter_set
 
 
 @pytest.fixture()
@@ -97,6 +99,14 @@ class TestRank:
         assert err.startswith("error:")
 
 
+# sha256 of `rank --trace` and `remainder --trace` on every fixture and
+# C_40, taken when the trace printed every stage of `chain` at once
+TRACE_DIGEST = (
+    "06aafd4bf0c0df4dd4e5117446f6924e"
+    "b696ae8a3222d2fec5fb383b8c91dda5"
+)
+
+
 class TestRemainderTrace:
     def test_stage_lines(self, files, capsys):
         code, out, _ = run(capsys, ["remainder", files["F_ONE"], "--trace"])
@@ -110,6 +120,16 @@ class TestRemainderTrace:
     def test_gaps(self, files, capsys):
         code, out, _ = run(capsys, ["remainder", files["F_CYL1"], "--gaps"])
         assert "gap_stages = {1}" in out
+
+    def test_trace_output_is_unchanged(self, files, capsys, tmp_path):
+        c40 = tmp_path / "c40.aut"
+        c40.write_text(render_automaton(counter_set(40)))
+        h = hashlib.sha256()
+        for path in [files[name] for name in sorted(FIXTURES)] + [str(c40)]:
+            for command in ("rank", "remainder"):
+                code, out, _ = run(capsys, [command, "--trace", path])
+                h.update(f"{code}\n{out}\0".encode())
+        assert h.hexdigest() == TRACE_DIGEST
 
 
 class TestSynthesizeVerifyWitness:

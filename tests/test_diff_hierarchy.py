@@ -27,6 +27,7 @@ from guessable.fixtures import (
     OPEN_ONE,
 )
 from guessable.guesser import (
+    MooreGuesser,
     RankedGuesser,
     check_bound,
     constant_guesser,
@@ -36,7 +37,7 @@ from guessable.guesser import (
     mind_changes,
     synthesize,
 )
-from guessable.ordinal import ZERO, congruent, from_int, parity
+from guessable.ordinal import OMEGA, ZERO, congruent, from_int, parity
 from guessable.randgen import random_open_chain
 from guessable.space import (
     ParitySet,
@@ -117,6 +118,14 @@ class TestChainToGuesser:
             assert divergence_witness(rg.guesser, level) is None
 
 
+# output 0 throughout, and the bound rises from 0 at the start to 1
+RISING = RankedGuesser(
+    MooreGuesser(alphabet=2, start=0, delta=((1, 1), (1, 1)), output=(0, 0)),
+    (ZERO, from_int(1)),
+    from_int(2),
+)
+
+
 class TestNormalizeH:
     def test_preserves_and_aligns(self):
         rg = synthesize(F_NO11)
@@ -184,6 +193,10 @@ class TestMakeAnticongruent:
         out = make_anticongruent(rg)
         self._dichotomy_holds(out, up_words_100)
 
+    def test_rejects_rising_bound(self):
+        with pytest.raises(BoundViolationError):
+            make_anticongruent(RISING)
+
     def test_idempotent(self):
         rg = make_anticongruent(synthesize(F_NO11))
         again = make_anticongruent(rg)
@@ -215,6 +228,15 @@ class TestGuesserToChain:
             guesser_to_chain(
                 RankedGuesser(constant_guesser(2, 1), (ZERO,), from_int(1))
             )
+
+    def test_rising_bound_rejected(self):
+        with pytest.raises(BoundViolationError):
+            guesser_to_chain(RISING)
+
+    def test_limit_codomain_rejected(self):
+        rg = RankedGuesser(constant_guesser(2, 0), (ZERO,), OMEGA)
+        with pytest.raises(ValueError, match="^codomain must be a successor ordinal$"):
+            guesser_to_chain(rg)
 
     def test_full_round_trip_random(self):
         # root output 1 means the chain witnesses the complement; the

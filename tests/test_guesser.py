@@ -112,6 +112,11 @@ class TestCheckBound:
         bad = RankedGuesser(g, (from_int(1), from_int(1)), from_int(2))
         assert not check_bound(bad)
 
+    def test_a_bound_map_must_cover_every_state(self):
+        g = synthesize(F_ONE).guesser
+        with pytest.raises(ValueError, match="^bound map must cover every state$"):
+            RankedGuesser(g, (ZERO,), from_int(2))
+
 
 class TestSynthesize:
     def test_empty_set(self):

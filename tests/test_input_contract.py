@@ -349,6 +349,50 @@ def test_ordinal_literal_at_the_nesting_limit():
         from_text(_nested(NESTING_LIMIT + 1, "w + 1"))
 
 
+# a file of each kind that its command refuses, and the message: an
+# unknown value, a missing header, and each fault of an ordinal literal
+REFUSED_FILES = [
+    ("aut", "alphabet 2\nstates 1\nacceptance min-odd\npriority 0 0\n",
+     "unknown acceptance convention 'min-odd'"),
+    ("chain", "theta 1\nmember 0 one.aut\n",
+     "unknown directive 'member' in chain file"),
+    ("chain", "set 0 one.aut\n", "missing theta header"),
+    ("fam", "prefix one.aut\n", "missing or unknown family directive"),
+    ("fam", "family sideways\n", "missing or unknown family directive"),
+] + [
+    ("guess", _ranked_guesser_text(codomain=literal),
+     f"bad line {f'codomain {literal}'.strip()!r}: {message}")
+    for literal, message in [
+        ("", "empty ordinal literal"),
+        ("3 4", "trailing input"),
+        ("3 +", "unexpected end"),
+        ("+ 3", "unexpected token"),
+        ("w^(2", "unbalanced parenthesis"),
+        ("w^+", "bad exponent token"),
+        ("w*", "missing coefficient"),
+    ]
+]
+
+
+@pytest.mark.parametrize("kind, text, message", REFUSED_FILES)
+def test_refused_files_exit_2_with_their_message(open_files, kind, text, message):
+    path = open_files / f"refused.{kind}"
+    path.write_text(text)
+    guesser = open_files / "g.guess"
+    guesser.write_text(render_guesser(constant_guesser(2, 0)))
+    aut = open_files / "one.aut"
+    argv = {
+        "aut": ["rank", path],
+        "chain": ["diff", "build", path],
+        "fam": ["based", "verify", path, guesser, aut],
+        "guess": ["verify", path, aut],
+    }[kind]
+    code, out, err = run([str(arg) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
 DUPLICATE_LINES = {
     "priority": "alphabet 2\nstates 1\npriority 0 0\npriority 0 1\n",
     "output": "alphabet 2\nstates 1\noutput 0 0\noutput 0 1\n",

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import operator
 import os
 import random
 import subprocess
@@ -172,6 +173,36 @@ def test_infinity_ordering():
         assert INFINITY > a
         assert not (INFINITY < a)
         assert INFINITY >= a
+
+
+# ranks in increasing order, INFINITY last
+PROTOCOL_GRID = [
+    from_text(t) for t in ("0", "1", "2", "w", "w + 1", "w^2", "w^(w + 1)*2 + 3")
+] + [INFINITY]
+ORDER_OPERATORS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@pytest.mark.parametrize("a", PROTOCOL_GRID, ids=str)
+def test_the_comparison_protocol(a):
+    """The six operators agree with `compare`, with INFINITY above every
+    ordinal and equal only to itself, in both orders; an operand that
+    is not a rank is unordered against one, on either side."""
+    for b in PROTOCOL_GRID:
+        if a is INFINITY or b is INFINITY:
+            sign = (a is INFINITY) - (b is INFINITY)
+        else:
+            sign = compare(a, b)
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+            sign < 0, sign <= 0, sign > 0, sign >= 0, sign == 0, sign != 0
+        )
+    for other in (3, "w", None):
+        for op in ORDER_OPERATORS:
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        assert a != other and other != a
+        assert not (a == other or other == a)
 
 
 def test_invalid_cnf_rejected():

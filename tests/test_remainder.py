@@ -79,6 +79,21 @@ class TestChains:
         for s in small_corpus["all"]:
             assert remainder_chain(s).chain == remainder_chain(complement(s)).chain
 
+    def test_stages_are_the_chain_and_the_stage_reads(self):
+        rng = random.Random(25)
+        counters = [counter_set(m) for m in range(12)]
+        sets = counters + [complement(s) for s in counters]
+        sets += [random_parity_set(rng) for _ in range(300)]
+        verdicts = set()
+        for s in sets:
+            trace = remainder_chain(s)
+            stages = list(trace.stages())
+            assert stages == list(trace.chain)
+            assert stages == [trace.stage(i) for i in range(trace.alpha_s.to_int() + 1)]
+            assert stages[-1] == trace.fixpoint
+            verdicts.add(trace.guessable)
+        assert verdicts == {True, False}
+
 
 class TestWordRank:
     def test_examples(self):
@@ -266,6 +281,18 @@ class TestStageMembership:
         assert peak < 16 * 2**20
         assert trace.rank == from_int(3201)
         assert trace.gap_stages() == []
+
+    def test_stages_hold_one_stage_at_a_time(self):
+        # the whole chain of C_3200 holds about 5.1 million state entries
+        trace = remainder_chain(counter_set(3200))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in trace.stages())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert count == 3202
 
 
 @PROPERTY
