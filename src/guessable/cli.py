@@ -4,12 +4,13 @@ Subcommands: rank, remainder, synthesize, verify, witness,
 diff build|extract, classify, based verify, oracle check, export-dot.
 Machine-readable output is one `key=value` pair per line, in a fixed
 order.  Exit codes: 0 the property holds, 1 a counterexample or a
-failed certification, 2 unusable input.
+failed certification, 2 unusable input or running out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from typing import Optional
@@ -41,9 +42,9 @@ from .ordinal import to_text as ordinal_text
 from .remainder import remainder_chain
 from .space import (
     AlphabetMismatchError,
-    canonical_up_words,
     complement,
     equivalent,
+    up_words,
 )
 
 DEFAULT_BUDGET = 100
@@ -139,12 +140,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print("witness=NONE")
     if budget:
         # redundant spot check of the certificate on concrete words
-        words = canonical_up_words(automaton.alphabet, budget)
-        for word in words:
+        for word in itertools.islice(up_words(automaton.alphabet), budget):
             if not verify_on_up(guesser, automaton, word):
                 print(f"witness={word}")
                 return 1
-        print(f"words={len(words)}")
+        print(f"words={budget}")
     return 0
 
 
@@ -233,14 +233,13 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
     _print_notes(notes)
     guesser = _load(formats.parse_guesser, args.guesser)
     automaton = _load(formats.parse_automaton, args.set)
-    words = canonical_up_words(automaton.alphabet, args.budget)
-    for word in words:
+    for word in itertools.islice(up_words(automaton.alphabet), args.budget):
         if not verify_based(guesser, family, automaton, word):
             print(f"ok=false")
             print(f"witness={word}")
             return 1
     print("ok=true")
-    print(f"words={len(words)}")
+    print(f"words={args.budget}")
     return 0
 
 
@@ -382,6 +381,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # written below, once the traceback lets go of what was half built
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -133,25 +133,22 @@ def _canonical_up(u: Word, v: Word) -> tuple[Word, Word]:
     return tuple(u), tuple(v)
 
 
-def canonical_up_words(alphabet: int, count: int) -> list[UPWord]:
-    """The first `count` distinct UP words over the alphabet, ordered by
-    total spelled length, then prefix length, then symbols."""
-    out: list[UPWord] = []
-    seen: set[UPWord] = set()
-    total = 1
-    while len(out) < count:
+def up_words(alphabet: int) -> Iterator[UPWord]:
+    """Every UP word over the alphabet once, by total spelled length, then
+    prefix length, then symbols; in that order a pair (u, v) is new exactly
+    when it is canonical, as any other pair spells a shorter word."""
+    for total in itertools.count(1):
         for plen in range(1, total + 1):
-            ulen = total - plen
-            for u in itertools.product(range(alphabet), repeat=ulen):
+            for u in itertools.product(range(alphabet), repeat=total - plen):
                 for v in itertools.product(range(alphabet), repeat=plen):
                     w = UPWord(u, v)
-                    if w not in seen:
-                        seen.add(w)
-                        out.append(w)
-                        if len(out) == count:
-                            return out
-        total += 1
-    return out
+                    if w.prefix == u and w.period == v:
+                        yield w
+
+
+def canonical_up_words(alphabet: int, count: int) -> list[UPWord]:
+    """The first `count` words of `up_words`."""
+    return list(itertools.islice(up_words(alphabet), count))
 
 
 # -- machines -------------------------------------------------------

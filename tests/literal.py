@@ -21,12 +21,17 @@ kept once and built from nothing it checks.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
   `open_union`.
+- `literal_canonical_up_words`, the enumeration that keeps a set of
+  the words it has listed, the reference for the stream
+  `space.up_words`.
 
 The file is named so that pytest does not collect it; the test modules
 import it by name.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -256,6 +261,30 @@ def literal_guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -
         else:
             out[prefix] = 0
     return out[word]
+
+
+# -- canonical UP words ------------------------------------------------------
+
+
+def literal_canonical_up_words(alphabet: int, count: int) -> list[UPWord]:
+    """The first `count` distinct UP words over the alphabet, ordered by
+    total spelled length, then prefix length, then symbols."""
+    out: list[UPWord] = []
+    seen: set[UPWord] = set()
+    total = 1
+    while len(out) < count:
+        for plen in range(1, total + 1):
+            ulen = total - plen
+            for u in itertools.product(range(alphabet), repeat=ulen):
+                for v in itertools.product(range(alphabet), repeat=plen):
+                    w = UPWord(u, v)
+                    if w not in seen:
+                        seen.add(w)
+                        out.append(w)
+                        if len(out) == count:
+                            return out
+        total += 1
+    return out
 
 
 # -- boolean products -----------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from guessable.based_guessing import last_bit_guesser
 from guessable.cli import main
 from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
@@ -31,6 +32,12 @@ def files(tmp_path):
     p = tmp_path / "const0.guess"
     p.write_text(render_guesser(constant_guesser(2, 0)))
     paths["CONST0"] = str(p)
+    p = tmp_path / "no11.guess"
+    p.write_text(render_guesser(synthesize(FIXTURES["F_NO11"]).guesser))
+    paths["GS_NO11"] = str(p)
+    p = tmp_path / "lastbit.guess"
+    p.write_text(render_guesser(last_bit_guesser()))
+    paths["LASTBIT"] = str(p)
     for i, member in enumerate((OPEN_FACTOR_11, OPEN_ONE)):
         p = tmp_path / f"open{i}.aut"
         p.write_text(render_automaton(member.to_parity()))
@@ -156,11 +163,6 @@ class TestSynthesizeVerifyWitness:
         assert code == 1
         assert "witness=(0)" in out
 
-    def test_witness_against_not_guessable(self, files, capsys):
-        code, out, _ = run(capsys, ["witness", files["CONST0"], files["F_INF1"]])
-        assert code == 1
-        assert "witness=" in out and "NONE" not in out
-
 
 class TestDiff:
     def test_build_set_and_guesser(self, files, tmp_path, capsys):
@@ -270,6 +272,33 @@ class TestOracleCheck:
         )
         assert code == 0
         assert "rank_agreement=pass" in out
+
+
+ORACLE_PASS = ["rank_agreement=pass", "guesser_agreement=pass", "finite_rank=pass"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines",
+    [
+        # a wrong-side constant opinion, the wrong opinion on 1(0), and
+        # an oscillating opinion
+        (["witness", "CONST0", "F_INF1"], 1, ["witness=(1)"]),
+        (["witness", "GS_NO11", "F_INF1"], 1, ["witness=1(0)"]),
+        (["witness", "LASTBIT", "F_INF1"], 1, ["witness=(10)"]),
+        (["verify", "--budget", "20", "GS_NO11", "F_NO11"], 0,
+         ["witness=NONE", "words=20"]),
+        # every binary depth-3 and every ternary depth-2 table
+        (["oracle", "check", "--k", "2", "--d", "3", "--exhaustive"], 0,
+         ["tables_checked=256", *ORACLE_PASS]),
+        (["oracle", "check", "--k", "3", "--d", "2", "--exhaustive"], 0,
+         ["tables_checked=512", *ORACLE_PASS]),
+    ],
+    ids=["const0", "no11", "lastbit", "verify-budget", "oracle-k2-d3", "oracle-k3-d2"],
+)
+def test_console_output(files, capsys, argv, code, lines):
+    """The exact stdout of a run, with file arguments named as in `files`."""
+    argv = [files.get(arg, arg) for arg in argv]
+    assert run(capsys, argv)[:2] == (code, "".join(f"{line}\n" for line in lines))
 
 
 class TestExportDot:

@@ -71,6 +71,14 @@ class TestDTheta:
             OpenChain(())
 
 
+def test_chains_compare_hash_and_print_by_their_members():
+    chain = OpenChain((OPEN_FACTOR_11, OPEN_ONE))
+    again = OpenChain((OPEN_FACTOR_11, OPEN_ONE))
+    assert chain == again and hash(chain) == hash(again)
+    assert chain.__eq__(chain.sets) is NotImplemented and chain != chain.sets
+    assert repr(chain) == f"OpenChain(sets={chain.sets!r})"
+
+
 class TestChainToGuesser:
     def test_level_one_matches_canonical(self):
         rg = chain_to_guesser(OpenChain((OPEN_ONE,)))

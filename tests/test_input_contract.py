@@ -7,6 +7,8 @@ import io
 import itertools
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -24,10 +26,19 @@ from guessable.formats import (
     parse_family,
     parse_guesser,
     render_automaton,
+    render_chain,
     render_guesser,
 )
 from guessable.guesser import constant_guesser, divergence_witness, synthesize
-from guessable.ordinal import NESTING_LIMIT, ZERO, compare, from_text, to_text
+from guessable.ordinal import (
+    NESTING_LIMIT,
+    ZERO,
+    OrdinalCNF,
+    compare,
+    from_text,
+    omega_power,
+    to_text,
+)
 from guessable.oracle import (
     SAMPLE_CELL_BUDGET,
     BudgetExceededError,
@@ -35,7 +46,15 @@ from guessable.oracle import (
     draw_tables,
     sample_tables,
 )
-from guessable.space import ParitySet, UPWord, make_open
+from guessable.space import (
+    ClopenTable,
+    OpenSet,
+    ParitySet,
+    UPWord,
+    canonical_up_words,
+    make_open,
+)
+from test_fast_paths import counter_set
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -225,6 +244,87 @@ def test_a_chain_that_fails_to_increase_is_refused_before_its_product():
     assert peak < 1 << 20
 
 
+# the address-space cap of `ulimit -v 150000`, in KiB
+CAP_KIB = 150_000
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _prime_member(j):
+    """Points with a 1 at or before position j: a 1 enters a target
+    cycle of p_j states, and after position j the run enters a dead
+    cycle of p_j states, so the product of the members has a state for
+    every combination of cycle positions."""
+    p, target, dead = PRIMES[j], j + 1, j + 1 + PRIMES[j]
+    delta = [(i + 1 if i < j else dead, target) for i in range(j + 1)]
+    delta += [((target + (i + 1) % p),) * 2 for i in range(p)]
+    delta += [((dead + (i + 1) % p),) * 2 for i in range(p)]
+    return make_open(2, 0, tuple(delta), range(target, dead))
+
+
+def _write_chain(directory, members):
+    names = [f"m{j}.aut" for j in range(len(members))]
+    for name, member in zip(names, members):
+        (directory / name).write_text(render_automaton(member.to_parity()))
+    (directory / "in.chain").write_text(render_chain(names))
+
+
+def _write_c3200(directory):
+    (directory / "c3200.aut").write_text(render_automaton(counter_set(3200)))
+
+
+# (writes the input, argv, exit code, stdout line count, lines stdout
+# holds, stderr): a chain refused before the product of its 20 members
+# is built; C_3200 (6,402 states, rank 3,201) ranked and traced in
+# memory linear in the automaton, the trace one stage at a time (24 MB
+# of stdout); and a valid chain whose product does not fit
+CAPPED_RUNS = {
+    "chain-not-increasing": (
+        lambda d: _write_chain(d, [_position_member(j) for j in range(20)]),
+        ["diff", "build", "in.chain"], 2, 0, [],
+        "error: chain members must increase\n",
+    ),
+    "rank": (_write_c3200, ["rank", "c3200.aut"], 0, 3, ["rank=3201"], ""),
+    "gaps": (
+        _write_c3200, ["remainder", "--gaps", "c3200.aut"], 0, 3,
+        ["gap_stages = {}"], "",
+    ),
+    "trace": (
+        _write_c3200, ["remainder", "--trace", "c3200.aut"], 0, 3204,
+        ["Q[3201] = {}", "alpha(S) = 3201"], "",
+    ),
+    "out-of-memory": (
+        lambda d: _write_chain(d, [_prime_member(j) for j in range(7)]),
+        ["diff", "build", "in.chain"], 2, 0, [], "error: out of memory\n",
+    ),
+}
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_KIB * 1024,) * 2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
+@pytest.mark.parametrize("case", sorted(CAPPED_RUNS))
+def test_console_runs_under_a_memory_cap(tmp_path, case):
+    """`python -m guessable` under the cap keeps its contract: no
+    traceback, and an answer or exit 2 with its message."""
+    write, argv, code, count, lines, err = CAPPED_RUNS[case]
+    write(tmp_path)
+    # pytest's `pythonpath` setting does not reach a child process
+    source = os.path.dirname(os.path.dirname(guessable.__file__))
+    env = dict(os.environ, PYTHONPATH=source)
+    done = subprocess.run(
+        [sys.executable, "-m", "guessable", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        preexec_fn=_cap_address_space,
+    )
+    out = done.stdout.splitlines()
+    assert (done.returncode, len(out), done.stderr) == (code, count, err)
+    assert set(lines) <= set(out)
+
+
 def test_sampled_table_size_is_checked_before_allocation():
     with pytest.raises(BudgetExceededError, match="sampling budget"):
         sample_tables(40, 40, 1)
@@ -264,6 +364,44 @@ def test_oracle_check_streams_its_samples(monkeypatch):
     assert seen == sample_tables(2, 4, 3, seed=5)
 
 
+@pytest.mark.parametrize(
+    "command, check",
+    [
+        (["verify", "{guesser}", "{set}"], "verify_on_up"),
+        (["based", "verify", "{family}", "{guesser}", "{set}"], "verify_based"),
+    ],
+    ids=["verify", "based-verify"],
+)
+def test_budget_words_are_streamed(open_files, monkeypatch, command, check):
+    """Each word is drawn when it is checked: a check that fails on the
+    1,000th word ends a budget of 200,000 there, and no list of the
+    words is built."""
+    checked = []
+
+    def fails_on_the_1000th(*args):
+        checked.append(args[-1])
+        return len(checked) < 1000
+
+    monkeypatch.setattr(guessable.cli, check, fails_on_the_1000th)
+    paths = {
+        "set": open_files / "one.aut",
+        "guesser": open_files / "g.guess",
+        "family": open_files / "cyl.fam",
+    }
+    paths["guesser"].write_text(render_guesser(synthesize(FIXTURES["F_ONE"]).guesser))
+    paths["family"].write_text("family cylinders 2\n")
+    argv = [arg.format(**paths) for arg in command] + ["--budget", "200000"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert checked == canonical_up_words(2, 1000)
+    assert (code, out.splitlines()[-1]) == (1, f"witness={checked[-1]}")
+
+
 def test_divergence_witness_memory_is_linear_in_the_product():
     """The witness search ranks product nodes by discovery and keeps no
     access word per node, so a long cycle costs bytes per node, not a
@@ -279,6 +417,55 @@ def test_divergence_witness_memory_is_linear_in_the_product():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert str(witness) == "(0)"
+
+
+# values that a constructor refuses, each with its message; no file
+# reader hands them over, so only a caller of the library meets them
+REFUSED_VALUES = {
+    "negative-symbol": (
+        lambda: UPWord((-1,), (0,)), ValueError, "symbols must be non-negative"
+    ),
+    "literal-without-period": (
+        lambda: UPWord.from_literal("01"), ValueError, "bad UP word literal '01'"
+    ),
+    "table-alphabet": (
+        lambda: ClopenTable(1, 0, (0,)), ValueError, "alphabet size must be >= 2"
+    ),
+    "table-depth": (lambda: ClopenTable(2, -1, (0,)), ValueError, "depth must be >= 0"),
+    "table-size": (
+        lambda: ClopenTable(2, 1, (0,)), ValueError,
+        "table must have one entry per depth-d word",
+    ),
+    "table-entry": (
+        lambda: ClopenTable(2, 1, (0, 2)), ValueError, "table entries must be 0 or 1"
+    ),
+    "table-short-word": (
+        lambda: ClopenTable(2, 2, (0,) * 4).encode((0,)), ValueError,
+        "word shorter than table depth",
+    ),
+    "target-out-of-range": (
+        lambda: OpenSet(OPEN_ONE.automaton, frozenset({9})), ValueError,
+        "target state out of range",
+    ),
+    "priorities-not-derived": (
+        lambda: OpenSet(OPEN_ONE.automaton, frozenset()), ValueError,
+        "priorities must be derived from the target",
+    ),
+    "exponent-not-ordinal": (
+        lambda: OrdinalCNF(((3, 1),)), TypeError, "exponent must be an OrdinalCNF"
+    ),
+    "omega-power-coefficient": (
+        lambda: omega_power(1, 0), ValueError, "coefficient must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_VALUES))
+def test_refused_values_keep_their_messages(case):
+    build, error, message = REFUSED_VALUES[case]
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_digit_literals_are_unchanged():

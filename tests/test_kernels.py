@@ -29,6 +29,7 @@ from guessable.cycles import (
     cycle_components,
     forward_closure,
     has_cycle,
+    shortest_word_path,
     strongly_connected_components,
 )
 from guessable.diff_hierarchy import _forced_levels
@@ -442,6 +443,14 @@ def test_trace_equals_literal_on_counters_and_random_sets():
                 else:
                     transient += 1
     assert transient >= 100 and looping >= 300
+
+
+def test_shortest_word_path_without_a_reachable_goal():
+    succ = [(1, 1), (1, 1), (2, 2)]
+    assert shortest_word_path(0, {1}, {0, 1}, succ) == ((0,), 1)
+    assert shortest_word_path(0, {2}, {0, 1, 2}, succ) is None
+    # a goal outside `nodes` is never entered
+    assert shortest_word_path(0, {1}, {0}, succ) is None
 
 
 def test_tarjan_on_a_long_chain_needs_no_recursion():

@@ -212,6 +212,14 @@ def test_invalid_cnf_rejected():
         OrdinalCNF(((ZERO, 1), (ONE, 1)))  # exponents must decrease
 
 
+def test_sums_with_an_int_or_an_ordinal():
+    assert from_int(2) + 3 == from_int(5)
+    assert OMEGA + 1 == from_text("w + 1")
+    assert ONE + OMEGA == OMEGA
+    assert from_text("w^0*3") is from_int(3)
+    assert repr(INFINITY) == "INFINITY"
+
+
 # -- order keys against the term-by-term definition -------------------
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)

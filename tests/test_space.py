@@ -29,7 +29,7 @@ from guessable.space import (
     open_subset,
     words_up_to,
 )
-from literal import product_boolean
+from literal import literal_canonical_up_words, product_boolean
 
 
 def up(text):
@@ -271,6 +271,11 @@ def test_canonical_up_words_unique_and_deterministic():
     assert len(set(words)) == 150
     assert words == canonical_up_words(2, 150)
     assert words[0] == up("(0)") and words[1] == up("(1)")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_canonical_up_words_equal_the_deduplicated_enumeration(k):
+    assert canonical_up_words(k, 3000) == literal_canonical_up_words(k, 3000)
 
 
 def test_words_up_to_counts():
