@@ -23,7 +23,6 @@ from .diff_hierarchy import (
     chain_to_guesser,
     classify,
     d_theta,
-    guesser_to_chain,
 )
 from .guesser import (
     NotGuessableError,
@@ -50,25 +49,20 @@ from .space import (
 DEFAULT_BUDGET = 100
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def _print_notes(notes: formats.ParseNotes, prefix: str = "") -> None:
-    for message in notes.messages:
+def _print_notes(notes: list[str], prefix: str = "") -> None:
+    for message in notes:
         print(f"note: {prefix}{message}", file=sys.stderr)
 
 
 def _load(parse, path: str):
     """The machine `parse` reads from the file at `path`; its notes go
     to stderr with the path in front."""
-    machine, *_, notes = parse(_read(path))
+    machine, *_, notes = parse(formats.read(path))
     _print_notes(notes, f"{path}: ")
     return machine
 
@@ -163,7 +157,7 @@ def _write_chain(chain, out_dir: str, stem: str) -> str:
 
 def cmd_diff_build(args: argparse.Namespace) -> int:
     chain, notes = formats.parse_chain(
-        _read(args.chain), os.path.dirname(os.path.abspath(args.chain))
+        formats.read(args.chain), os.path.dirname(os.path.abspath(args.chain))
     )
     _print_notes(notes)
     level_set = d_theta(chain)
@@ -228,7 +222,7 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
         print("error: based verify needs --budget >= 1", file=sys.stderr)
         return 2
     family, notes = formats.parse_family(
-        _read(args.family), os.path.dirname(os.path.abspath(args.family))
+        formats.read(args.family), os.path.dirname(os.path.abspath(args.family))
     )
     _print_notes(notes)
     guesser = _load(formats.parse_guesser, args.guesser)
@@ -264,7 +258,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    text = _read(args.file)
+    text = formats.read(args.file)
     if formats.machine_kind(text) == "guesser":
         guesser, _, notes = formats.parse_guesser(text)
         dot = formats.guesser_to_dot(guesser)

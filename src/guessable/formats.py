@@ -24,12 +24,15 @@ files alike.  Partial transition tables are completed with an explicit
 rejecting sink, of bound 0 in a ranked guesser, and the parser reports
 that it did so.  A family file builds an `ExplicitFamily` from its
 member lines or a `CylinderFamily`, which takes none.
+
+Every input file, chain and family members included, is read as UTF-8
+by `read`, which refuses one that does not decode and names its path.
+The parsers return their notes as a list of strings.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .ordinal import (
@@ -49,10 +52,11 @@ TABLE_CELL_BUDGET = 1 << 18
 
 # what each machine-file kind reads besides `alphabet`, `states`,
 # `start` and `trans`: the per-state label every state needs, that
-# label's value on the rejecting sink, and every directive of the kind
+# label's value on the rejecting sink, every directive of the kind, and
+# the class the file builds, which takes the label as a keyword
 MACHINE_KINDS = {
-    "automaton": ("priority", 1, frozenset({"priority", "acceptance"})),
-    "guesser": ("output", 0, frozenset({"output", "bound", "codomain"})),
+    "automaton": ("priority", 1, frozenset({"priority", "acceptance"}), ParitySet),
+    "guesser": ("output", 0, frozenset({"output", "bound", "codomain"}), MooreGuesser),
 }
 
 
@@ -60,14 +64,13 @@ class FormatError(ValueError):
     """Raised on malformed input files."""
 
 
-@dataclass
-class ParseNotes:
-    """Side reports from parsing, e.g. table completion."""
-
-    messages: list[str] = field(default_factory=list)
-
-    def add(self, message: str) -> None:
-        self.messages.append(message)
+def read(path: str) -> str:
+    """The text of the input file at `path`, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
 
 
 # the words on a line of each fixed-arity directive, the directive
@@ -135,13 +138,13 @@ def machine_kind(text: str) -> str:
     return "automaton"
 
 
-def _parse_machine(text: str, notes: ParseNotes, kind: str):
+def _parse_machine(text: str, notes: list[str], kind: str):
     """Read a machine file of `kind`, refusing directives of other kinds.
-    Returns `(alphabet, start, rows, labels, codomain)`: the rows are
-    completed with a rejecting sink, `labels` maps each per-state
-    directive of the kind to its `{state: value}` lines, the sink's
-    included, and `codomain` is None for an automaton."""
-    label, sink_value, own = MACHINE_KINDS[kind]
+    Returns `(machine, bounds, codomain)`: the machine is the kind's
+    class, its table completed with a rejecting sink, `bounds` maps each
+    state with a `bound` line to its ordinal, the sink's included, and
+    `codomain` is None for an automaton."""
+    label, sink_value, own, build = MACHINE_KINDS[kind]
     alphabet = n_states = codomain = None
     start = 0
     acceptance = "max-even"
@@ -215,8 +218,8 @@ def _parse_machine(text: str, notes: ParseNotes, kind: str):
     if acceptance == "min-even":
         top = max(found.values(), default=0)
         bound = top if top % 2 == 0 else top + 1
-        labels[label] = found = {q: bound - p for q, p in found.items()}
-        notes.add(f"converted min-even priorities (p -> {bound}-p)")
+        found = {q: bound - p for q, p in found.items()}
+        notes.append(f"converted min-even priorities (p -> {bound}-p)")
     missing = sum(row.count(None) for row in table)
     if missing:
         sink = n_states
@@ -225,26 +228,24 @@ def _parse_machine(text: str, notes: ParseNotes, kind: str):
         found[sink] = sink_value
         if labels.get("bound"):
             labels["bound"][sink] = ZERO
-        notes.add(
+        notes.append(
             f"completed {missing} missing transitions with a rejecting sink"
         )
-    return alphabet, start, tuple(map(tuple, table)), labels, codomain
-
-
-def parse_automaton(text: str) -> tuple[ParitySet, ParseNotes]:
-    notes = ParseNotes()
-    alphabet, start, rows, labels, _ = _parse_machine(text, notes, "automaton")
-    priority = labels["priority"]
     try:
-        automaton = ParitySet(
+        machine = build(
             alphabet=alphabet,
             start=start,
-            delta=rows,
-            priority=tuple(priority[q] for q in range(len(rows))),
+            delta=tuple(map(tuple, table)),
+            **{label: tuple(found[q] for q in range(len(table)))},
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return automaton, notes
+    return machine, labels.get("bound", {}), codomain
+
+
+def parse_automaton(text: str) -> tuple[ParitySet, list[str]]:
+    notes: list[str] = []
+    return _parse_machine(text, notes, "automaton")[0], notes
 
 
 def _render(m: Machine, labels: list[str]) -> str:
@@ -261,22 +262,12 @@ def render_automaton(s: ParitySet) -> str:
     return _render(s, [f"priority {q} {p}" for q, p in enumerate(s.priority)])
 
 
-def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], ParseNotes]:
+def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], list[str]]:
     """A guesser file; returns the ranked form too when bound lines and
     a codomain are present."""
-    notes = ParseNotes()
-    alphabet, start, rows, labels, codomain = _parse_machine(text, notes, "guesser")
-    output, bounds = labels["output"], labels["bound"]
-    n = len(rows)
-    try:
-        guesser = MooreGuesser(
-            alphabet=alphabet,
-            start=start,
-            delta=rows,
-            output=tuple(output[q] for q in range(n)),
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    notes: list[str] = []
+    guesser, bounds, codomain = _parse_machine(text, notes, "guesser")
+    n = guesser.n_states
     ranked = None
     if bounds or codomain is not None:
         if codomain is None:
@@ -301,21 +292,20 @@ def render_guesser(
 
 
 def _load_member(
-    base_dir: str, words: list[str], notes: ParseNotes
+    base_dir: str, words: list[str], notes: list[str]
 ) -> tuple[str, ParitySet]:
     """Parse the member automaton named by `words`, relative to the file
     that names it; its notes are kept with its path in front."""
     path = os.path.join(base_dir, " ".join(words))
-    with open(path, "r", encoding="utf-8") as handle:
-        automaton, sub_notes = parse_automaton(handle.read())
-    notes.messages.extend(f"{path}: {m}" for m in sub_notes.messages)
+    automaton, sub_notes = parse_automaton(read(path))
+    notes.extend(f"{path}: {m}" for m in sub_notes)
     return path, automaton
 
 
-def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, ParseNotes]:
+def parse_chain(text: str, base_dir: str) -> tuple[OpenChain, list[str]]:
     """Chain file: a `theta n` header then one `set <index> <path>` line
     per member, paths relative to the chain file."""
-    notes = ParseNotes()
+    notes: list[str] = []
     theta = None
     members: dict[int, OpenSet] = {}
     seen: set[str] = set()
@@ -358,10 +348,10 @@ def render_chain(paths: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, ParseNotes]:
+def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, list[str]]:
     """Family file: `family explicit` with `prefix <path>` / `cycle
     <path>` member lines, or `family cylinders <k>` alone."""
-    notes = ParseNotes()
+    notes: list[str] = []
     kind = cylinders = None
     members: dict[str, list[ParitySet]] = {"prefix": [], "cycle": []}
     seen: set[str] = set()

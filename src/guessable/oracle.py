@@ -84,13 +84,11 @@ class TruncatedTree:
 def _extension_classes(
     table: ClopenTable, node: Word, stage: AbstractSet[Word]
 ) -> set[int]:
-    """Membership classes of infinite extensions of `node` that stay in
-    the current stage: classes of depth-d descendants whose whole
+    """Membership classes of infinite extensions of `node`, a word of
+    `stage`, that stay in it: classes of depth-d descendants whose whole
     prefix path lies in the stage."""
     k, d = table.alphabet, table.depth
     classes: set[int] = set()
-    if node not in stage:
-        return classes
     frontier = [node]
     for _ in range(d - len(node)):
         nxt = []

@@ -5,6 +5,7 @@ the slow definition it replaces."""
 
 import contextlib
 import io
+import math
 import random
 
 import pytest
@@ -41,7 +42,7 @@ from guessable.guesser import (
     synthesize,
 )
 from guessable.ordinal import from_int, pred
-from guessable.randgen import duplicate_state, random_parity_set
+from guessable.randgen import duplicate_state, random_parity_set, random_scc_dag
 from guessable.remainder import remainder_chain
 from guessable.space import (
     ParitySet,
@@ -52,7 +53,6 @@ from guessable.space import (
     open_subset,
     open_union,
 )
-import literal
 from literal import literal_remainder_chain, parity_cycle_nodes, product_boolean
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -331,7 +331,18 @@ def test_bound_checks_per_classify(monkeypatch):
             classify(s)
             counts.add(len(calls))
     assert len(counts) == 1
-    assert counts.pop() <= 3
+    # the seeded corpus includes sets whose root `make_anticongruent` splits
+    rng = random.Random(3)
+    for i in range(3000):
+        k = rng.choice([2, 3])
+        if i % 2:
+            s = random_scc_dag(rng, k)
+        else:
+            s = random_parity_set(rng, alphabet=k, max_states=8, max_priority=4)
+        calls.clear()
+        classify(s)
+        counts.add(len(calls))
+    assert max(counts) <= 2
 
 
 def test_classify_builds_one_chain_and_no_level_set(monkeypatch):
@@ -462,13 +473,19 @@ def test_equivalence_and_emptiness_agree_with_iar_on_seeded_corpus():
 
 
 def test_no_decision_builds_the_iar_product(monkeypatch, tmp_path):
-    built = []
+    """Every product the decisions build is a plain pair product: two
+    operands and at most |A|·|B| rows, where the index-appearance-record
+    product would also carry an ordering of the priorities."""
+    pair_product = guessable.space.product
+    sizes = []
 
-    def refuse(s, t):
-        built.append((s, t))
-        raise AssertionError("index-appearance-record product built")
+    def counting(*machines):
+        order, rows = pair_product(*machines)
+        bound = math.prod(m.n_states for m in machines)
+        sizes.append((len(machines), len(rows), bound))
+        return order, rows
 
-    monkeypatch.setattr(literal, "_intersection", refuse)
+    monkeypatch.setattr(guessable.space, "product", counting)
     opens = (OPEN_EMPTY, OPEN_FULL, OPEN_ONE, OPEN_FACTOR_11)
     for a in opens:
         for b in opens:
@@ -482,7 +499,9 @@ def test_no_decision_builds_the_iar_product(monkeypatch, tmp_path):
         path.write_text(render_automaton(s))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["diff", "extract", str(path)]) in (0, 1)
-    assert built == []
+    assert sizes
+    assert all(operands == 2 for operands, _, _ in sizes)
+    assert all(built <= bound for _, built, bound in sizes)
 
 
 def test_equivalence_builds_one_plain_pair_product(monkeypatch):

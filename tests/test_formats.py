@@ -62,7 +62,7 @@ def test_automaton_render_parse_round_trip(machine):
     s = ParitySet(alphabet=k, start=start, delta=delta, priority=priority)
     parsed, notes = parse_automaton(render_automaton(s))
     assert parsed == s
-    assert not notes.messages
+    assert not notes
 
 
 @PROPERTY
@@ -72,7 +72,7 @@ def test_guesser_render_parse_round_trip(pair):
     parsed, ranked, notes = parse_guesser(render_guesser(g, rg))
     assert parsed == g
     assert ranked == rg
-    assert not notes.messages
+    assert not notes
 
 
 class TestAutomatonFormat:
@@ -80,7 +80,7 @@ class TestAutomatonFormat:
         for s in FIXTURES.values():
             parsed, notes = parse_automaton(render_automaton(s))
             assert parsed == s
-            assert not notes.messages
+            assert not notes
 
     def test_comments_and_blanks(self):
         text = (
@@ -99,7 +99,7 @@ class TestAutomatonFormat:
         parsed, notes = parse_automaton(text)
         assert parsed.n_states == 2
         assert parsed.priority[1] == 1  # rejecting sink
-        assert any("completed" in m for m in notes.messages)
+        assert any("completed" in m for m in notes)
         # missing symbol 1 now leads to the sink and is rejected
         from guessable.space import UPWord
 
@@ -114,7 +114,7 @@ class TestAutomatonFormat:
             "trans 0 0 0\ntrans 0 1 1\ntrans 1 0 0\ntrans 1 1 1\n"
         )
         min_parsed, notes = parse_automaton("acceptance min-even\n" + base)
-        assert any("min-even" in m for m in notes.messages)
+        assert any("min-even" in m for m in notes)
         from guessable.space import UPWord
 
         # run visiting both states forever has min priority 1: rejected

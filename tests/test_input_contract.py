@@ -851,6 +851,45 @@ def test_export_dot_notes_carry_the_path(open_files):
     )
 
 
+NOT_UTF8 = b"alphabet 2\nstates 1\n\xff"
+
+# each file a command reads: the command, then its files with that one
+# named `bad`; `bad.chain` and `bad.fam` name `bad` as a member
+NOT_UTF8_RUNS = {
+    "rank": (["rank"], ["bad"]),
+    "remainder": (["remainder"], ["bad"]),
+    "synthesize": (["synthesize"], ["bad"]),
+    "classify": (["classify"], ["bad"]),
+    "diff-extract": (["diff", "extract"], ["bad"]),
+    "verify-guesser": (["verify"], ["bad", "one.aut"]),
+    "verify-set": (["verify"], ["g.guess", "bad"]),
+    "witness-guesser": (["witness"], ["bad", "one.aut"]),
+    "witness-set": (["witness"], ["g.guess", "bad"]),
+    "diff-build-chain": (["diff", "build"], ["bad"]),
+    "diff-build-member": (["diff", "build"], ["bad.chain"]),
+    "based-verify-family": (["based", "verify"], ["bad", "g.guess", "one.aut"]),
+    "based-verify-member": (["based", "verify"], ["bad.fam", "g.guess", "one.aut"]),
+    "based-verify-guesser": (["based", "verify"], ["one.fam", "bad", "one.aut"]),
+    "based-verify-set": (["based", "verify"], ["one.fam", "g.guess", "bad"]),
+    "export-dot": (["export-dot"], ["bad"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_RUNS))
+def test_a_file_that_is_not_utf8_exits_2(open_files, case):
+    bad = open_files / "bad"
+    bad.write_bytes(NOT_UTF8)
+    (open_files / "bad.chain").write_text("theta 1\nset 0 bad\n")
+    (open_files / "bad.fam").write_text("family explicit\ncycle bad\n")
+    (open_files / "one.fam").write_text("family explicit\ncycle one.aut\n")
+    guesser = synthesize(OPEN_ONE.to_parity()).guesser
+    (open_files / "g.guess").write_text(render_guesser(guesser))
+    command, files = NOT_UTF8_RUNS[case]
+    code, out, err = run(command + [str(open_files / name) for name in files])
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 at byte {len(NOT_UTF8) - 1}\n"
+
+
 # -- command line fuzz ---------------------------------------------------
 
 INT = st.integers(-2, 40)

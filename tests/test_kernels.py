@@ -398,6 +398,21 @@ def test_one_state_components_are_decided_as_before(graph):
     )
 
 
+@PROPERTY
+@given(st.one_of(labelled_graphs(), single_state_graphs()))
+def test_the_empty_kind_yields_every_cyclic_component(graph):
+    """The empty kind takes any cycle, so the search yields each
+    component that has one, in the order of one SCC pass, and searches
+    no further inside it."""
+    succ, nodes = graph[:2]
+    cyclic = [
+        comp
+        for comp in strongly_connected_components(nodes, succ)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]
+    ]
+    assert list(cycle_components(nodes, succ, [()])) == cyclic
+
+
 @st.composite
 def single_state_sets(draw, max_states=10):
     """Parity sets whose every symbol stays put or leads to a later
