@@ -156,9 +156,12 @@ def cylinder_simulation(guesser: MooreGuesser, alphabet: int) -> MooreGuesser:
     indicates (the position of the 1), then step the inner machine.
 
     Streams that are not valid encodings of a point decode the default
-    symbol 0; they never arise from real points.
+    symbol 0; they never arise from real points.  The block length k
+    must be the guesser's alphabet.
     """
-    k = alphabet
+    k = guesser.alphabet
+    if alphabet != k:
+        raise AlphabetMismatchError(f"alphabet mismatch: {alphabet} vs {k}")
 
     def successors(key: tuple[int, int, Optional[int]]):
         p, pos, decoded = key

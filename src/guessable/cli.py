@@ -161,25 +161,27 @@ def cmd_diff_build(args: argparse.Namespace) -> int:
     )
     _print_notes(notes)
     level_set = d_theta(chain)
-    print(f"theta={chain.theta_int}")
+    # every file is written before any line is printed
+    out = [f"theta={chain.theta_int}\n"]
     code = 0
     if args.emit in ("set", "both"):
+        text = formats.render_automaton(level_set)
         if args.output:
-            _write(args.output, formats.render_automaton(level_set))
-            print(f"set={args.output}")
-        else:
-            sys.stdout.write(formats.render_automaton(level_set))
+            _write(args.output, text)
+            text = f"set={args.output}\n"
+        out.append(text)
     if args.emit in ("guesser", "both"):
         ranked = chain_to_guesser(chain)
         bound_ok = check_bound(ranked)
         witness = divergence_witness(ranked.guesser, level_set)
         if args.guesser_output:
             _write(args.guesser_output, formats.render_guesser(ranked.guesser, ranked))
-            print(f"guesser={args.guesser_output}")
-        print(f"bound_ok={'true' if bound_ok else 'false'}")
-        print(f"witness={'NONE' if witness is None else witness}")
+            out.append(f"guesser={args.guesser_output}\n")
+        out.append(f"bound_ok={'true' if bound_ok else 'false'}\n")
+        out.append(f"witness={'NONE' if witness is None else witness}\n")
         if not bound_ok or witness is not None:
             code = 1
+    sys.stdout.write("".join(out))
     return code
 
 
@@ -188,15 +190,15 @@ def _print_classified(args: argparse.Namespace, stem: str):
     named after `stem` in `args.out_dir`), and return set and outcome."""
     automaton = _load(formats.parse_automaton, args.set)
     outcome = classify(automaton)
+    if outcome.chain is None:
+        chain = "NONE"
+    elif args.out_dir:  # the files are written before any line is printed
+        chain = _write_chain(outcome.chain, args.out_dir, stem)
+    else:
+        chain = f"theta {outcome.chain.theta_int}"
     print(f"rank={_rank_text(outcome.rank)}")
     print(f"side={outcome.side.value}")
-    if outcome.chain is None:
-        print("chain=NONE")
-    elif args.out_dir:
-        chain_path = _write_chain(outcome.chain, args.out_dir, stem)
-        print(f"chain={chain_path}")
-    else:
-        print(f"chain=theta {outcome.chain.theta_int}")
+    print(f"chain={chain}")
     return automaton, outcome
 
 

@@ -32,13 +32,16 @@ opinion and the priority: both opinions (an oscillating cycle), opinion
 on the wrong side).  None of them builds a parity product.
 
 A component of one state is decided from that state alone, here and
-in every consumer of the condensation: its only possible cycle is its
+in both folds over the condensation: its only possible cycle is its
 self-loop, on which every label's top is the state's own label, and
 nothing lies below that top to search again.  Most components are
 single states, and each then costs one row lookup instead of a set, a
-maximum over its members and a second search.
+maximum over its members and a second search.  The folds read the
+order `strongly_connected_components` emits, each component after
+every one it reaches, so they keep no member sets.
 
-`shortest_word_path` spells a path's symbols as positions in the rows.
+`shortest_word_path` is the one speller of words: it gives a path's
+symbols as positions in the rows.
 """
 
 from __future__ import annotations

@@ -158,20 +158,18 @@ def _forced_levels(skeleton: Machine, levels: tuple[int, ...]) -> list[int]:
     cyclic component it stays in: the forced level is the largest level
     of a cyclic component reachable from the state.  Tarjan emits
     components sinks first, so one pass takes the maximum over each
-    component's own level, when it cycles, and its successors' values.
+    component's own level, when it cycles (one state cycles only
+    through a self-loop), and its successors' values: those outside it
+    are written, and those inside read 0, under every level.
     """
     succ = skeleton.delta
     forced = [0] * skeleton.n_states
     for comp in strongly_connected_components(set(range(len(succ))), succ):
-        if len(comp) == 1:
-            # one state cycles only through a self-loop
-            q = comp[0]
-            inside, value = comp, levels[q] if q in succ[q] else 0
-        else:
-            inside, value = set(comp), levels[comp[0]]
+        q = comp[0]
+        value = levels[q] if len(comp) > 1 or q in succ[q] else 0
         for q in comp:
             for n in succ[q]:
-                if n not in inside and forced[n] > value:
+                if forced[n] > value:
                     value = forced[n]
         for q in comp:
             forced[q] = value

@@ -210,16 +210,14 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     """
     _check_alphabets(s, g)
     # product pairs numbered breadth-first with symbols in order, so a
-    # node's number ranks its access word by length, then symbols; the
-    # first edge into a node is its tree edge, and only the returned
-    # witness's access word is spelled out along those edges
+    # node's number ranks its access word by length, then symbols, and
+    # the first edge into a node in row order comes one step nearer the
+    # start; the winner's access word alone is spelled, by the same BFS
     order, rows = product(g, s)
-    parent: list[Optional[tuple[int, int]]] = [None] * len(order)
-    depth = [0] * len(order)
+    depth = [0] + [-1] * (len(order) - 1)
     for i, row in enumerate(rows):
-        for a, j in enumerate(row):
-            if j > i and parent[j] is None:
-                parent[j] = (i, a)
+        for j in row:
+            if depth[j] < 0:
                 depth[j] = depth[i] + 1
     out = [g.output[p] for p, _ in order]
     flipped = [1 - b for b in out]
@@ -229,7 +227,8 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     # (depth + period length, depth, anchor, period): the order of
     # (|u| + |v|, |u|, u, v) over the witnesses u(v)
     candidates: list[tuple[int, int, int, Word]] = []
-    for comp in cycle_components(set(range(len(order))), rows, kinds):
+    nodes = set(range(len(order)))
+    for comp in cycle_components(nodes, rows, kinds):
         comp_set = set(comp)
         other = {n for n in comp if out[n] != out[comp[0]]}
         if other:
@@ -249,12 +248,8 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     if not candidates:
         return None
     _, _, anchor, v = min(candidates)
-    u = []
-    node = anchor
-    while parent[node] is not None:
-        node, a = parent[node]
-        u.append(a)
-    witness = UPWord(tuple(reversed(u)), v)
+    u = shortest_word_path(0, {anchor}, nodes, rows)[0] if anchor else ()
+    witness = UPWord(u, v)
     assert not verify_on_up(g, s, witness)
     return witness
 

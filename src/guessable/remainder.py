@@ -135,8 +135,9 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
 
     Unreachable states are pruned first; emptiness of the fixpoint is
     a statement about words, and words only see reachable states.
-    Tarjan emits components sinks first, so the two opinion costs
-    below a component are known when it is reached.  A mixed component
+    Tarjan emits components sinks first, so a component's successors
+    outside it have their costs written, and those inside read 0, under
+    every maximum: the fold keeps no member set.  A mixed component
     never falls; an accepting one falls one stage after the best
     rejecting component below it, a rejecting one one stage after the
     best accepting one, and a transient one one stage after the worse
@@ -152,29 +153,29 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
     reach = s.reachable_states()
     succ = s.delta
     prio = s.priority
-    acc: dict[int, float] = {}
-    rej: dict[int, float] = {}
+    acc: list[float] = [0] * s.n_states
+    rej: list[float] = [0] * s.n_states
     for comp in strongly_connected_components(reach, succ):
         if len(comp) == 1:
             # one state: its one possible cycle is a self-loop, whose top
             # is the state's own priority, with nothing below it
             q = comp[0]
-            members, peak, mixed = comp, prio[q], False
-            cyclic = q in succ[q]
+            peak, mixed, cyclic = prio[q], False, q in succ[q]
         else:
             # a strongly connected component has a cycle through every
             # node, so one through its top priority; the other parity
             # can only come from a cycle below the top
-            members, cyclic = set(comp), True
+            cyclic = True
             peak = max(map(prio.__getitem__, comp))
             below = {q for q in comp if prio[q] < peak}
             mixed = bool(below) and has_cycle(below, succ, [[(prio, 1 - peak % 2)]])
         a = r = 0
         for q in comp:
             for nq in succ[q]:
-                if nq not in members:
-                    a = max(a, acc[nq])
-                    r = max(r, rej[nq])
+                if acc[nq] > a:
+                    a = acc[nq]
+                if rej[nq] > r:
+                    r = rej[nq]
         if mixed:
             a = r = math.inf
         elif cyclic:
@@ -185,7 +186,7 @@ def remainder_chain(s: ParitySet) -> RemainderTrace:
         for q in comp:
             acc[q], rej[q] = a, r
 
-    rank = {q: 1 + min(acc[q], rej[q]) for q in acc}
+    rank = {q: 1 + min(acc[q], rej[q]) for q in reach}
     top = max((rk for rk in rank.values() if rk != math.inf), default=0)
 
     # one ordinal per cost: a finite cost is at most `top`, since an

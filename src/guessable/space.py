@@ -66,12 +66,7 @@ class UPWord:
 
     def head(self, n: int) -> Word:
         """The first n symbols."""
-        out = list(self.prefix[:n])
-        i = 0
-        while len(out) < n:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return tuple(out)
+        return tuple(map(self.symbol, range(n)))
 
     def symbol(self, i: int) -> int:
         if i < len(self.prefix):

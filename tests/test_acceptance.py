@@ -17,19 +17,17 @@ from guessable.based_guessing import (
     verify_based,
 )
 from guessable.diff_hierarchy import (
-    OpenChain,
     chain_to_guesser,
     d_theta,
     guesser_to_chain,
     make_anticongruent,
     normalize_h,
 )
-from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_INF1, F_NO11, F_ONE, FIXTURES
+from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_NO11, F_ONE, FIXTURES
 from guessable.guesser import (
     RankedGuesser,
     check_bound,
     divergence_witness,
-    evaluate,
     flip_outputs,
     limit_on_up,
     mind_change_rank,

@@ -14,7 +14,7 @@ from guessable.based_guessing import (
     verify_based,
 )
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_NO11, F_ONE
-from guessable.guesser import evaluate, synthesize, verify_on_up
+from guessable.guesser import constant_guesser, evaluate, synthesize, verify_on_up
 from guessable.space import (
     AlphabetMismatchError,
     UPWord,
@@ -156,3 +156,8 @@ class TestCylinderSimulation:
             for w in up_words_100:
                 assert verify_based(sim, fam, s, w) == verify_on_up(inner, s, w)
                 assert verify_based(sim, fam, s, w)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_refuses_a_block_length_other_than_the_guesser_alphabet(self, k):
+        with pytest.raises(AlphabetMismatchError, match=f"^alphabet mismatch: {k} vs 3$"):
+            cylinder_simulation(constant_guesser(3, 0), k)

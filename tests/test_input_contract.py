@@ -890,6 +890,29 @@ def test_a_file_that_is_not_utf8_exits_2(open_files, case):
     assert err == f"error: {bad}: not UTF-8 at byte {len(NOT_UTF8) - 1}\n"
 
 
+# each command that writes a file, its input in {d} and the output at {bad}
+UNWRITABLE_RUNS = {
+    "diff-build-output": ["diff", "build", "{d}/c.chain", "-o", "{bad}"],
+    "diff-build-guesser-output": [
+        "diff", "build", "{d}/c.chain", "--emit", "guesser", "--guesser-output", "{bad}",
+    ],
+    "classify-out-dir": ["classify", "{d}/one.aut", "--out-dir", "{bad}"],
+    "diff-extract-out-dir": ["diff", "extract", "{d}/one.aut", "--out-dir", "{bad}"],
+    "synthesize-output": ["synthesize", "{d}/one.aut", "-o", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_RUNS))
+def test_an_output_that_cannot_be_written_exits_2_before_printing(open_files, case):
+    """Every file is written before any line is printed: an output path
+    under a regular file leaves stdout empty."""
+    (open_files / "c.chain").write_text("theta 1\nset 0 one.aut\n")
+    bad = open_files / "one.aut" / "out"
+    code, out, err = run([a.format(d=open_files, bad=bad) for a in UNWRITABLE_RUNS[case]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(bad) in err
+
+
 # -- command line fuzz ---------------------------------------------------
 
 INT = st.integers(-2, 40)

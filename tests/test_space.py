@@ -10,7 +10,6 @@ from guessable.fixtures import (
     F_INF1,
     F_NO11,
     F_ONE,
-    FIXTURES,
     OPEN_FACTOR_11,
     OPEN_ONE,
 )

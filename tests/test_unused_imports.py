@@ -1,7 +1,7 @@
-"""Every name a module under `src/guessable` imports is read in that
-module.  The check parses each module with `ast`, so it needs nothing
-beyond the standard library.  `__init__.py` is left out: it imports
-names to export them."""
+"""Every name a module under `src/guessable` or `tests` imports is read
+in that module.  The check parses each module with `ast`, so it needs
+nothing beyond the standard library.  The package's `__init__.py` is
+left out: it imports names to export them."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import guessable
 
 SOURCE = Path(guessable.__file__).parent
 MODULES = sorted(p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -39,3 +41,8 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((SOURCE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_test_import_is_read(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
