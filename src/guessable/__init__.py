@@ -87,10 +87,8 @@ from .based_guessing import (
     cylinder_simulation,
     cylinders_family,
     explicit_family,
-    family_stream,
     last_bit_guesser,
     limsup_liminf_check,
-    stream_periodicity,
     verify_based,
 )
 from .oracle import (

@@ -4,9 +4,9 @@ reading symbols.
 
 Only families whose bit streams are decidable are supported: an
 `ExplicitFamily`, a finite prefix of sets followed by a repeating cycle
-of sets, and the `CylinderFamily` of all one-symbol cylinders.  On an
-ultimately periodic point every supported family produces an
-eventually periodic bit stream, so limits are exact.
+of sets, and the `CylinderFamily` of all one-symbol cylinders.  At an
+ultimately periodic point each family gives its whole bit stream as
+one ultimately periodic bit word, `stream(w)`, so limits are exact.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class NotEventuallyPeriodicError(ValueError):
 
 class OracleFamily:
     """A countable family of sets over `alphabet`, finitely presented:
-    `bit(w, i)` is the membership bit of w in member i, and
-    `periodicity(w)` a correct, not necessarily minimal, (preperiod,
-    period) of the bit stream at w."""
+    `stream(w)` is the family's membership stream at w, whose bit i is
+    the membership bit of w in member i, as an ultimately periodic bit
+    word; it refuses a w with a symbol outside the alphabet."""
 
 
 @dataclass(frozen=True)
@@ -56,21 +56,18 @@ class ExplicitFamily(OracleFamily):
     def alphabet(self) -> int:
         return self.cycle[0].alphabet
 
-    def bit(self, w: UPWord, i: int) -> int:
+    def stream(self, w: UPWord) -> UPWord:
+        _check_word(w, self.alphabet)
         n = len(self.prefix)
-        member = self.prefix[i] if i < n else self.cycle[(i - n) % len(self.cycle)]
-        return membership_up(member, w)
-
-    def periodicity(self, w: UPWord) -> tuple[int, int]:
-        return len(self.prefix), len(self.cycle)
+        bits = tuple(membership_up(m, w) for m in self.prefix + self.cycle)
+        return UPWord(bits[:n], bits[n:])
 
 
 @dataclass(frozen=True)
 class CylinderFamily(OracleFamily):
     """Member i*k+j is the set of points whose symbol at position i
-    equals j; bits are read off the point directly, and the stream
-    repeats with one block of k bits per period symbol once past the
-    word prefix."""
+    equals j, so the stream writes each symbol a of the point as one
+    block of k bits with its 1 at position a."""
 
     alphabet: int
 
@@ -78,11 +75,14 @@ class CylinderFamily(OracleFamily):
         if self.alphabet < 2:
             raise ValueError("alphabet size must be >= 2")
 
-    def bit(self, w: UPWord, i: int) -> int:
-        return int(w.symbol(i // self.alphabet) == i % self.alphabet)
-
-    def periodicity(self, w: UPWord) -> tuple[int, int]:
-        return self.alphabet * len(w.prefix), self.alphabet * len(w.period)
+    def stream(self, w: UPWord) -> UPWord:
+        _check_word(w, self.alphabet)
+        k = self.alphabet
+        u, v = (
+            tuple(int(a == j) for a in part for j in range(k))
+            for part in (w.prefix, w.period)
+        )
+        return UPWord(u, v)
 
 
 def explicit_family(
@@ -93,25 +93,6 @@ def explicit_family(
 
 def cylinders_family(alphabet: int) -> CylinderFamily:
     return CylinderFamily(alphabet)
-
-
-def family_stream(family: OracleFamily, w: UPWord, n: int) -> list[int]:
-    """The first n bits of the family's membership stream at w."""
-    _check_word(w, family.alphabet)
-    return [family.bit(w, i) for i in range(n)]
-
-
-def stream_periodicity(family: OracleFamily, w: UPWord) -> tuple[int, int]:
-    """(preperiod, period) of the full infinite stream at w."""
-    _check_word(w, family.alphabet)
-    return family.periodicity(w)
-
-
-def stream_up_word(family: OracleFamily, w: UPWord) -> UPWord:
-    """The stream itself, as an ultimately periodic bit word."""
-    pre, per = stream_periodicity(family, w)
-    bits = family_stream(family, w, pre + per)
-    return UPWord(tuple(bits[:pre]), tuple(bits[pre:]))
 
 
 def last_bit_guesser() -> MooreGuesser:
@@ -130,8 +111,7 @@ def verify_based(
     if guesser.alphabet != 2:
         raise AlphabetMismatchError("bit guessers read bits")
     _check_alphabets(family, s)
-    stream = stream_up_word(family, w)
-    limit = limit_on_up(guesser, stream)
+    limit = limit_on_up(guesser, family.stream(w))
     return limit is not None and limit == membership_up(s, w)
 
 
@@ -145,7 +125,7 @@ def limsup_liminf_check(
             "limit comparison needs an explicit (eventually periodic) family"
         )
     _check_alphabets(family, s)
-    tail = stream_up_word(family, w).period
+    tail = family.stream(w).period
     chi = membership_up(s, w)
     return min(tail) == chi and max(tail) == chi
 

@@ -231,7 +231,7 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
     automaton = _load(formats.parse_automaton, args.set)
     for word in itertools.islice(up_words(automaton.alphabet), args.budget):
         if not verify_based(guesser, family, automaton, word):
-            print(f"ok=false")
+            print("ok=false")
             print(f"witness={word}")
             return 1
     print("ok=true")

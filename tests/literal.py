@@ -21,6 +21,9 @@ kept once and built from nothing it checks.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
   `open_union`.
+- `literal_family_bits`, each oracle family's membership bit read
+  one member at a time, the reference for the stream word
+  `OracleFamily.stream` builds.
 - `literal_canonical_up_words`, the enumeration that keeps a set of
   the words it has listed, the reference for the stream
   `space.up_words`.
@@ -35,6 +38,7 @@ import itertools
 
 from typing import Callable, Iterable, Literal, Sequence
 
+from guessable.based_guessing import CylinderFamily, OracleFamily
 from guessable.cycles import (
     Node,
     explore,
@@ -51,7 +55,9 @@ from guessable.space import (
     UPWord,
     Word,
     _check_alphabets,
+    _check_word,
     complement,
+    membership_up,
     product,
     words_up_to,
 )
@@ -261,6 +267,25 @@ def literal_guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -
         else:
             out[prefix] = 0
     return out[word]
+
+
+# -- oracle family streams ---------------------------------------------------
+
+
+def literal_family_bits(family: OracleFamily, w: UPWord, n: int) -> Word:
+    """The first n bits of the family's membership stream at w, bit i
+    the membership of w in member i.  Member i*k+j of the cylinder
+    family holds the points whose symbol at position i is j; member i
+    of an explicit family is prefix[i], then the cycle in turn."""
+    _check_word(w, family.alphabet)
+    if isinstance(family, CylinderFamily):
+        k = family.alphabet
+        return tuple(int(w.symbol(i // k) == i % k) for i in range(n))
+    p, c = len(family.prefix), len(family.cycle)
+    members = (
+        family.prefix[i] if i < p else family.cycle[(i - p) % c] for i in range(n)
+    )
+    return tuple(membership_up(m, w) for m in members)
 
 
 # -- canonical UP words ------------------------------------------------------

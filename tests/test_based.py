@@ -7,10 +7,8 @@ from guessable.based_guessing import (
     cylinder_simulation,
     cylinders_family,
     explicit_family,
-    family_stream,
     last_bit_guesser,
     limsup_liminf_check,
-    stream_periodicity,
     verify_based,
 )
 from guessable.fixtures import F_CYL1, F_EMPTY, F_FULL, F_NO11, F_ONE
@@ -18,54 +16,84 @@ from guessable.guesser import constant_guesser, evaluate, synthesize, verify_on_
 from guessable.space import (
     AlphabetMismatchError,
     UPWord,
+    canonical_up_words,
     compile_clopen,
     complement,
     cylinder,
 )
+from literal import literal_family_bits
 
 
 def up(text):
     return UPWord.from_literal(text)
 
 
+TERNARY = compile_clopen(cylinder((2,), 3))
+TERNARY_10 = compile_clopen(cylinder((1, 0), 3))
+FAMILIES = {
+    2: [
+        explicit_family((), (F_FULL,)),
+        explicit_family((), (F_ONE, complement(F_ONE))),
+        explicit_family((F_EMPTY,), (F_ONE,)),
+        explicit_family((F_CYL1, F_FULL), (F_NO11, F_ONE, F_EMPTY)),
+        cylinders_family(2),
+    ],
+    3: [
+        explicit_family((), (TERNARY,)),
+        explicit_family((complement(TERNARY),), (TERNARY_10, TERNARY)),
+        cylinders_family(3),
+    ],
+}
+
+
+def member_span(fam, w):
+    """The stream's preperiod plus period as the members give it, before
+    the stream word is made canonical."""
+    if isinstance(fam, CylinderFamily):
+        return fam.alphabet * (len(w.prefix) + len(w.period))
+    return len(fam.prefix) + len(fam.cycle)
+
+
 class TestFamilyStream:
     def test_constant_family(self):
         fam = explicit_family((), (F_FULL,))
-        assert family_stream(fam, up("(0)"), 4) == [1, 1, 1, 1]
+        assert fam.stream(up("(0)")) == up("(1)")
 
     def test_cylinders_readoff(self):
         fam = cylinders_family(2)
-        assert family_stream(fam, up("10(0)"), 4) == [0, 1, 1, 0]
+        assert fam.stream(up("10(0)")) == up("0110(10)")
 
     def test_alternating_family(self):
         fam = explicit_family((), (F_ONE, complement(F_ONE)))
-        assert family_stream(fam, up("(0)"), 4) == [0, 1, 0, 1]
+        assert fam.stream(up("(0)")) == up("(01)")
 
-    def test_period_report_correct(self, up_words_100):
-        families = [
-            explicit_family((), (F_FULL,)),
-            explicit_family((), (F_ONE, complement(F_ONE))),
-            explicit_family((F_EMPTY,), (F_ONE,)),
-            cylinders_family(2),
-        ]
-        for fam in families:
-            for w in up_words_100[:40]:
-                pre, per = stream_periodicity(fam, w)
-                bits = family_stream(fam, w, pre + 3 * per)
-                for i in range(pre, pre + 2 * per):
-                    assert bits[i] == bits[i + per]
+    def test_period_report_correct(self):
+        for k, families in FAMILIES.items():
+            words = canonical_up_words(k, 100)
+            for fam in families:
+                for w in words:
+                    n = 3 * member_span(fam, w)
+                    assert fam.stream(w).head(n) == literal_family_bits(fam, w, n)
+
+    @pytest.mark.parametrize(
+        "fam", [cylinders_family(2), explicit_family((), (F_ONE,))]
+    )
+    def test_refuses_a_word_outside_the_alphabet(self, fam):
+        with pytest.raises(
+            AlphabetMismatchError, match="^word uses symbol 2 outside alphabet 2$"
+        ):
+            fam.stream(up("2(0)"))
 
 
 class TestFamilyTypes:
     def test_explicit_family_reads_its_alphabet_off_its_members(self):
-        ternary = compile_clopen(cylinder((2,), 3))
-        fam = explicit_family((), (ternary,))
-        assert fam == ExplicitFamily((), (ternary,)) and fam.alphabet == 3
-        assert family_stream(fam, up("2(0)"), 2) == [1, 1]
+        fam = explicit_family((), (TERNARY,))
+        assert fam == ExplicitFamily((), (TERNARY,)) and fam.alphabet == 3
+        assert fam.stream(up("2(0)")) == up("(1)")
         with pytest.raises(
             AlphabetMismatchError, match="^family members must share the family alphabet$"
         ):
-            explicit_family((F_ONE,), (ternary,))
+            explicit_family((F_ONE,), (TERNARY,))
 
     def test_explicit_family_needs_a_cycle(self):
         with pytest.raises(ValueError, match="^explicit family needs a nonempty cycle$"):
@@ -74,8 +102,8 @@ class TestFamilyTypes:
     def test_cylinder_family(self):
         fam = cylinders_family(3)
         assert fam == CylinderFamily(3)
-        assert [fam.bit(up("2(0)"), i) for i in range(6)] == [0, 0, 1, 1, 0, 0]
-        assert fam.periodicity(up("21(0)")) == (6, 3)
+        assert fam.stream(up("2(0)")).head(6) == (0, 0, 1, 1, 0, 0)
+        assert fam.stream(up("21(0)")) == UPWord((0, 0, 1, 0, 1, 0), (1, 0, 0))
         with pytest.raises(ValueError, match="^alphabet size must be >= 2$"):
             CylinderFamily(1)
 

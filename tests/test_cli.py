@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from guessable.based_guessing import last_bit_guesser
+from guessable.based_guessing import cylinder_simulation, last_bit_guesser
 from guessable.cli import main
 from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
@@ -14,7 +14,7 @@ from guessable.formats import (
     render_guesser,
 )
 from guessable.guesser import constant_guesser, synthesize
-from guessable.space import equivalent
+from guessable.space import compile_clopen, cylinder, equivalent
 from test_fast_paths import counter_set
 
 
@@ -44,6 +44,21 @@ def files(tmp_path):
     p = tmp_path / "no11.chain"
     p.write_text(render_chain(["open0.aut", "open1.aut"]))
     paths["CHAIN"] = str(p)
+    # the ternary set of points starting with 2, and the cylinder
+    # families with the bit guessers that simulate canonical guessers
+    sets = dict(FIXTURES, T_CYL2=compile_clopen(cylinder((2,), 3)))
+    p = tmp_path / "t_cyl2.aut"
+    p.write_text(render_automaton(sets["T_CYL2"]))
+    paths["T_CYL2"] = str(p)
+    for k in (2, 3):
+        p = tmp_path / f"cyl{k}.fam"
+        p.write_text(f"family cylinders {k}\n")
+        paths[f"CYL{k}"] = str(p)
+    for k, name in ((2, "F_NO11"), (2, "F_CYL1"), (3, "T_CYL2")):
+        p = tmp_path / f"sim_{name}.guess"
+        lifted = cylinder_simulation(synthesize(sets[name]).guesser, k)
+        p.write_text(render_guesser(lifted))
+        paths[f"SIM_{name}"] = str(p)
     paths["DIR"] = str(tmp_path)
     return paths
 
@@ -287,13 +302,24 @@ ORACLE_PASS = ["rank_agreement=pass", "guesser_agreement=pass", "finite_rank=pas
         (["witness", "LASTBIT", "F_INF1"], 1, ["witness=(10)"]),
         (["verify", "--budget", "20", "GS_NO11", "F_NO11"], 0,
          ["witness=NONE", "words=20"]),
+        # canonical guessers lifted to the cylinder families, and a
+        # lifted guesser for the wrong set
+        (["based", "verify", "CYL2", "SIM_F_NO11", "F_NO11"], 0,
+         ["ok=true", "words=100"]),
+        (["based", "verify", "CYL3", "SIM_T_CYL2", "T_CYL2", "--budget", "30"], 0,
+         ["ok=true", "words=30"]),
+        (["based", "verify", "CYL2", "SIM_F_CYL1", "F_ONE"], 1,
+         ["ok=false", "witness=0(1)"]),
         # every binary depth-3 and every ternary depth-2 table
         (["oracle", "check", "--k", "2", "--d", "3", "--exhaustive"], 0,
          ["tables_checked=256", *ORACLE_PASS]),
         (["oracle", "check", "--k", "3", "--d", "2", "--exhaustive"], 0,
          ["tables_checked=512", *ORACLE_PASS]),
     ],
-    ids=["const0", "no11", "lastbit", "verify-budget", "oracle-k2-d3", "oracle-k3-d2"],
+    ids=[
+        "const0", "no11", "lastbit", "verify-budget", "based-cyl2", "based-cyl3",
+        "based-wrong-set", "oracle-k2-d3", "oracle-k3-d2",
+    ],
 )
 def test_console_output(files, capsys, argv, code, lines):
     """The exact stdout of a run, with file arguments named as in `files`."""
