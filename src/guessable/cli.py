@@ -59,12 +59,25 @@ def _print_notes(notes: list[str], prefix: str = "") -> None:
         print(f"note: {prefix}{message}", file=sys.stderr)
 
 
-def _load(parse, path: str):
-    """The machine `parse` reads from the file at `path`; its notes go
-    to stderr with the path in front."""
-    machine, *_, notes = parse(formats.read(path))
+def _load(path: str):
+    """The automaton in the file at `path`; its notes go to stderr with
+    the path in front."""
+    automaton, notes = formats.parse_automaton(formats.read(path))
     _print_notes(notes, f"{path}: ")
-    return machine
+    return automaton
+
+
+def _load_certified(args: argparse.Namespace):
+    """The guesser and the set that `args` names, read in that order,
+    or None once `bound_ok=false` is printed: the guesser file carries
+    bound lines that fail `check_bound`, a failed certification."""
+    guesser, ranked, notes = formats.parse_guesser(formats.read(args.guesser))
+    _print_notes(notes, f"{args.guesser}: ")
+    automaton = _load(args.set)
+    if ranked is not None and not check_bound(ranked):
+        print("bound_ok=false")
+        return None
+    return guesser, automaton
 
 
 def _rank_text(rank) -> str:
@@ -78,7 +91,7 @@ def _print_stages(trace) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    automaton = _load(formats.parse_automaton, args.automaton)
+    automaton = _load(args.automaton)
     trace = remainder_chain(automaton)
     print(f"guessable={'true' if trace.guessable else 'false'}")
     print(f"rank={_rank_text(trace.rank)}")
@@ -89,7 +102,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_remainder(args: argparse.Namespace) -> int:
-    automaton = _load(formats.parse_automaton, args.automaton)
+    automaton = _load(args.automaton)
     trace = remainder_chain(automaton)
     if args.trace:
         _print_stages(trace)
@@ -102,7 +115,7 @@ def cmd_remainder(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    automaton = _load(formats.parse_automaton, args.automaton)
+    automaton = _load(args.automaton)
     try:
         ranked = synthesize(automaton)
     except NotGuessableError:
@@ -125,8 +138,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if budget < 0:
         print("error: verify needs --budget >= 0", file=sys.stderr)
         return 2
-    guesser = _load(formats.parse_guesser, args.guesser)
-    automaton = _load(formats.parse_automaton, args.set)
+    if (loaded := _load_certified(args)) is None:
+        return 1
+    guesser, automaton = loaded
     witness = divergence_witness(guesser, automaton)
     if witness is not None:
         print(f"witness={witness}")
@@ -188,7 +202,7 @@ def cmd_diff_build(args: argparse.Namespace) -> int:
 def _print_classified(args: argparse.Namespace, stem: str):
     """Classify `args.set`, print its rank, side and chain (its files
     named after `stem` in `args.out_dir`), and return set and outcome."""
-    automaton = _load(formats.parse_automaton, args.set)
+    automaton = _load(args.set)
     outcome = classify(automaton)
     if outcome.chain is None:
         chain = "NONE"
@@ -227,8 +241,9 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
         formats.read(args.family), os.path.dirname(os.path.abspath(args.family))
     )
     _print_notes(notes)
-    guesser = _load(formats.parse_guesser, args.guesser)
-    automaton = _load(formats.parse_automaton, args.set)
+    if (loaded := _load_certified(args)) is None:
+        return 1
+    guesser, automaton = loaded
     for word in itertools.islice(up_words(automaton.alphabet), args.budget):
         if not verify_based(guesser, family, automaton, word):
             print("ok=false")

@@ -401,11 +401,11 @@ def _dot(m: Machine, name: str, labels: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_dot(s: ParitySet, name: str = "aut") -> str:
+def to_dot(s: ParitySet) -> str:
     """GraphViz rendering with priorities as labels."""
-    return _dot(s, name, [f"p={p}" for p in s.priority])
+    return _dot(s, "aut", [f"p={p}" for p in s.priority])
 
 
-def guesser_to_dot(g: MooreGuesser, name: str = "guesser") -> str:
+def guesser_to_dot(g: MooreGuesser) -> str:
     """GraphViz rendering with outputs as labels."""
-    return _dot(g, name, [f"out={b}" for b in g.output])
+    return _dot(g, "guesser", [f"out={b}" for b in g.output])

@@ -250,7 +250,8 @@ def divergence_witness(g: MooreGuesser, s: ParitySet) -> Optional[UPWord]:
     _, _, anchor, v = min(candidates)
     u = shortest_word_path(0, {anchor}, nodes, rows)[0] if anchor else ()
     witness = UPWord(u, v)
-    assert not verify_on_up(g, s, witness)
+    if verify_on_up(g, s, witness):
+        raise AssertionError("the witness does not diverge")
     return witness
 
 

@@ -371,27 +371,25 @@ class ClopenTable:
         """Membership class of every extension of a length >= d word."""
         return self.values[self.encode(word)]
 
-    def lookup_up(self, w: UPWord) -> int:
-        return self.lookup(w.head(self.depth))
-
 
 def cylinder(s: Word, alphabet: int = 2) -> ClopenTable:
     """The basic open set of all sequences extending s, as a table of
     depth len(s)."""
     _check_symbols(s, alphabet)
-    values = [0] * alphabet ** len(s)
-    code = 0
-    for a in s:
-        code = code * alphabet + a
-    values[code] = 1
-    return ClopenTable(alphabet=alphabet, depth=len(s), values=tuple(values))
+    s = tuple(s)
+    words = itertools.product(range(alphabet), repeat=len(s))
+    return ClopenTable(alphabet, len(s), tuple(int(w == s) for w in words))
 
 
 def compile_clopen(t: ClopenTable) -> ParitySet:
     """Prefix tree of depth d feeding two absorbing sinks.
 
-    State count is at most 1 + k + ... + k^(d-1) internal nodes plus
-    the accepting and rejecting sinks.
+    The depth-n word with base-k code c is state (k^n - 1)/(k - 1) + c,
+    so state i reads k*i + 1 + a on symbol a.  The words shorter than d
+    are the states below acc = (k^d - 1)/(k - 1); the depth-d word with
+    code c would be acc + c, and its place is taken by the accepting
+    sink acc or the rejecting sink acc + 1, as values[c] says.  That is
+    exactly (k^d - 1)/(k - 1) + 2 states, and one state at depth 0.
     """
     k = t.alphabet
     if t.depth == 0:
@@ -402,26 +400,11 @@ def compile_clopen(t: ClopenTable) -> ParitySet:
             delta=((0,) * k,),
             priority=(2 if accept else 1,),
         )
-    internal: list[Word] = []
-    for n in range(t.depth):
-        internal.extend(itertools.product(range(k), repeat=n))
-    index = {w: i for i, w in enumerate(internal)}
-    acc = len(internal)
-    rej = acc + 1
-    rows: list[tuple[int, ...]] = []
-    for w in internal:
-        row = []
-        for a in range(k):
-            child = w + (a,)
-            if len(child) < t.depth:
-                row.append(index[child])
-            else:
-                row.append(acc if t.lookup(child) == 1 else rej)
-        rows.append(tuple(row))
-    rows.append((acc,) * k)
-    rows.append((rej,) * k)
-    priority = tuple([1] * len(internal) + [2, 1])
-    return ParitySet(alphabet=k, start=0, delta=tuple(rows), priority=priority)
+    acc = (k**t.depth - 1) // (k - 1)
+    target = [*range(acc), *((acc + 1, acc)[v] for v in t.values)]
+    rows = [tuple(target[k * i + 1 : k * i + k + 1]) for i in range(acc)]
+    delta = (*rows, (acc,) * k, (acc + 1,) * k)
+    return ParitySet(alphabet=k, start=0, delta=delta, priority=(1,) * acc + (2, 1))
 
 
 # -- open sets ------------------------------------------------------

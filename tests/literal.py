@@ -27,6 +27,10 @@ kept once and built from nothing it checks.
 - `literal_canonical_up_words`, the enumeration that keeps a set of
   the words it has listed, the reference for the stream
   `space.up_words`.
+- `literal_cylinder` and `literal_compile_clopen`, the clopen table of
+  a cylinder by a base-k encoding loop and the prefix tree numbered
+  through a list of its words and an index dict, the references for
+  the closed forms of `space.cylinder` and `space.compile_clopen`.
 
 The file is named so that pytest does not collect it; the test modules
 import it by name.
@@ -55,6 +59,7 @@ from guessable.space import (
     UPWord,
     Word,
     _check_alphabets,
+    _check_symbols,
     _check_word,
     complement,
     membership_up,
@@ -286,6 +291,56 @@ def literal_family_bits(family: OracleFamily, w: UPWord, n: int) -> Word:
         family.prefix[i] if i < p else family.cycle[(i - p) % c] for i in range(n)
     )
     return tuple(membership_up(m, w) for m in members)
+
+
+# -- clopen tables ----------------------------------------------------------
+
+
+def literal_cylinder(s: Word, alphabet: int = 2) -> ClopenTable:
+    """The cylinder of s as a table: 1 at the base-k code of s, 0
+    elsewhere."""
+    _check_symbols(s, alphabet)
+    values = [0] * alphabet ** len(s)
+    code = 0
+    for a in s:
+        code = code * alphabet + a
+    values[code] = 1
+    return ClopenTable(alphabet=alphabet, depth=len(s), values=tuple(values))
+
+
+def literal_compile_clopen(t: ClopenTable) -> ParitySet:
+    """The prefix tree of depth d, its words listed shortest first and
+    numbered through an index dict, feeding the accepting and then the
+    rejecting sink."""
+    k = t.alphabet
+    if t.depth == 0:
+        accept = t.values[0] == 1
+        return ParitySet(
+            alphabet=k,
+            start=0,
+            delta=((0,) * k,),
+            priority=(2 if accept else 1,),
+        )
+    internal: list[Word] = []
+    for n in range(t.depth):
+        internal.extend(itertools.product(range(k), repeat=n))
+    index = {w: i for i, w in enumerate(internal)}
+    acc = len(internal)
+    rej = acc + 1
+    rows: list[tuple[int, ...]] = []
+    for w in internal:
+        row = []
+        for a in range(k):
+            child = w + (a,)
+            if len(child) < t.depth:
+                row.append(index[child])
+            else:
+                row.append(acc if t.lookup(child) == 1 else rej)
+        rows.append(tuple(row))
+    rows.append((acc,) * k)
+    rows.append((rej,) * k)
+    priority = tuple([1] * len(internal) + [2, 1])
+    return ParitySet(alphabet=k, start=0, delta=tuple(rows), priority=priority)
 
 
 # -- canonical UP words ------------------------------------------------------

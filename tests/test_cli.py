@@ -32,6 +32,10 @@ def files(tmp_path):
     p = tmp_path / "const0.guess"
     p.write_text(render_guesser(constant_guesser(2, 0)))
     paths["CONST0"] = str(p)
+    # bound 5 is not below the codomain 3, so `check_bound` fails
+    p = tmp_path / "bound5.guess"
+    p.write_text(render_guesser(constant_guesser(2, 0)) + "bound 0 5\ncodomain 3\n")
+    paths["BOUND5"] = str(p)
     p = tmp_path / "no11.guess"
     p.write_text(render_guesser(synthesize(FIXTURES["F_NO11"]).guesser))
     paths["GS_NO11"] = str(p)
@@ -310,6 +314,11 @@ ORACLE_PASS = ["rank_agreement=pass", "guesser_agreement=pass", "finite_rank=pas
          ["ok=true", "words=30"]),
         (["based", "verify", "CYL2", "SIM_F_CYL1", "F_ONE"], 1,
          ["ok=false", "witness=0(1)"]),
+        # a guesser file whose bounds fail `check_bound` certifies
+        # nothing, though it never diverges from the empty set
+        (["verify", "BOUND5", "F_EMPTY"], 1, ["bound_ok=false"]),
+        (["witness", "BOUND5", "F_EMPTY"], 1, ["bound_ok=false"]),
+        (["based", "verify", "CYL2", "BOUND5", "F_EMPTY"], 1, ["bound_ok=false"]),
         # every binary depth-3 and every ternary depth-2 table
         (["oracle", "check", "--k", "2", "--d", "3", "--exhaustive"], 0,
          ["tables_checked=256", *ORACLE_PASS]),
@@ -318,7 +327,8 @@ ORACLE_PASS = ["rank_agreement=pass", "guesser_agreement=pass", "finite_rank=pas
     ],
     ids=[
         "const0", "no11", "lastbit", "verify-budget", "based-cyl2", "based-cyl3",
-        "based-wrong-set", "oracle-k2-d3", "oracle-k3-d2",
+        "based-wrong-set", "verify-bound", "witness-bound", "based-bound",
+        "oracle-k2-d3", "oracle-k3-d2",
     ],
 )
 def test_console_output(files, capsys, argv, code, lines):

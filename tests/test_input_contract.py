@@ -507,6 +507,20 @@ def _ranked_guesser_text(bound="0", codomain="1"):
     )
 
 
+@pytest.mark.parametrize("command", ["verify", "witness", "based"])
+def test_unusable_input_beside_failing_bounds_exits_2(open_files, command):
+    """Every input is read before the bounds are checked, so a missing
+    set still exits 2 when the guesser's bounds fail `check_bound`."""
+    guesser = open_files / "bound5.guess"
+    guesser.write_text(_ranked_guesser_text(bound="5", codomain="3"))
+    family = open_files / "cyl2.fam"
+    family.write_text("family cylinders 2\n")
+    head = ["based", "verify", str(family)] if command == "based" else [command]
+    code, out, err = run([*head, str(guesser), str(open_files / "missing.aut")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing.aut" in err
+
+
 @pytest.mark.parametrize("depth", [900, 3000])
 @pytest.mark.parametrize("where", ["bound", "codomain"])
 def test_deeply_nested_ordinal_literals_exit_2(open_files, where, depth):

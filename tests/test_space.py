@@ -13,6 +13,7 @@ from guessable.fixtures import (
     OPEN_FACTOR_11,
     OPEN_ONE,
 )
+from guessable.formats import render_automaton
 from guessable.randgen import duplicate_state, random_parity_set
 from guessable.space import (
     AlphabetMismatchError,
@@ -28,7 +29,12 @@ from guessable.space import (
     open_subset,
     words_up_to,
 )
-from literal import literal_canonical_up_words, product_boolean
+from literal import (
+    literal_canonical_up_words,
+    literal_compile_clopen,
+    literal_cylinder,
+    product_boolean,
+)
 
 
 def up(text):
@@ -146,10 +152,38 @@ class TestClopen:
         assert membership_up(aut, up("11(0)")) == 0
 
     def test_state_budget(self):
-        for k, d in [(2, 3), (3, 2)]:
+        for k, d in [(2, 3), (3, 2), (5, 1)]:
             t = ClopenTable(k, d, tuple([1] * (k**d)))
-            bound = sum(k**i for i in range(d + 1)) + 1
-            assert compile_clopen(t).n_states <= bound
+            assert compile_clopen(t).n_states == (k**d - 1) // (k - 1) + 2
+        assert compile_clopen(ClopenTable(4, 0, (0,))).n_states == 1
+
+    def test_compile_renders_as_the_literal_prefix_tree(self):
+        # every binary and ternary table of at most 16 cells, every table
+        # of depth <= 1 over 4 or 5 symbols, then seeded tables too large
+        # to list
+        rng = random.Random(0)
+        small = [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2)]
+        small += [(4, 0), (4, 1), (5, 0), (5, 1)]
+        tables = itertools.chain(
+            (
+                ClopenTable(k, d, values)
+                for k, d in small
+                for values in itertools.product((0, 1), repeat=k**d)
+            ),
+            (
+                ClopenTable(k, d, tuple(rng.randrange(2) for _ in range(k**d)))
+                for k, d in [(3, 3), (2, 6), (5, 3)]
+                for _ in range(50)
+            ),
+        )
+        for t in tables:
+            want = render_automaton(literal_compile_clopen(t))
+            assert render_automaton(compile_clopen(t)) == want, t
+
+    def test_cylinder_matches_the_literal_table(self):
+        for k in (2, 3):
+            for s in words_up_to(k, 3):
+                assert cylinder(s, k) == literal_cylinder(s, k)
 
     def test_agrees_with_lookup_exhaustive(self):
         # every table for k=2 d<=3 and k=3 d<=2, on canonical UP words
@@ -159,7 +193,7 @@ class TestClopen:
                 t = ClopenTable(k, d, values)
                 aut = compile_clopen(t)
                 for w in words:
-                    assert membership_up(aut, w) == t.lookup_up(w)
+                    assert membership_up(aut, w) == t.lookup(w.head(d))
 
 
 class TestProducts:

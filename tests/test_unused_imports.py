@@ -1,8 +1,10 @@
 """Every name a module under `src/guessable` or `tests` imports is read
-in that module, and every f-string in it has a placeholder.  The checks
-parse each module with `ast`, so they need nothing beyond the standard
-library.  The package's `__init__.py` is left out of the import check:
-it imports names to export them."""
+in that module, and every f-string in it has a placeholder.  No module
+under `src/guessable` holds an `assert` statement: `python -O` drops
+those, so the package's self-checks raise `AssertionError` explicitly.
+The checks parse each module with `ast`, so they need nothing beyond
+the standard library.  The package's `__init__.py` is left out of the
+import check: it imports names to export them."""
 
 from __future__ import annotations
 
@@ -83,3 +85,22 @@ def test_the_check_sees_an_fstring_with_no_placeholder():
 )
 def test_every_fstring_has_a_placeholder(path):
     assert empty_fstrings(path.read_text(encoding="utf-8")) == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """The line of each `assert` statement."""
+    nodes = ast.walk(ast.parse(source))
+    return sorted(n.lineno for n in nodes if isinstance(n, ast.Assert))
+
+
+def test_the_check_sees_an_assert_statement():
+    source = (
+        "def f(x):\n    assert x, 'x'\n    if not x:\n"
+        "        raise AssertionError('x')\n    return x  # assert\n"
+    )
+    assert assert_statements(source) == [2]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_the_package_holds_no_assert_statement(module):
+    assert assert_statements((SOURCE / module).read_text(encoding="utf-8")) == []
