@@ -103,14 +103,19 @@ def last_bit_guesser() -> MooreGuesser:
     )
 
 
+def _check_based_alphabets(g: MooreGuesser, family: OracleFamily, s: ParitySet) -> None:
+    """The guesser reads bits, and the family shares the set's alphabet."""
+    if g.alphabet != 2:
+        raise AlphabetMismatchError("bit guessers read bits")
+    _check_alphabets(family, s)
+
+
 def verify_based(
     guesser: MooreGuesser, family: OracleFamily, s: ParitySet, w: UPWord
 ) -> bool:
     """Exact check that the guesser, fed the family's bit stream at w,
     converges to the membership bit of w in s."""
-    if guesser.alphabet != 2:
-        raise AlphabetMismatchError("bit guessers read bits")
-    _check_alphabets(family, s)
+    _check_based_alphabets(guesser, family, s)
     limit = limit_on_up(guesser, family.stream(w))
     return limit is not None and limit == membership_up(s, w)
 

@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import formats
-from .based_guessing import verify_based
+from .based_guessing import _check_based_alphabets, verify_based
 from .diff_hierarchy import (
     ChainNotIncreasingError,
     Side,
@@ -37,10 +37,10 @@ from .oracle import (
     draw_tables,
     exhaustive_tables,
 )
-from .ordinal import to_text as ordinal_text
 from .remainder import remainder_chain
 from .space import (
     AlphabetMismatchError,
+    _check_alphabets,
     complement,
     equivalent,
     up_words,
@@ -67,21 +67,18 @@ def _load(path: str):
     return automaton
 
 
-def _load_certified(args: argparse.Namespace):
+def _load_pair(args: argparse.Namespace):
     """The guesser and the set that `args` names, read in that order,
-    or None once `bound_ok=false` is printed: the guesser file carries
-    bound lines that fail `check_bound`, a failed certification."""
+    and whether the guesser file's bound lines, if any, pass
+    `check_bound`.  A caller checks the alphabets before it prints
+    `bound_ok=false`, so a mismatch exits 2 and failing bounds exit 1."""
     guesser, ranked, notes = formats.parse_guesser(formats.read(args.guesser))
     _print_notes(notes, f"{args.guesser}: ")
-    automaton = _load(args.set)
-    if ranked is not None and not check_bound(ranked):
-        print("bound_ok=false")
-        return None
-    return guesser, automaton
+    return guesser, _load(args.set), ranked is None or check_bound(ranked)
 
 
 def _rank_text(rank) -> str:
-    return "NOT_GUESSABLE" if rank is None else ordinal_text(rank)
+    return "NOT_GUESSABLE" if rank is None else str(rank)
 
 
 def _print_stages(trace) -> None:
@@ -95,7 +92,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     trace = remainder_chain(automaton)
     print(f"guessable={'true' if trace.guessable else 'false'}")
     print(f"rank={_rank_text(trace.rank)}")
-    print(f"alpha_S={ordinal_text(trace.alpha_s)}")
+    print(f"alpha_S={trace.alpha_s}")
     if args.trace:
         _print_stages(trace)
     return 0
@@ -106,7 +103,7 @@ def cmd_remainder(args: argparse.Namespace) -> int:
     trace = remainder_chain(automaton)
     if args.trace:
         _print_stages(trace)
-    print(f"alpha(S) = {ordinal_text(trace.alpha_s)}")
+    print(f"alpha(S) = {trace.alpha_s}")
     print(f"S_infty_empty = {'true' if trace.guessable else 'false'}")
     if args.gaps:
         gaps = ",".join(str(a) for a in trace.gap_stages())
@@ -128,7 +125,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         print(f"guesser={args.output}")
     else:
         sys.stdout.write(text)
-    print(f"rank={ordinal_text(ranked.codomain)}")
+    print(f"rank={ranked.codomain}")
     print(f"bound_ok={'true' if check_bound(ranked) else 'false'}")
     return 0
 
@@ -138,9 +135,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if budget < 0:
         print("error: verify needs --budget >= 0", file=sys.stderr)
         return 2
-    if (loaded := _load_certified(args)) is None:
+    guesser, automaton, bound_ok = _load_pair(args)
+    _check_alphabets(automaton, guesser)
+    if not bound_ok:
+        print("bound_ok=false")
         return 1
-    guesser, automaton = loaded
     witness = divergence_witness(guesser, automaton)
     if witness is not None:
         print(f"witness={witness}")
@@ -241,9 +240,11 @@ def cmd_based_verify(args: argparse.Namespace) -> int:
         formats.read(args.family), os.path.dirname(os.path.abspath(args.family))
     )
     _print_notes(notes)
-    if (loaded := _load_certified(args)) is None:
+    guesser, automaton, bound_ok = _load_pair(args)
+    _check_based_alphabets(guesser, family, automaton)
+    if not bound_ok:
+        print("bound_ok=false")
         return 1
-    guesser, automaton = loaded
     for word in itertools.islice(up_words(automaton.alphabet), args.budget):
         if not verify_based(guesser, family, automaton, word):
             print("ok=false")

@@ -91,11 +91,6 @@ class OrdinalCNF:
             return True
         return NotImplemented
 
-    def __add__(self, other: "OrdinalCNF | int") -> "OrdinalCNF":
-        if isinstance(other, int):
-            other = from_int(other)
-        return add(self, other)
-
     # -- structure --------------------------------------------------
 
     @property
@@ -105,11 +100,6 @@ class OrdinalCNF:
     @property
     def is_finite(self) -> bool:
         return self._int is not None
-
-    @property
-    def finite_part(self) -> int:
-        """The n in a = lambda + n with lambda limit or 0."""
-        return self._finite
 
     @property
     def is_successor(self) -> bool:
@@ -190,12 +180,6 @@ def order_key(a: Rank) -> "tuple | None":
     tuple comparison each and no operator dispatch.  ``INFINITY`` is
     above every key and has none: the result is None."""
     return None if a is INFINITY else a._key
-
-
-def compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
-    """Total order on CNF: -1, 0 or 1. Lexicographic on term lists."""
-    ka, kb = a._key, b._key
-    return (ka > kb) - (ka < kb)
 
 
 def add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:

@@ -34,7 +34,6 @@ from guessable.ordinal import (
     NESTING_LIMIT,
     ZERO,
     OrdinalCNF,
-    compare,
     from_text,
     omega_power,
     to_text,
@@ -507,18 +506,52 @@ def _ranked_guesser_text(bound="0", codomain="1"):
     )
 
 
-@pytest.mark.parametrize("command", ["verify", "witness", "based"])
-def test_unusable_input_beside_failing_bounds_exits_2(open_files, command):
-    """Every input is read before the bounds are checked, so a missing
-    set still exits 2 when the guesser's bounds fail `check_bound`."""
+TERNARY_FAILING_GUESSER = (
+    "alphabet 3\nstates 1\nstart 0\noutput 0 0\nbound 0 5\ncodomain 3\n"
+    "trans 0 0 0\ntrans 0 1 0\ntrans 0 2 0\n"
+)
+TERNARY_SET = "alphabet 3\nstates 1\nstart 0\npriority 0 1\n" + "".join(
+    f"trans 0 {a} 0\n" for a in range(3)
+)
+
+
+@pytest.mark.parametrize(
+    "command, guesser_text, set_name, message",
+    [
+        pytest.param(command, None, "missing.aut", "missing.aut", id=command)
+        for command in ("verify", "witness", "based")
+    ] + [
+        pytest.param(
+            command, None, "three.aut", "alphabet mismatch: 2 vs 3",
+            id=f"{command}-alphabet",
+        )
+        for command in ("verify", "witness")
+    ] + [
+        pytest.param(
+            "based", None, "three.aut", "alphabet mismatch: 3 vs 2",
+            id="based-family-alphabet",
+        ),
+        pytest.param(
+            "based", TERNARY_FAILING_GUESSER, "one.aut", "bit guessers read bits",
+            id="based-guesser-alphabet",
+        ),
+    ],
+)
+def test_unusable_input_beside_failing_bounds_exits_2(
+    open_files, command, guesser_text, set_name, message
+):
+    """Every input is read, and the alphabets checked, before the bounds
+    are: a missing set or an alphabet mismatch still exits 2 when the
+    guesser's bounds fail `check_bound`."""
     guesser = open_files / "bound5.guess"
-    guesser.write_text(_ranked_guesser_text(bound="5", codomain="3"))
+    guesser.write_text(guesser_text or _ranked_guesser_text(bound="5", codomain="3"))
+    (open_files / "three.aut").write_text(TERNARY_SET)
     family = open_files / "cyl2.fam"
     family.write_text("family cylinders 2\n")
     head = ["based", "verify", str(family)] if command == "based" else [command]
-    code, out, err = run([*head, str(guesser), str(open_files / "missing.aut")])
+    code, out, err = run([*head, str(guesser), str(open_files / set_name)])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "missing.aut" in err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("depth", [900, 3000])
@@ -538,7 +571,7 @@ def test_ordinal_literal_at_the_nesting_limit():
     assert to_text(value) == text
     again = from_text(text)
     assert again is not value
-    assert again == value and compare(again, value) == 0
+    assert again == value
     assert hash(again) == hash(value)
     assert value > from_text(_nested(NESTING_LIMIT - 1, "w + 1"))
     _, ranked, _ = parse_guesser(_ranked_guesser_text(codomain=text))

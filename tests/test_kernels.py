@@ -674,7 +674,6 @@ def _outcome(read, a):
 @given(ORDINALS)
 def test_stored_readers_agree_with_the_term_walks(a):
     assert a.is_finite == literal_is_finite(a)
-    assert a.finite_part == literal_finite_part(a)
     assert a.is_successor == literal_is_successor(a)
     assert _outcome(OrdinalCNF.to_int, a) == _outcome(literal_to_int, a)
     assert parity(a) == literal_parity(a)

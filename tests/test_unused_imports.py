@@ -3,8 +3,7 @@ in that module, and every f-string in it has a placeholder.  No module
 under `src/guessable` holds an `assert` statement: `python -O` drops
 those, so the package's self-checks raise `AssertionError` explicitly.
 The checks parse each module with `ast`, so they need nothing beyond
-the standard library.  The package's `__init__.py` is left out of the
-import check: it imports names to export them."""
+the standard library."""
 
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import pytest
 import guessable
 
 SOURCE = Path(guessable.__file__).parent
-MODULES = sorted(p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
 TESTS = Path(__file__).parent
 TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
@@ -76,11 +75,7 @@ def test_the_check_sees_an_fstring_with_no_placeholder():
 
 @pytest.mark.parametrize(
     "path",
-    [
-        SOURCE / "__init__.py",
-        *(SOURCE / m for m in MODULES),
-        *(TESTS / m for m in TEST_MODULES),
-    ],
+    [*(SOURCE / m for m in MODULES), *(TESTS / m for m in TEST_MODULES)],
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_every_fstring_has_a_placeholder(path):
@@ -101,6 +96,6 @@ def test_the_check_sees_an_assert_statement():
     assert assert_statements(source) == [2]
 
 
-@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+@pytest.mark.parametrize("module", MODULES)
 def test_the_package_holds_no_assert_statement(module):
     assert assert_statements((SOURCE / module).read_text(encoding="utf-8")) == []
