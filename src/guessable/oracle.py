@@ -1,24 +1,27 @@
 """Depth-truncated brute force over explicit clopen tables.
 
-This module recomputes stage sets, word ranks and the canonical
-guesser directly from their definitions on the tree of words of
-length <= d, and exists to cross-check the automaton pipeline.  The
-stage sets are built once per table, as the chain is iterated, and the
-guesser's case split reads the stage it names from them; it runs once
-per word per table, each word reading its parent's guess.  The
-convention that makes the literal recursion terminate: below depth d
-every subtree is membership-constant, so an infinite extension stays
-inside a stage set exactly when all of its prefixes up to depth d do.
-That restricts the oracle to clopen sets by design; the automaton
-route is the only way to non-clopen sets, and its validation burden
-is carried by the cross checks below.
+This module recomputes word ranks and the canonical guesser on the
+tree of words of length <= d, and exists to cross-check the automaton
+pipeline.  The convention that makes the recursion terminate: below
+depth d every subtree is membership-constant, so an infinite extension
+stays inside a stage set exactly when all of its prefixes up to depth
+d do.  That restricts the oracle to clopen sets by design; the
+automaton route is the only way to non-clopen sets, and its validation
+burden is carried by the cross checks below.
 
-Only the cross checks here are part of the package: the literal
-stage-by-stage iteration of the remainder chain on automaton states,
-the guesser that rebuilds each stage from the word ranks and the
-guesser that walks one word's prefixes, the references for the trace,
-the kept stages and the one sweep per table, are read by the tests
-alone and are kept with them in `tests/literal.py`.
+One bottom-up pass over the tree gives each word its stage rank and
+the classes its extensions show in the last stage it lies in, and one
+top-down pass turns those into the canonical guesses.
+`cross_validate` walks the automaton and the guesser along the same
+tree, one transition per word, and compares the two at each word; it
+holds nothing larger than the tree, however long the words it checks.
+
+The literal constructions the passes replace are read by the tests
+alone and are kept with them in `tests/literal.py`: the stage-by-stage
+iteration of the chain on the word tree, each node's extension
+classes read off its whole subtree, the guesser's case split run
+afresh on each prefix of a word, and the stage-by-stage iteration of
+the remainder chain on automaton states.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .guesser import evaluate, synthesize
+from .guesser import MooreGuesser, synthesize
 from .ordinal import INFINITY
-from .remainder import remainder_chain, word_rank
+from .remainder import RemainderTrace, remainder_chain
 from .space import ClopenTable, Word, compile_clopen, words_up_to
 
 
@@ -63,10 +66,9 @@ def _cells(alphabet: int, depth: int, budget: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class TruncatedTree:
-    """Stage ranks of every node of the depth-d word tree, computed by
-    running the stage step until the node set stops shrinking, and the
-    stages themselves: `stages[i]` is `{w : ranks[w] > i}`, from every
-    word of length <= d down to the empty one at `least_empty_stage`."""
+    """Stage ranks of every node of the depth-d word tree and the stages
+    themselves: `stages[i]` is `{w : ranks[w] > i}`, from every word of
+    length <= d down to the empty one at `least_empty_stage`."""
 
     table: ClopenTable
     ranks: dict[Word, int]
@@ -81,84 +83,72 @@ class TruncatedTree:
         return 1
 
 
-def _extension_classes(
-    table: ClopenTable, node: Word, stage: AbstractSet[Word]
-) -> set[int]:
-    """Membership classes of infinite extensions of `node`, a word of
-    `stage`, that stay in it: classes of depth-d descendants whose whole
-    prefix path lies in the stage."""
-    k, d = table.alphabet, table.depth
-    classes: set[int] = set()
-    frontier = [node]
-    for _ in range(d - len(node)):
-        nxt = []
-        for w in frontier:
-            for a in range(k):
-                child = w + (a,)
-                if child in stage:
-                    nxt.append(child)
-        frontier = nxt
-    for leaf in frontier:
-        classes.add(table.lookup(leaf))
-        if len(classes) == 2:
-            break
-    return classes
+def _levels(table: ClopenTable) -> list[tuple[list[int], list[int]]]:
+    """The stage rank and the canonical guess of every word of length
+    <= d: one pair of lists per length n, indexed by base-k code.
+
+    A word in stage s keeps the classes of its in-stage children (its
+    own class at a leaf) as a mask, bit 1 << c for class c, and survives
+    while it has both, so its mask reads both at every stage but its
+    last.  A node is thus summed up by its rank and its last-stage mask,
+    read off its children in one bottom-up pass: a leaf leaves at stage
+    1 with its class; an inner node whose children reach rank R at most
+    sees both classes up to stage R - 2 and, at stage R - 1, the union
+    of the last masks of its rank-R children.  With both it lasts one
+    stage more and leaves at R + 1 with none; otherwise it leaves at R
+    with that union.  The guess is the one class of the last mask, or
+    the parent's guess when there is none (0 at the root)."""
+    k = table.alphabet
+    ranks = [1] * len(table.values)
+    masks = [1 << v for v in table.values]
+    bottom_up = [(ranks, masks)]
+    for _ in range(table.depth):
+        parent_ranks, parent_masks = [], []
+        for i in range(0, len(ranks), k):
+            top = max(ranks[i : i + k])
+            mask = 0
+            for r, m in zip(ranks[i : i + k], masks[i : i + k]):
+                if r == top:
+                    mask |= m
+            if mask == 3:
+                top, mask = top + 1, 0
+            parent_ranks.append(top)
+            parent_masks.append(mask)
+        ranks, masks = parent_ranks, parent_masks
+        bottom_up.append((ranks, masks))
+    levels = []
+    guesses = [0]
+    for ranks, masks in reversed(bottom_up):
+        guesses = [m >> 1 if m else guesses[i // k] for i, m in enumerate(masks)]
+        levels.append((ranks, guesses))
+    return levels
 
 
 def truncated_remainder(table: ClopenTable) -> TruncatedTree:
-    """Stagewise word-level chain, literally: a node survives into the
-    next stage iff extensions of both classes remain available through
-    the current stage."""
-    stage = frozenset(words_up_to(table.alphabet, table.depth))
-    stages = [stage]
-    ranks: dict[Word, int] = {}
-    while stage:
-        survivors = frozenset(
-            w for w in stage if len(_extension_classes(table, w, stage)) == 2
+    """The stage ranks of the word tree, with the stages they give."""
+    levels = _levels(table)
+    ranks = dict(
+        zip(
+            words_up_to(table.alphabet, table.depth),
+            itertools.chain.from_iterable(r for r, _ in levels),
         )
-        if survivors == stage:
-            raise AssertionError("clopen stage chain failed to empty")
-        for w in stage - survivors:
-            ranks[w] = len(stages)
-        stages.append(survivors)
-        stage = survivors
-    return TruncatedTree(table, ranks, len(stages) - 1, tuple(stages))
+    )
+    top = ranks[()]
+    stages = tuple(
+        frozenset(w for w, r in ranks.items() if r > i) for i in range(top + 1)
+    )
+    return TruncatedTree(table, ranks, top, stages)
 
 
 def truncated_guesser(table: ClopenTable) -> dict[Word, int]:
-    """The canonical guesser on words of length <= d+1, by the literal
-    case split: with extensions available inside the previous stage,
-    output their common class; with none, inherit the parent's output
-    (0 at the root)."""
-    return _guesses(table, truncated_remainder(table), table.depth + 1)
-
-
-def _guesses(table: ClopenTable, tree: TruncatedTree, length: int) -> dict[Word, int]:
-    """The guess at each word of length <= `length`, its parent's first."""
-    out: dict[Word, int] = {}
-    for word in words_up_to(table.alphabet, length):
-        out[word] = _guess_at(table, tree, word, out)
-    return out
-
-
-def _guess_at(
-    table: ClopenTable,
-    tree: TruncatedTree,
-    word: Word,
-    memo: dict[Word, int],
-) -> int:
-    if len(word) > table.depth:
-        # homogeneous below depth d: the one available class wins
-        return table.lookup(word)
-    # stage r - 1 for the word's rank r: the last stage it lies in
-    classes = _extension_classes(table, word, tree.stages[tree.rank_of(word) - 1])
-    if len(classes) == 2:
-        raise AssertionError("rank mismatch: both classes at a ranked node")
-    if classes:
-        return classes.pop()
-    if word:
-        return memo[word[:-1]]
-    return 0
+    """The canonical guesser on words of length <= d+1: with extensions
+    available inside the last stage a word lies in, their common class;
+    with none, the parent's output (0 at the root); below depth d, the
+    table's class."""
+    k, d = table.alphabet, table.depth
+    below = (v for v in table.values for _ in range(k))
+    guesses = itertools.chain.from_iterable(g for _, g in _levels(table))
+    return dict(zip(words_up_to(k, d + 1), itertools.chain(guesses, below)))
 
 
 def exhaustive_tables(alphabet: int, depth: int) -> Iterator[ClopenTable]:
@@ -220,26 +210,67 @@ def cross_validate(
     tables: Iterable[ClopenTable],
     word_length: int = 4,
 ) -> CrossValidationReport:
-    """For each table, compare word ranks and guesser outputs between
-    the literal recursion here and the automaton pipeline; the case
-    split runs once per word of length <= min(word_length, d)."""
+    """For each table, compare the rank of every word of length <=
+    `word_length` in the automaton's remainder trace with its stage rank
+    here, and the synthesized guesser's output there with the canonical
+    guess here.  Mismatches are listed table by table, each table's
+    words in `words_up_to` order."""
     report = CrossValidationReport()
     for table in tables:
         report.tables_checked += 1
         automaton = compile_clopen(table)
         trace = remainder_chain(automaton)
-        tree = truncated_remainder(table)
         if not trace.guessable:
             report.rank_infinite.append(table)
             continue
-        ranked = synthesize(automaton)
-        guesses = _guesses(table, tree, min(word_length, table.depth))
-        for word in words_up_to(table.alphabet, word_length):
-            want = tree.rank_of(word)
-            got = word_rank(trace, word)
-            if got is INFINITY or got.to_int() != want:
-                report.rank_mismatches.append((table, word))
-            guess = guesses[word] if word in guesses else table.lookup(word)
-            if evaluate(ranked.guesser, word) != guess:
-                report.guess_mismatches.append((table, word))
+        guesser = synthesize(automaton).guesser
+        ranks, guesses = _mismatches(table, trace, guesser, word_length)
+        k = table.alphabet
+        report.rank_mismatches += [(table, _word(k, n, c)) for n, c in ranks]
+        report.guess_mismatches += [(table, _word(k, n, c)) for n, c in guesses]
     return report
+
+
+def _mismatches(
+    table: ClopenTable, trace: RemainderTrace, guesser: MooreGuesser, length: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Two lists of the words of length <= `length`, as (length, code)
+    pairs in `words_up_to` order: those whose state's rank in the trace
+    differs from their stage rank, and those whose guesser state's
+    output differs from their canonical guess.  The words are walked
+    depth first, a word's states its parent's stepped by its last
+    symbol, so the stack holds at most k words per length; below depth
+    d a word has rank 1 and its parent's guess, the class of its
+    depth-d prefix."""
+    k, d = table.alphabet, table.depth
+    delta, g_delta, output = trace.subject.delta, guesser.delta, guesser.output
+    rank = {
+        q: None if r is INFINITY else r.to_int() for q, r in trace.state_rank.items()
+    }
+    levels = _levels(table)
+    ranks_off: list[tuple[int, int]] = []
+    guesses_off: list[tuple[int, int]] = []
+    stack = [(trace.subject.start, guesser.start, 0, 0, 0)]
+    while stack:
+        q, g, n, code, b = stack.pop()
+        if n <= d:
+            r, b = levels[n][0][code], levels[n][1][code]
+        else:
+            r = 1
+        if rank[q] != r:
+            ranks_off.append((n, code))
+        if output[g] != b:
+            guesses_off.append((n, code))
+        if n < length:
+            for a, (p, h) in enumerate(zip(delta[q], g_delta[g])):
+                stack.append((p, h, n + 1, code * k + a, b))
+    return sorted(ranks_off), sorted(guesses_off)
+
+
+def _word(alphabet: int, length: int, code: int) -> Word:
+    """The word of the given length whose base-k code is `code`."""
+    symbols = []
+    for _ in range(length):
+        code, a = divmod(code, alphabet)
+        symbols.append(a)
+    return tuple(reversed(symbols))

@@ -12,12 +12,15 @@ kept once and built from nothing it checks.
   the single refinement search of `guesser.divergence_witness`.
 - `literal_remainder_chain`, the stage-by-stage iteration of the
   remainder chain on automaton states, the reference for the trace.
-- `literal_guesser_value`, the oracle's guesser case split with each
-  stage rebuilt from the word ranks, the reference for the stages
-  `oracle.TruncatedTree` keeps.
-- `guesser_value`, the oracle's case split at one word, run afresh on
-  each of its prefixes, the reference for the one sweep per table that
-  `oracle.cross_validate` and `oracle.truncated_guesser` read.
+- `literal_truncated_remainder`, the stage-by-stage iteration of the
+  chain on the depth-d word tree, each node's extension classes read
+  off its whole subtree (`_extension_classes`), the reference for the
+  one bottom-up pass behind `oracle.truncated_remainder`.
+- `guesser_value`, the guesser's case split (`_guess_at`) at one word,
+  run afresh on each of its prefixes with the stages the tree keeps,
+  and `literal_guesser_value`, the same split with each stage rebuilt
+  from the word ranks: the references for the guesses behind
+  `oracle.truncated_guesser` and `oracle.cross_validate`.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
   `open_union`.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 
-from typing import Callable, Iterable, Literal, Sequence
+from typing import AbstractSet, Callable, Iterable, Literal, Sequence
 
 from guessable.based_guessing import CylinderFamily, OracleFamily
 from guessable.cycles import (
@@ -50,7 +53,7 @@ from guessable.cycles import (
     strongly_connected_components,
 )
 from guessable.guesser import MooreGuesser
-from guessable.oracle import TruncatedTree, _extension_classes, _guess_at
+from guessable.oracle import TruncatedTree
 from guessable.ordinal import INFINITY, Rank, from_int
 from guessable.remainder import RemainderTrace
 from guessable.space import (
@@ -234,12 +237,79 @@ def literal_divergence_witness(g: MooreGuesser, s: ParitySet) -> UPWord | None:
     return UPWord(u, v)
 
 
-# -- the truncated guesser ---------------------------------------------------
+# -- the truncated word tree -------------------------------------------------
+
+
+def _extension_classes(
+    table: ClopenTable, node: Word, stage: AbstractSet[Word]
+) -> set[int]:
+    """Membership classes of infinite extensions of `node`, a word of
+    `stage`, that stay in it: classes of depth-d descendants whose whole
+    prefix path lies in the stage."""
+    k, d = table.alphabet, table.depth
+    classes: set[int] = set()
+    frontier = [node]
+    for _ in range(d - len(node)):
+        nxt = []
+        for w in frontier:
+            for a in range(k):
+                child = w + (a,)
+                if child in stage:
+                    nxt.append(child)
+        frontier = nxt
+    for leaf in frontier:
+        classes.add(table.lookup(leaf))
+        if len(classes) == 2:
+            break
+    return classes
+
+
+def literal_truncated_remainder(table: ClopenTable) -> TruncatedTree:
+    """The stagewise word-level chain, literally: a node survives into
+    the next stage iff extensions of both classes remain available
+    through the current stage, each read off the node's whole subtree."""
+    stage = frozenset(words_up_to(table.alphabet, table.depth))
+    stages = [stage]
+    ranks: dict[Word, int] = {}
+    while stage:
+        survivors = frozenset(
+            w for w in stage if len(_extension_classes(table, w, stage)) == 2
+        )
+        if survivors == stage:
+            raise AssertionError("clopen stage chain failed to empty")
+        for w in stage - survivors:
+            ranks[w] = len(stages)
+        stages.append(survivors)
+        stage = survivors
+    return TruncatedTree(table, ranks, len(stages) - 1, tuple(stages))
+
+
+def _guess_at(
+    table: ClopenTable,
+    tree: TruncatedTree,
+    word: Word,
+    memo: dict[Word, int],
+) -> int:
+    """The guesser's case split at one word, its parent's guess in
+    `memo`: with extensions available inside stage r - 1 for the word's
+    rank r, the last stage it lies in, their common class; with none,
+    the parent's guess (0 at the root); below depth d, the table's
+    class."""
+    if len(word) > table.depth:
+        return table.lookup(word)
+    classes = _extension_classes(table, word, tree.stages[tree.rank_of(word) - 1])
+    if len(classes) == 2:
+        raise AssertionError("rank mismatch: both classes at a ranked node")
+    if classes:
+        return classes.pop()
+    if word:
+        return memo[word[:-1]]
+    return 0
 
 
 def guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
     """The canonical guesser at a single word of any length, by the
-    oracle's own case split on each of its prefixes in turn."""
+    case split on each of its prefixes in turn."""
     out: dict[Word, int] = {}
     for i in range(len(word) + 1):
         prefix = word[:i]
@@ -248,7 +318,7 @@ def guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
 
 
 def literal_guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
-    """The canonical guesser at `word` by the oracle's case split, with
+    """The canonical guesser at `word` by the case split of `_guess_at`, with
     stage r - 1 for each prefix's rank r rebuilt by scanning the rank
     of every word of length <= d."""
     out: dict[Word, int] = {}

@@ -324,11 +324,14 @@ ORACLE_PASS = ["rank_agreement=pass", "guesser_agreement=pass", "finite_rank=pas
          ["tables_checked=256", *ORACLE_PASS]),
         (["oracle", "check", "--k", "3", "--d", "2", "--exhaustive"], 0,
          ["tables_checked=512", *ORACLE_PASS]),
+        # words four symbols past every binary depth-2 table's tree
+        (["oracle", "check", "--k", "2", "--d", "2", "--exhaustive", "--words", "6"],
+         0, ["tables_checked=16", *ORACLE_PASS]),
     ],
     ids=[
         "const0", "no11", "lastbit", "verify-budget", "based-cyl2", "based-cyl3",
         "based-wrong-set", "verify-bound", "witness-bound", "based-bound",
-        "oracle-k2-d3", "oracle-k3-d2",
+        "oracle-k2-d3", "oracle-k3-d2", "oracle-k2-d2-words6",
     ],
 )
 def test_console_output(files, capsys, argv, code, lines):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -14,9 +15,13 @@ from guessable.oracle import (
     truncated_remainder,
 )
 from guessable.ordinal import INFINITY, from_int
-from guessable.remainder import remainder_chain
+from guessable.remainder import word_rank
 from guessable.space import ClopenTable, compile_clopen, cylinder, words_up_to
-from literal import guesser_value, literal_guesser_value
+from literal import (
+    guesser_value,
+    literal_guesser_value,
+    literal_truncated_remainder,
+)
 
 
 def binary_tables():
@@ -160,17 +165,18 @@ class TestCrossValidation:
 
 
 def per_word_mismatches(tables, word_length):
-    """The mismatch lists of `cross_validate` by a loop that decides each
-    word's guess afresh from its prefixes; it reads `synthesize` and
-    `word_rank` through the oracle module, so a patch there reaches both."""
+    """The mismatch lists of `cross_validate` by a loop that runs each
+    word from the start and decides its guess afresh from its prefixes;
+    it reads `synthesize` and `remainder_chain` through the oracle
+    module, so a patch there reaches both."""
     ranks, guesses = [], []
     for table in tables:
         automaton = compile_clopen(table)
-        trace = remainder_chain(automaton)
+        trace = oracle.remainder_chain(automaton)
         tree = truncated_remainder(table)
         ranked = oracle.synthesize(automaton)
         for word in words_up_to(table.alphabet, word_length):
-            got = oracle.word_rank(trace, word)
+            got = word_rank(trace, word)
             if got is INFINITY or got.to_int() != tree.rank_of(word):
                 ranks.append((table, word))
             if evaluate(ranked.guesser, word) != guesser_value(table, tree, word):
@@ -189,23 +195,37 @@ def flip_last_state(synthesize):
     return flipped
 
 
-def off_by_one_on_odd_sums(word_rank):
-    def shifted(trace, word):
-        rank = word_rank(trace, word)
-        return from_int(rank.to_int() + 1) if sum(word) % 2 else rank
+def off_by_one_on_odd_states(remainder_chain):
+    def shifted(s):
+        trace = remainder_chain(s)
+        state_rank = {
+            q: from_int(rank.to_int() + 1) if q % 2 else rank
+            for q, rank in trace.state_rank.items()
+        }
+        return dataclasses.replace(trace, state_rank=state_rank)
 
     return shifted
+
+
+def kernel_tables():
+    """The reference tables and seeded tables of four and five symbols
+    and depth at most 2."""
+    return itertools.chain(
+        reference_tables(),
+        *(sample_tables(k, d, 20, seed=7) for k in (4, 5) for d in (0, 1, 2)),
+    )
 
 
 class TestOneSweepPerTable:
     TABLES = [*exhaustive_tables(2, 3), *sample_tables(3, 2, 60, seed=5)]
 
-    @pytest.mark.parametrize("patch", [None, "synthesize", "word_rank"])
+    @pytest.mark.parametrize("patch", [None, "synthesize", "remainder_chain"])
     def test_mismatches_equal_the_per_word_loop(self, monkeypatch, patch):
         if patch == "synthesize":
             monkeypatch.setattr(oracle, patch, flip_last_state(oracle.synthesize))
-        elif patch == "word_rank":
-            monkeypatch.setattr(oracle, patch, off_by_one_on_odd_sums(oracle.word_rank))
+        elif patch == "remainder_chain":
+            shifted = off_by_one_on_odd_states(oracle.remainder_chain)
+            monkeypatch.setattr(oracle, patch, shifted)
         found = [0, 0]
         for depth in (3, 2):
             tables = [t for t in self.TABLES if t.depth == depth]
@@ -219,37 +239,34 @@ class TestOneSweepPerTable:
                 found[0] += len(ranks)
                 found[1] += len(guesses)
         # each patch leaves mismatches of its own kind to find
-        assert [n > 0 for n in found] == [patch == "word_rank", patch == "synthesize"]
+        assert [n > 0 for n in found] == [
+            patch == "remainder_chain",
+            patch == "synthesize",
+        ]
 
-    def test_each_short_word_is_decided_once(self, monkeypatch):
-        calls = []
-        guess_at = oracle._guess_at
+    def test_one_pass_equals_the_literal_stages(self):
+        words = 0
+        for table in kernel_tables():
+            literal = literal_truncated_remainder(table)
+            tree = truncated_remainder(table)
+            assert tree.ranks == literal.ranks
+            assert tree.least_empty_stage == literal.least_empty_stage
+            assert tree.stages == literal.stages
+            guesses = truncated_guesser(table)
+            assert list(guesses) == list(words_up_to(table.alphabet, table.depth + 1))
+            for word, guess in guesses.items():
+                assert guess == literal_guesser_value(table, literal, word)
+                words += 1
+        assert words == 22_394
 
-        def spy(table, tree, word, memo):
-            calls.append((table, word))
-            return guess_at(table, tree, word, memo)
-
-        monkeypatch.setattr(oracle, "_guess_at", spy)
-        tables = [*exhaustive_tables(2, 2), *sample_tables(3, 2, 10, seed=1)]
-        for word_length in (0, 1, 2, 4):
-            calls.clear()
-            assert cross_validate(tables, word_length).ok
-            want = [
-                (t, w)
-                for t in tables
-                for w in words_up_to(t.alphabet, min(word_length, t.depth))
-            ]
-            assert calls == want
-
-    def test_long_words_leave_the_guesses_at_depth(self, monkeypatch):
-        kept = []
-        guesses = oracle._guesses
-
-        def spy(table, tree, length):
-            kept.append(guesses(table, tree, length))
-            return kept[-1]
-
-        monkeypatch.setattr(oracle, "_guesses", spy)
+    def test_memory_stays_within_the_tree(self):
+        # 32,767 words, all but the 7 of the depth-2 tree below it
         table = ClopenTable(2, 2, (0, 1, 1, 0))
-        assert cross_validate([table], word_length=12).ok
-        assert [set(out) for out in kept] == [set(words_up_to(2, 2))]
+        tracemalloc.start()
+        try:
+            report = cross_validate([table], word_length=14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 64 * 1024

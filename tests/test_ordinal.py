@@ -204,7 +204,7 @@ def test_invalid_cnf_rejected():
         OrdinalCNF(((ZERO, 1), (ONE, 1)))  # exponents must decrease
 
 
-def test_sums_with_an_int_or_an_ordinal():
+def test_from_text_interns_and_infinity_repr():
     assert from_text("w^0*3") is from_int(3)
     assert repr(INFINITY) == "INFINITY"
 
