@@ -251,10 +251,11 @@ def _normalize_h(rg: RankedGuesser) -> RankedGuesser:
 
 def bound_limit_on_up(rg: RankedGuesser, w: UPWord) -> OrdinalCNF:
     """Eventual bound value along an ultimately periodic word.  The
-    bound never increases, so it is constant on the period cycle."""
+    bound never increases, so it is constant on the period cycle; a
+    bound that changes there fails its conditions."""
     values = {rg.bound[q] for q in rg.guesser.period_window(w)}
     if len(values) != 1:
-        raise AssertionError("bound oscillates on a cycle")
+        raise BoundViolationError("bound oscillates on a cycle")
     return values.pop()
 
 

@@ -9,19 +9,15 @@ d do.  That restricts the oracle to clopen sets by design; the
 automaton route is the only way to non-clopen sets, and its validation
 burden is carried by the cross checks below.
 
-One bottom-up pass over the tree gives each word its stage rank and
-the classes its extensions show in the last stage it lies in, and one
-top-down pass turns those into the canonical guesses.
+One kernel, `_levels`, gives every word of the tree its stage rank and
+canonical guess: a bottom-up pass reads each word's rank and the
+classes its extensions show in the last stage it lies in off its
+children's, and a top-down pass turns those into the guesses.
 `cross_validate` walks the automaton and the guesser along the same
-tree, one transition per word, and compares the two at each word; it
-holds nothing larger than the tree, however long the words it checks.
-
-The literal constructions the passes replace are read by the tests
-alone and are kept with them in `tests/literal.py`: the stage-by-stage
-iteration of the chain on the word tree, each node's extension
-classes read off its whole subtree, the guesser's case split run
-afresh on each prefix of a word, and the stage-by-stage iteration of
-the remainder chain on automaton states.
+tree, one transition per word, and compares the two with the kernel at
+each word; it holds nothing larger than the tree, however long the
+words it checks.  The stage-by-stage constructions the kernel replaces
+are kept with the tests, in `tests/literal.py`.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from typing import Iterable, Iterator
 from .guesser import MooreGuesser, synthesize
 from .ordinal import INFINITY
 from .remainder import RemainderTrace, remainder_chain
-from .space import ClopenTable, Word, compile_clopen, words_up_to
+from .space import ClopenTable, Word, compile_clopen
 
 
 class BudgetExceededError(ValueError):
@@ -62,25 +58,6 @@ def _cells(alphabet: int, depth: int, budget: int, what: str) -> int:
             f"{alphabet}^{depth} = {cells} cells exceeds the {what} budget"
         )
     return cells
-
-
-@dataclass(frozen=True)
-class TruncatedTree:
-    """Stage ranks of every node of the depth-d word tree and the stages
-    themselves: `stages[i]` is `{w : ranks[w] > i}`, from every word of
-    length <= d down to the empty one at `least_empty_stage`."""
-
-    table: ClopenTable
-    ranks: dict[Word, int]
-    least_empty_stage: int
-    stages: tuple[frozenset[Word], ...]
-
-    def rank_of(self, word: Word) -> int:
-        """Rank of an arbitrary word; beyond depth d the subtree is
-        homogeneous, so the word leaves the chain at stage 1."""
-        if len(word) <= self.table.depth:
-            return self.ranks[word]
-        return 1
 
 
 def _levels(table: ClopenTable) -> list[tuple[list[int], list[int]]]:
@@ -122,33 +99,6 @@ def _levels(table: ClopenTable) -> list[tuple[list[int], list[int]]]:
         guesses = [m >> 1 if m else guesses[i // k] for i, m in enumerate(masks)]
         levels.append((ranks, guesses))
     return levels
-
-
-def truncated_remainder(table: ClopenTable) -> TruncatedTree:
-    """The stage ranks of the word tree, with the stages they give."""
-    levels = _levels(table)
-    ranks = dict(
-        zip(
-            words_up_to(table.alphabet, table.depth),
-            itertools.chain.from_iterable(r for r, _ in levels),
-        )
-    )
-    top = ranks[()]
-    stages = tuple(
-        frozenset(w for w, r in ranks.items() if r > i) for i in range(top + 1)
-    )
-    return TruncatedTree(table, ranks, top, stages)
-
-
-def truncated_guesser(table: ClopenTable) -> dict[Word, int]:
-    """The canonical guesser on words of length <= d+1: with extensions
-    available inside the last stage a word lies in, their common class;
-    with none, the parent's output (0 at the root); below depth d, the
-    table's class."""
-    k, d = table.alphabet, table.depth
-    below = (v for v in table.values for _ in range(k))
-    guesses = itertools.chain.from_iterable(g for _, g in _levels(table))
-    return dict(zip(words_up_to(k, d + 1), itertools.chain(guesses, below)))
 
 
 def exhaustive_tables(alphabet: int, depth: int) -> Iterator[ClopenTable]:

@@ -14,13 +14,14 @@ kept once and built from nothing it checks.
   remainder chain on automaton states, the reference for the trace.
 - `literal_truncated_remainder`, the stage-by-stage iteration of the
   chain on the depth-d word tree, each node's extension classes read
-  off its whole subtree (`_extension_classes`), the reference for the
-  one bottom-up pass behind `oracle.truncated_remainder`.
+  off its whole subtree (`_extension_classes`), kept as a `StageTree`:
+  the reference for the ranks of the one bottom-up pass
+  `oracle._levels`.
 - `guesser_value`, the guesser's case split (`_guess_at`) at one word,
   run afresh on each of its prefixes with the stages the tree keeps,
   and `literal_guesser_value`, the same split with each stage rebuilt
-  from the word ranks: the references for the guesses behind
-  `oracle.truncated_guesser` and `oracle.cross_validate`.
+  from the word ranks: the references for the guesses of
+  `oracle._levels` and of the walk in `oracle.cross_validate`.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
   `open_union`.
@@ -42,7 +43,7 @@ import it by name.
 from __future__ import annotations
 
 import itertools
-
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Literal, Sequence
 
 from guessable.based_guessing import CylinderFamily, OracleFamily
@@ -53,7 +54,6 @@ from guessable.cycles import (
     strongly_connected_components,
 )
 from guessable.guesser import MooreGuesser
-from guessable.oracle import TruncatedTree
 from guessable.ordinal import INFINITY, Rank, from_int
 from guessable.remainder import RemainderTrace
 from guessable.space import (
@@ -240,6 +240,25 @@ def literal_divergence_witness(g: MooreGuesser, s: ParitySet) -> UPWord | None:
 # -- the truncated word tree -------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StageTree:
+    """Stage ranks of every node of the depth-d word tree and the stages
+    themselves: `stages[i]` is `{w : ranks[w] > i}`, from every word of
+    length <= d down to the empty one at `least_empty_stage`."""
+
+    depth: int
+    ranks: dict[Word, int]
+    least_empty_stage: int
+    stages: tuple[frozenset[Word], ...]
+
+    def rank_of(self, word: Word) -> int:
+        """Rank of an arbitrary word; beyond depth d the subtree is
+        homogeneous, so the word leaves the chain at stage 1."""
+        if len(word) <= self.depth:
+            return self.ranks[word]
+        return 1
+
+
 def _extension_classes(
     table: ClopenTable, node: Word, stage: AbstractSet[Word]
 ) -> set[int]:
@@ -264,7 +283,7 @@ def _extension_classes(
     return classes
 
 
-def literal_truncated_remainder(table: ClopenTable) -> TruncatedTree:
+def literal_truncated_remainder(table: ClopenTable) -> StageTree:
     """The stagewise word-level chain, literally: a node survives into
     the next stage iff extensions of both classes remain available
     through the current stage, each read off the node's whole subtree."""
@@ -281,12 +300,12 @@ def literal_truncated_remainder(table: ClopenTable) -> TruncatedTree:
             ranks[w] = len(stages)
         stages.append(survivors)
         stage = survivors
-    return TruncatedTree(table, ranks, len(stages) - 1, tuple(stages))
+    return StageTree(table.depth, ranks, len(stages) - 1, tuple(stages))
 
 
 def _guess_at(
     table: ClopenTable,
-    tree: TruncatedTree,
+    tree: StageTree,
     word: Word,
     memo: dict[Word, int],
 ) -> int:
@@ -307,7 +326,7 @@ def _guess_at(
     return 0
 
 
-def guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
+def guesser_value(table: ClopenTable, tree: StageTree, word: Word) -> int:
     """The canonical guesser at a single word of any length, by the
     case split on each of its prefixes in turn."""
     out: dict[Word, int] = {}
@@ -317,7 +336,7 @@ def guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
     return out[word]
 
 
-def literal_guesser_value(table: ClopenTable, tree: TruncatedTree, word: Word) -> int:
+def literal_guesser_value(table: ClopenTable, tree: StageTree, word: Word) -> int:
     """The canonical guesser at `word` by the case split of `_guess_at`, with
     stage r - 1 for each prefix's rank r rebuilt by scanning the rank
     of every word of length <= d."""

@@ -251,8 +251,6 @@ class TestBasedVerify:
         fam = tmp_path / "fam.fam"
         fam.write_text("family explicit\ncycle F_ONE.aut\n")
         lastbit = tmp_path / "lastbit.guess"
-        from guessable.based_guessing import last_bit_guesser
-
         lastbit.write_text(render_guesser(last_bit_guesser()))
         code, out, _ = run(
             capsys,
@@ -273,8 +271,6 @@ class TestBasedVerify:
         fam = tmp_path / "fam.fam"
         fam.write_text("family explicit\ncycle F_FULL.aut\n")
         lastbit = tmp_path / "lastbit.guess"
-        from guessable.based_guessing import last_bit_guesser
-
         lastbit.write_text(render_guesser(last_bit_guesser()))
         code, out, _ = run(
             capsys,

@@ -5,10 +5,17 @@ import dataclasses
 import pytest
 
 from guessable.cycles import explore
-from guessable.diff_hierarchy import bound_limit_on_up
+from guessable.diff_hierarchy import BoundViolationError, bound_limit_on_up
 from guessable.fixtures import F_CYL1, F_NO11
-from guessable.guesser import MooreGuesser, evaluate, mind_changes, synthesize
-from guessable.ordinal import ZERO
+from guessable.guesser import (
+    MooreGuesser,
+    RankedGuesser,
+    check_bound,
+    evaluate,
+    mind_changes,
+    synthesize,
+)
+from guessable.ordinal import ZERO, from_int
 from guessable.remainder import in_s_alpha, remainder_chain, word_rank
 from guessable.space import AlphabetMismatchError, Machine, ParitySet, UPWord
 
@@ -72,6 +79,16 @@ def test_bound_limit_checks_the_alphabet():
     assert bound_limit_on_up(ranked, UPWord((), (0,))).to_int() == 2
     with pytest.raises(AlphabetMismatchError):
         bound_limit_on_up(ranked, UPWord((), (2,)))
+
+
+def test_bound_limit_refuses_a_bound_that_rises_on_a_cycle():
+    """A bound that goes 1, 0, 1, ... round a two-state cycle fails its
+    conditions, and is refused as such."""
+    guesser = G(alphabet=2, start=0, delta=((1, 1), (0, 0)), output=(0, 0))
+    ranked = RankedGuesser(guesser, (from_int(1), ZERO), from_int(3))
+    assert not check_bound(ranked)
+    with pytest.raises(BoundViolationError, match="^bound oscillates on a cycle$"):
+        bound_limit_on_up(ranked, UPWord((), (0,)))
 
 
 @pytest.mark.parametrize("symbol", [-1, 2])

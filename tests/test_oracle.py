@@ -5,14 +5,12 @@ import tracemalloc
 import pytest
 
 from guessable import oracle
-from guessable.guesser import evaluate
+from guessable.guesser import evaluate, mind_change_rank
 from guessable.oracle import (
     BudgetExceededError,
     cross_validate,
     exhaustive_tables,
     sample_tables,
-    truncated_guesser,
-    truncated_remainder,
 )
 from guessable.ordinal import INFINITY, from_int
 from guessable.remainder import word_rank
@@ -29,6 +27,16 @@ def binary_tables():
     return itertools.chain.from_iterable(exhaustive_tables(2, d) for d in range(4))
 
 
+def kernel(table):
+    """The stage rank and the canonical guess `oracle._levels` gives each
+    word of length <= d, as two dicts keyed in `words_up_to` order."""
+    levels = oracle._levels(table)
+    words = list(words_up_to(table.alphabet, table.depth))
+    ranks = itertools.chain.from_iterable(r for r, _ in levels)
+    guesses = itertools.chain.from_iterable(g for _, g in levels)
+    return dict(zip(words, ranks)), dict(zip(words, guesses))
+
+
 def reference_tables():
     """The binary tables, every ternary table of depth 1 and 200 seeded
     ternary tables of depth 2."""
@@ -39,32 +47,33 @@ def reference_tables():
 
 class TestTruncatedRemainder:
     def test_cylinder_one(self):
-        tree = truncated_remainder(cylinder((1,)))
-        assert tree.ranks[()] == 2
-        assert tree.ranks[(0,)] == 1
-        assert tree.ranks[(1,)] == 1
-        assert tree.least_empty_stage == 2
+        ranks, _ = kernel(cylinder((1,)))
+        assert ranks[()] == 2
+        assert ranks[(0,)] == 1
+        assert ranks[(1,)] == 1
+        assert literal_truncated_remainder(cylinder((1,))).least_empty_stage == 2
 
     def test_full_table(self):
-        tree = truncated_remainder(ClopenTable(2, 1, (1, 1)))
-        assert all(rank == 1 for rank in tree.ranks.values())
+        ranks, _ = kernel(ClopenTable(2, 1, (1, 1)))
+        assert all(rank == 1 for rank in ranks.values())
+        tree = literal_truncated_remainder(ClopenTable(2, 1, (1, 1)))
         assert tree.least_empty_stage == 1
 
     def test_depth_two_split(self):
         # membership iff the first two symbols are 01 or 10
-        tree = truncated_remainder(ClopenTable(2, 2, (0, 1, 1, 0)))
-        assert tree.ranks[()] == 2
-        assert tree.ranks[(0,)] == 2
-        assert tree.ranks[(1,)] == 2
-        assert all(tree.ranks[w] == 1 for w in [(0, 0), (0, 1), (1, 0), (1, 1)])
+        ranks, _ = kernel(ClopenTable(2, 2, (0, 1, 1, 0)))
+        assert ranks[()] == 2
+        assert ranks[(0,)] == 2
+        assert ranks[(1,)] == 2
+        assert all(ranks[w] == 1 for w in [(0, 0), (0, 1), (1, 0), (1, 1)])
 
     def test_long_words_rank_one(self):
-        tree = truncated_remainder(cylinder((1,)))
+        tree = literal_truncated_remainder(cylinder((1,)))
         assert tree.rank_of((1, 0, 1)) == 1
 
     def test_stages_are_the_rank_sets(self):
         for table in binary_tables():
-            tree = truncated_remainder(table)
+            tree = literal_truncated_remainder(table)
             words = set(words_up_to(2, table.depth))
             assert tree.stages[0] == words
             for before, after in zip(tree.stages, tree.stages[1:]):
@@ -77,32 +86,31 @@ class TestTruncatedRemainder:
 
 class TestTruncatedGuesser:
     def test_cylinder_one(self):
-        table = truncated_guesser(cylinder((1,)))
+        _, table = kernel(cylinder((1,)))
         assert table[()] == 0
         assert table[(1,)] == 1
         assert table[(0,)] == 0
 
     def test_full_constantly_one(self):
-        table = truncated_guesser(ClopenTable(2, 1, (1, 1)))
+        _, table = kernel(ClopenTable(2, 1, (1, 1)))
         assert all(v == 1 for v in table.values())
 
     def test_empty_constantly_zero(self):
-        table = truncated_guesser(ClopenTable(2, 1, (0, 0)))
+        _, table = kernel(ClopenTable(2, 1, (0, 0)))
         assert all(v == 0 for v in table.values())
 
     def test_inheritance_below_depth(self):
         # heterogeneous node inherits; homogeneous child decides
-        t = ClopenTable(2, 2, (1, 1, 0, 1))
-        table = truncated_guesser(t)
+        _, table = kernel(ClopenTable(2, 2, (1, 1, 0, 1)))
         assert table[(0,)] == 1  # all extensions of 0 belong
         assert table[(1,)] == table[()]  # still split below 1: inherit
 
     def test_guesser_value_reads_the_table_of_guesses(self):
         for table in binary_tables():
-            tree = truncated_remainder(table)
-            guesses = truncated_guesser(table)
+            tree = literal_truncated_remainder(table)
+            _, guesses = kernel(table)
             for word in words_up_to(2, table.depth + 3):
-                if len(word) <= table.depth + 1:
+                if len(word) <= table.depth:
                     want = guesses[word]
                 else:
                     want = table.lookup(word)
@@ -111,12 +119,12 @@ class TestTruncatedGuesser:
     def test_stages_read_equal_stages_rebuilt(self):
         words = 0
         for table in reference_tables():
-            tree = truncated_remainder(table)
-            guesses = truncated_guesser(table)
+            tree = literal_truncated_remainder(table)
+            _, guesses = kernel(table)
             for word in words_up_to(table.alphabet, table.depth + 2):
                 want = literal_guesser_value(table, tree, word)
                 assert guesser_value(table, tree, word) == want
-                if len(word) <= table.depth + 1:
+                if len(word) <= table.depth:
                     assert guesses[word] == want
                 words += 1
         assert words == 41_218
@@ -149,31 +157,29 @@ class TestCrossValidation:
 
     def test_fixture_rank_reproduction(self):
         # clopen fixtures recomputed here match the automaton rank
-        from guessable.guesser import mind_change_rank
-        from guessable.space import compile_clopen
-
         cases = [
             (ClopenTable(2, 0, (0,)), 1),  # empty
             (ClopenTable(2, 0, (1,)), 1),  # full
             (cylinder((1,)), 2),
         ]
         for table, want in cases:
-            tree = truncated_remainder(table)
-            assert tree.least_empty_stage == want
+            ranks, _ = kernel(table)
+            assert ranks[()] == want
             rank = mind_change_rank(compile_clopen(table))
             assert rank is not None and rank.to_int() == want
 
 
 def per_word_mismatches(tables, word_length):
     """The mismatch lists of `cross_validate` by a loop that runs each
-    word from the start and decides its guess afresh from its prefixes;
-    it reads `synthesize` and `remainder_chain` through the oracle
-    module, so a patch there reaches both."""
+    word from the start and decides its guess afresh from its prefixes
+    on the literal stages, sharing no code with `oracle._levels`; it
+    reads `synthesize` and `remainder_chain` through the oracle module,
+    so a patch there reaches both."""
     ranks, guesses = [], []
     for table in tables:
         automaton = compile_clopen(table)
         trace = oracle.remainder_chain(automaton)
-        tree = truncated_remainder(table)
+        tree = literal_truncated_remainder(table)
         ranked = oracle.synthesize(automaton)
         for word in words_up_to(table.alphabet, word_length):
             got = word_rank(trace, word)
@@ -248,13 +254,13 @@ class TestOneSweepPerTable:
         words = 0
         for table in kernel_tables():
             literal = literal_truncated_remainder(table)
-            tree = truncated_remainder(table)
-            assert tree.ranks == literal.ranks
-            assert tree.least_empty_stage == literal.least_empty_stage
-            assert tree.stages == literal.stages
-            guesses = truncated_guesser(table)
-            assert list(guesses) == list(words_up_to(table.alphabet, table.depth + 1))
-            for word, guess in guesses.items():
+            ranks, guesses = kernel(table)
+            assert ranks == literal.ranks
+            assert ranks[()] == literal.least_empty_stage
+            # below depth d a word's guess is the class of its depth-d
+            # prefix, the leaf's guess, as in the walk of `cross_validate`
+            for word in words_up_to(table.alphabet, table.depth + 1):
+                guess = guesses[word[: table.depth]]
                 assert guess == literal_guesser_value(table, literal, word)
                 words += 1
         assert words == 22_394

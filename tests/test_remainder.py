@@ -175,8 +175,6 @@ class TestStageMembership:
     def test_transfinite_stage_queries(self):
         # the interface stays ordinal typed: indices at or beyond the
         # stabilization clamp to the fixpoint
-        from guessable.ordinal import OMEGA
-
         trace = remainder_chain(F_ONE)
         assert trace.stage(OMEGA) == trace.fixpoint
         assert not in_s_alpha(trace, (), OMEGA)
