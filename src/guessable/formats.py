@@ -25,6 +25,8 @@ rejecting sink, of bound 0 in a ranked guesser, and the parser reports
 that it did so.  A family file builds an `ExplicitFamily` from its
 member lines or a `CylinderFamily`, which takes none.
 
+A number word is whatever `int` reads; each distinct word of a machine
+file goes through `int` once per call, and the memo dies with the call.
 Every input file, chain and family members included, is read as UTF-8
 by `read`, which refuses one that does not decode and names its path.
 The parsers return their notes as a list of strings.
@@ -133,9 +135,17 @@ def _set_once(labels: dict, key: str, q: int, value) -> None:
 def machine_kind(text: str) -> str:
     """The kind of a machine file: a guesser when it has an `output`
     line, an automaton otherwise."""
-    if any(row[0] == "output" for row in _lines(text)):
+    if "output" in text and any(row[0] == "output" for row in _lines(text)):
         return "guesser"
     return "automaton"
+
+
+class _Numbers(dict):
+    """The number words of one file, each converted by `int` once."""
+
+    def __missing__(self, word: str) -> int:
+        value = self[word] = int(word)
+        return value
 
 
 def _parse_machine(text: str, notes: list[str], kind: str):
@@ -149,34 +159,40 @@ def _parse_machine(text: str, notes: list[str], kind: str):
     start = 0
     acceptance = "max-even"
     labels = {key: {} for key in ("priority", "output", "bound") if key in own}
+    found = labels[label]
     trans: list[tuple[int, int, int]] = []
     seen: set[str] = set()
+    number = _Numbers()
     for row in _lines(text):
         key = row[0]
         try:
-            # most lines are transitions
+            # most lines are transitions, then one label line per state
             if key == "trans":
-                trans.append((int(row[1]), int(row[2]), int(row[3])))
+                trans.append((number[row[1]], number[row[2]], number[row[3]]))
                 if len(row) > 4:
                     _check_arity(row)
                 continue
+            if key == label:
+                _set_once(found, key, number[row[1]], number[row[2]])
+                if len(row) > 3:
+                    _check_arity(row)
+                continue
+            if key == "bound" and key in own:
+                q = number[row[1]]
+                _set_once(labels[key], key, q, ordinal_from_text(" ".join(row[2:])))
+                continue
             if key == "alphabet":
-                alphabet = int(row[1])
+                alphabet = number[row[1]]
             elif key == "states":
-                n_states = int(row[1])
+                n_states = number[row[1]]
             elif key == "start":
-                start = int(row[1])
+                start = number[row[1]]
             elif key not in own:
                 raise FormatError(f"unknown directive {key!r}")
             elif key == "acceptance":
                 acceptance = row[1]
-            elif key == "codomain":
-                codomain = ordinal_from_text(" ".join(row[1:]))
-            elif key == "bound":
-                q = int(row[1])
-                _set_once(labels[key], key, q, ordinal_from_text(" ".join(row[2:])))
             else:
-                _set_once(labels[key], key, int(row[1]), int(row[2]))
+                codomain = ordinal_from_text(" ".join(row[1:]))
             if key in SINGLE_VALUED:
                 _once(seen, key)
             _check_arity(row)
@@ -188,27 +204,26 @@ def _parse_machine(text: str, notes: list[str], kind: str):
         raise FormatError("missing alphabet or states directive")
     if acceptance not in ("max-even", "min-even"):
         raise FormatError(f"unknown acceptance convention {acceptance!r}")
-    for key, found in labels.items():
-        for q in found:
-            if not 0 <= q < n_states:
-                raise FormatError(f"{key} for state {q} out of range")
+    # each check runs in bulk; an ordered walk only names the offender
+    for key, states in labels.items():
+        if states and (min(states) < 0 or max(states) >= n_states):
+            q = next(q for q in states if not 0 <= q < n_states)
+            raise FormatError(f"{key} for state {q} out of range")
     # every state needs its own label line, so a state count beyond the
     # label lines fails here, before a table of that size is built
-    found = labels[label]
     bits = kind == "guesser"
-    for q in range(n_states):
-        if q not in found:
-            raise FormatError(f"missing {label} for state {q}")
-        if bits and found[q] not in (0, 1):
-            raise FormatError(f"output of state {q} must be a bit")
+    if len(found) < n_states or bits and not set(found.values()) <= {0, 1}:
+        for q in range(n_states):
+            if q not in found:
+                raise FormatError(f"missing {label} for state {q}")
+            if bits and found[q] not in (0, 1):
+                raise FormatError(f"output of state {q} must be a bit")
     if n_states * alphabet > TABLE_CELL_BUDGET:
         raise FormatError(
             f"{n_states} states x {alphabet} symbols exceeds the table budget"
             f" of {TABLE_CELL_BUDGET} transitions"
         )
-    table: list[list[Optional[int]]] = [
-        [None] * alphabet for _ in range(n_states)
-    ]
+    table: list[list[Optional[int]]] = [[None] * alphabet for _ in range(n_states)]
     for q, a, nq in trans:
         if not (0 <= q < n_states and 0 <= a < alphabet and 0 <= nq < n_states):
             raise FormatError(f"transition {q} {a} {nq} out of range")
@@ -220,7 +235,10 @@ def _parse_machine(text: str, notes: list[str], kind: str):
         bound = top if top % 2 == 0 else top + 1
         found = {q: bound - p for q, p in found.items()}
         notes.append(f"converted min-even priorities (p -> {bound}-p)")
-    missing = sum(row.count(None) for row in table)
+    # the transitions fill distinct cells, so a full count fills them all
+    missing = 0
+    if len(trans) != n_states * alphabet:
+        missing = sum(row.count(None) for row in table)
     if missing:
         sink = n_states
         table = [[sink if c is None else c for c in row] for row in table]
@@ -236,7 +254,7 @@ def _parse_machine(text: str, notes: list[str], kind: str):
             alphabet=alphabet,
             start=start,
             delta=tuple(map(tuple, table)),
-            **{label: tuple(found[q] for q in range(len(table)))},
+            **{label: tuple(map(found.__getitem__, range(len(table))))},
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -272,10 +290,11 @@ def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], lis
     if bounds or codomain is not None:
         if codomain is None:
             raise FormatError("bound lines need a codomain line")
-        for q in range(n):
-            if q not in bounds:
-                raise FormatError(f"missing bound for state {q}")
-        bound = tuple(bounds[q] for q in range(n))
+        # the bound states are in range, so a full count covers them all
+        if len(bounds) < n:
+            q = next(q for q in range(n) if q not in bounds)
+            raise FormatError(f"missing bound for state {q}")
+        bound = tuple(map(bounds.__getitem__, range(n)))
         ranked = RankedGuesser(guesser=guesser, bound=bound, codomain=codomain)
     return guesser, ranked, notes
 

@@ -49,7 +49,7 @@ class MooreGuesser(Machine):
             raise ValueError("output map must cover every state")
 
     def _check_label_values(self) -> None:
-        if any(b not in (0, 1) for b in self.output):
+        if self.output.count(0) + self.output.count(1) != len(self.output):
             raise ValueError("outputs must be bits")
 
 

@@ -263,7 +263,7 @@ class ParitySet(Machine):
             raise ValueError("priority map must cover every state")
 
     def _check_label_values(self) -> None:
-        if any(p < 0 for p in self.priority):
+        if min(self.priority) < 0:
             raise ValueError("priorities must be non-negative")
 
 

@@ -35,6 +35,10 @@ kept once and built from nothing it checks.
   a cylinder by a base-k encoding loop and the prefix tree numbered
   through a list of its words and an index dict, the references for
   the closed forms of `space.cylinder` and `space.compile_clopen`.
+- `literal_parse_machine` and `literal_parse_guesser`, the machine-file
+  reader that converts every number word with `int` and checks its
+  lines one at a time, the reference for the bulk checks and the
+  per-call number memo of `formats._parse_machine`.
 
 The file is named so that pytest does not collect it; the test modules
 import it by name.
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Literal, Sequence
+from typing import AbstractSet, Callable, Iterable, Literal, Optional, Sequence
 
 from guessable.based_guessing import CylinderFamily, OracleFamily
 from guessable.cycles import (
@@ -53,8 +57,25 @@ from guessable.cycles import (
     shortest_word_path,
     strongly_connected_components,
 )
-from guessable.guesser import MooreGuesser
-from guessable.ordinal import INFINITY, Rank, from_int
+from guessable.formats import (
+    MACHINE_KINDS,
+    SINGLE_VALUED,
+    TABLE_CELL_BUDGET,
+    FormatError,
+    _bad_line,
+    _check_arity,
+    _lines,
+    _once,
+    _set_once,
+)
+from guessable.guesser import MooreGuesser, RankedGuesser
+from guessable.ordinal import (
+    INFINITY,
+    ZERO,
+    Rank,
+    from_int,
+    from_text as ordinal_from_text,
+)
 from guessable.remainder import RemainderTrace
 from guessable.space import (
     ClopenTable,
@@ -531,3 +552,131 @@ def _intersection(s: ParitySet, t: ParitySet) -> ParitySet:
 
     _, rows = explore((s.start, t.start, tuple(range(npairs))), successors)
     return ParitySet(alphabet=k, start=0, delta=tuple(rows), priority=tuple(prio))
+
+
+# -- machine files -----------------------------------------------------------
+
+
+def literal_parse_machine(text: str, notes: list[str], kind: str):
+    """Read a machine file of `kind`, refusing directives of other kinds.
+    Returns `(machine, bounds, codomain)`: the machine is the kind's
+    class, its table completed with a rejecting sink, `bounds` maps each
+    state with a `bound` line to its ordinal, the sink's included, and
+    `codomain` is None for an automaton."""
+    label, sink_value, own, build = MACHINE_KINDS[kind]
+    alphabet = n_states = codomain = None
+    start = 0
+    acceptance = "max-even"
+    labels = {key: {} for key in ("priority", "output", "bound") if key in own}
+    trans: list[tuple[int, int, int]] = []
+    seen: set[str] = set()
+    for row in _lines(text):
+        key = row[0]
+        try:
+            # most lines are transitions
+            if key == "trans":
+                trans.append((int(row[1]), int(row[2]), int(row[3])))
+                if len(row) > 4:
+                    _check_arity(row)
+                continue
+            if key == "alphabet":
+                alphabet = int(row[1])
+            elif key == "states":
+                n_states = int(row[1])
+            elif key == "start":
+                start = int(row[1])
+            elif key not in own:
+                raise FormatError(f"unknown directive {key!r}")
+            elif key == "acceptance":
+                acceptance = row[1]
+            elif key == "codomain":
+                codomain = ordinal_from_text(" ".join(row[1:]))
+            elif key == "bound":
+                q = int(row[1])
+                _set_once(labels[key], key, q, ordinal_from_text(" ".join(row[2:])))
+            else:
+                _set_once(labels[key], key, int(row[1]), int(row[2]))
+            if key in SINGLE_VALUED:
+                _once(seen, key)
+            _check_arity(row)
+        except FormatError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise _bad_line(row, exc) from exc
+    if alphabet is None or n_states is None:
+        raise FormatError("missing alphabet or states directive")
+    if acceptance not in ("max-even", "min-even"):
+        raise FormatError(f"unknown acceptance convention {acceptance!r}")
+    for key, found in labels.items():
+        for q in found:
+            if not 0 <= q < n_states:
+                raise FormatError(f"{key} for state {q} out of range")
+    # every state needs its own label line, so a state count beyond the
+    # label lines fails here, before a table of that size is built
+    found = labels[label]
+    bits = kind == "guesser"
+    for q in range(n_states):
+        if q not in found:
+            raise FormatError(f"missing {label} for state {q}")
+        if bits and found[q] not in (0, 1):
+            raise FormatError(f"output of state {q} must be a bit")
+    if n_states * alphabet > TABLE_CELL_BUDGET:
+        raise FormatError(
+            f"{n_states} states x {alphabet} symbols exceeds the table budget"
+            f" of {TABLE_CELL_BUDGET} transitions"
+        )
+    table: list[list[Optional[int]]] = [
+        [None] * alphabet for _ in range(n_states)
+    ]
+    for q, a, nq in trans:
+        if not (0 <= q < n_states and 0 <= a < alphabet and 0 <= nq < n_states):
+            raise FormatError(f"transition {q} {a} {nq} out of range")
+        if table[q][a] is not None:
+            raise FormatError(f"duplicate transition for state {q} symbol {a}")
+        table[q][a] = nq
+    if acceptance == "min-even":
+        top = max(found.values(), default=0)
+        bound = top if top % 2 == 0 else top + 1
+        found = {q: bound - p for q, p in found.items()}
+        notes.append(f"converted min-even priorities (p -> {bound}-p)")
+    missing = sum(row.count(None) for row in table)
+    if missing:
+        sink = n_states
+        table = [[sink if c is None else c for c in row] for row in table]
+        table.append([sink] * alphabet)
+        found[sink] = sink_value
+        if labels.get("bound"):
+            labels["bound"][sink] = ZERO
+        notes.append(
+            f"completed {missing} missing transitions with a rejecting sink"
+        )
+    try:
+        machine = build(
+            alphabet=alphabet,
+            start=start,
+            delta=tuple(map(tuple, table)),
+            **{label: tuple(found[q] for q in range(len(table)))},
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    return machine, labels.get("bound", {}), codomain
+
+
+def literal_parse_guesser(
+    text: str,
+) -> tuple[MooreGuesser, Optional[RankedGuesser], list[str]]:
+    """A guesser file; returns the ranked form too when bound lines and
+    a codomain are present."""
+    notes: list[str] = []
+    guesser, bounds, codomain = literal_parse_machine(text, notes, "guesser")
+    n = guesser.n_states
+    ranked = None
+    if bounds or codomain is not None:
+        if codomain is None:
+            raise FormatError("bound lines need a codomain line")
+        for q in range(n):
+            if q not in bounds:
+                raise FormatError(f"missing bound for state {q}")
+        bound = tuple(bounds[q] for q in range(n))
+        ranked = RankedGuesser(guesser=guesser, bound=bound, codomain=codomain)
+    return guesser, ranked, notes

@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +9,9 @@ from guessable.based_guessing import CylinderFamily, ExplicitFamily
 from guessable.fixtures import F_NO11, F_ONE, FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
     FormatError,
+    _parse_machine,
     guesser_to_dot,
+    machine_kind,
     parse_automaton,
     parse_chain,
     parse_family,
@@ -18,6 +24,8 @@ from guessable.formats import (
 from guessable.guesser import MooreGuesser, RankedGuesser, synthesize
 from guessable.ordinal import add, from_int, omega_power
 from guessable.space import ParitySet, equivalent, membership_up
+from literal import literal_parse_guesser, literal_parse_machine
+from test_input_contract import machine_file
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -73,6 +81,132 @@ def test_guesser_render_parse_round_trip(pair):
     assert parsed == g
     assert ranked == rg
     assert not notes
+
+
+# spellings `int` reads besides the plain one, then two it refuses
+SPELLINGS = [
+    lambda v: f"00{v}",
+    lambda v: f"+{v}",
+    lambda v: "-0" if v == 0 else f"-{v}",
+    lambda v: "_".join(str(v)),
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda v: f"{v}_",
+    lambda v: "1" * 5000,
+]
+SEPARATORS = [" ", " ", "  ", "\t", " \t "]
+
+
+@st.composite
+def _respelled(draw, line: str, rate: int) -> str:
+    """`line` with about one number word in `rate` spelled another way
+    and its words joined by some whitespace."""
+    words = [
+        draw(st.sampled_from(SPELLINGS))(int(w))
+        if w.isdecimal() and draw(st.integers(0, rate)) == 0 else w
+        for w in line.split()
+    ]
+    return draw(st.sampled_from(SEPARATORS)).join(words)
+
+
+@st.composite
+def mangled_machine_file(draw):
+    """A machine file of either kind with the edits a hand-written one
+    may carry: number spellings, lines out of order, dropped, doubled
+    or of the other kind, trailing words, comments, odd separators and
+    line ends, and a zero or negative alphabet or state count.  Returns
+    the kind of file the edits started from and its text."""
+    kind, label = draw(st.sampled_from([("automaton", "priority"), ("guesser", "output")]))
+    lines = draw(machine_file(label)).splitlines()
+    rate = draw(st.sampled_from([None, 4, 16]))
+    if rate:
+        lines = [draw(_respelled(line, rate)) for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.integers(0, 6))
+        if edit == 0:
+            # `trans` lines before `states`, for one
+            lines.insert(draw(st.integers(0, len(lines))), lines.pop(i))
+        elif edit == 1:
+            del lines[i]
+        elif edit == 2:
+            lines.insert(i, lines[i])
+        elif edit == 3:
+            lines[i] += f" {draw(st.sampled_from(['0', '1', 'x']))}"
+        elif edit == 4:
+            lines.insert(i, draw(st.sampled_from([
+                "priority 0 1", "output 0 1", "bound 0 1", "codomain 2",
+                "acceptance min-even", "# a comment", "trans 0 0 0",
+            ])))
+        elif edit == 5:
+            lines[i] = draw(st.sampled_from([
+                "alphabet 0", "alphabet -2", "states 0", "states -3",
+            ]))
+        else:
+            lines[i] += "  # the rest is a comment 1 2"
+    end = draw(st.sampled_from(["\n", "\r\n", "\f"]))
+    return kind, end.join(lines) + end
+
+
+def _outcome(parse, *args):
+    """What `parse` returns, or the type and text of what it raises."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _read_machine(parse, text: str, kind: str):
+    notes: list[str] = []
+    return _outcome(lambda: (*parse(text, notes, kind), notes))
+
+
+@PROPERTY
+@given(mangled_machine_file())
+def test_machine_reader_matches_the_literal_reader(file):
+    kind, text = file
+    assert _read_machine(_parse_machine, text, kind) == _read_machine(
+        literal_parse_machine, text, kind
+    )
+    if kind == "guesser":
+        assert _outcome(parse_guesser, text) == _outcome(literal_parse_guesser, text)
+
+
+def test_number_memo_lives_for_one_call():
+    """2,000 files whose number words all differ leave nothing behind,
+    as a memo kept across calls would."""
+    # three zero digits of the decimal scripts in front of each word
+    zeros = [chr(c) for c in range(0x10000) if unicodedata.decimal(chr(c), None) == 0]
+    pads = [a + b + c for a in zeros[:13] for b in zeros[:13] for c in zeros[:13]]
+    assert len(pads) >= 2000
+
+    def text(pad: str) -> str:
+        lines = [f"alphabet {pad}2", f"states {pad}2"]
+        lines += [f"priority {pad}{q} {pad}{q + 1}" for q in range(2)]
+        lines += [
+            f"trans {pad}{q} {pad}{a} {pad}{1 - q}" for q in range(2) for a in range(2)
+        ]
+        return "\n".join(lines) + "\n"
+
+    parse_automaton(text(pads[0]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for pad in pads[1:2000]:
+            parse_automaton(text(pad))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 64 * 1024
+
+
+def test_machine_kind_reads_output_lines_only():
+    automaton = render_automaton(F_ONE)
+    assert machine_kind(automaton) == "automaton"
+    assert machine_kind(automaton + "# output 0 1\nbogus output\n") == "automaton"
+    assert machine_kind(render_guesser(synthesize(F_ONE).guesser)) == "guesser"
+    assert machine_kind("alphabet 2\r\n\toutput\f") == "guesser"
 
 
 class TestAutomatonFormat:

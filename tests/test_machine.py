@@ -40,6 +40,7 @@ P, G = ParitySet, MooreGuesser
         (G, dict(delta=((0,),), output=(2,)), "state 0 is missing transitions"),
         (G, dict(delta=((0, -1),), output=(2,)), "transition target -1 out of range"),
         (G, dict(delta=((0, 0),), output=(2,)), "outputs must be bits"),
+        (G, dict(delta=((0, 0),), output=([1],)), "outputs must be bits"),
     ],
 )
 def test_first_failing_check_names_the_fault(cls, fields, message):
