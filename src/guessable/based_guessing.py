@@ -7,6 +7,7 @@ Only families whose bit streams are decidable are supported: an
 of sets, and the `CylinderFamily` of all one-symbol cylinders.  At an
 ultimately periodic point each family gives its whole bit stream as
 one ultimately periodic bit word, `stream(w)`, so limits are exact.
+Both readers, `verify_based` and `limsup_liminf_check`, go through it.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ from .space import (
 from .guesser import MooreGuesser, limit_on_up
 
 
-class NotEventuallyPeriodicError(ValueError):
-    """Raised when a stream-limit question needs an explicit family."""
-
-
 class OracleFamily:
     """A countable family of sets over `alphabet`, finitely presented:
     `stream(w)` is the family's membership stream at w, whose bit i is
     the membership bit of w in member i, as an ultimately periodic bit
-    word; it refuses a w with a symbol outside the alphabet."""
+    word; it refuses a w with a symbol outside the alphabet.
+    `verify_based` and `limsup_liminf_check` read nothing else."""
 
 
 @dataclass(frozen=True)
@@ -124,11 +122,8 @@ def limsup_liminf_check(
     family: OracleFamily, s: ParitySet, w: UPWord
 ) -> bool:
     """True iff at this point the membership bit equals both the liminf
-    and the limsup of the family's membership bits."""
-    if not isinstance(family, ExplicitFamily):
-        raise NotEventuallyPeriodicError(
-            "limit comparison needs an explicit (eventually periodic) family"
-        )
+    and the limsup of the family's membership bits, the least and the
+    greatest bit of the stream's period."""
     _check_alphabets(family, s)
     tail = family.stream(w).period
     chi = membership_up(s, w)

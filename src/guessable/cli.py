@@ -131,8 +131,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = getattr(args, "budget", 0)
-    if budget < 0:
+    if args.budget < 0:
         print("error: verify needs --budget >= 0", file=sys.stderr)
         return 2
     guesser, automaton, bound_ok = _load_pair(args)
@@ -145,13 +144,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"witness={witness}")
         return 1
     print("witness=NONE")
-    if budget:
+    if args.budget:
         # redundant spot check of the certificate on concrete words
-        for word in itertools.islice(up_words(automaton.alphabet), budget):
+        for word in itertools.islice(up_words(automaton.alphabet), args.budget):
             if not verify_on_up(guesser, automaton, word):
                 print(f"witness={word}")
                 return 1
-        print(f"words={budget}")
+        print(f"words={args.budget}")
     return 0
 
 
@@ -276,15 +275,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    text = formats.read(args.file)
-    if formats.machine_kind(text) == "guesser":
-        guesser, _, notes = formats.parse_guesser(text)
-        dot = formats.guesser_to_dot(guesser)
-    else:
-        automaton, notes = formats.parse_automaton(text)
-        dot = formats.to_dot(automaton)
+    machine, notes = formats.parse_machine(formats.read(args.file))
     _print_notes(notes, f"{args.file}: ")
-    sys.stdout.write(dot)
+    sys.stdout.write(formats.to_dot(machine))
     return 0
 
 
@@ -330,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="search for a diverging point")
     p.add_argument("guesser")
     p.add_argument("set")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, budget=0)
 
     p = sub.add_parser("diff", help="difference hierarchy conversions")
     diff_sub = p.add_subparsers(dest="diff_command", required=True)

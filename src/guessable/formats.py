@@ -132,14 +132,6 @@ def _set_once(labels: dict, key: str, q: int, value) -> None:
     labels[q] = value
 
 
-def machine_kind(text: str) -> str:
-    """The kind of a machine file: a guesser when it has an `output`
-    line, an automaton otherwise."""
-    if "output" in text and any(row[0] == "output" for row in _lines(text)):
-        return "guesser"
-    return "automaton"
-
-
 class _Numbers(dict):
     """The number words of one file, each converted by `int` once."""
 
@@ -148,12 +140,12 @@ class _Numbers(dict):
         return value
 
 
-def _parse_machine(text: str, notes: list[str], kind: str):
-    """Read a machine file of `kind`, refusing directives of other kinds.
-    Returns `(machine, bounds, codomain)`: the machine is the kind's
-    class, its table completed with a rejecting sink, `bounds` maps each
-    state with a `bound` line to its ordinal, the sink's included, and
-    `codomain` is None for an automaton."""
+def _parse_machine(rows: list[list[str]], notes: list[str], kind: str):
+    """Read the rows of a machine file of `kind`, as `_lines` splits
+    them, refusing directives of other kinds.  Returns the machine, the
+    kind's class with its table completed with a rejecting sink, and its
+    ranked form when the rows have `bound` or `codomain` lines (a
+    guesser's alone; None otherwise)."""
     label, sink_value, own, build = MACHINE_KINDS[kind]
     alphabet = n_states = codomain = None
     start = 0
@@ -163,7 +155,7 @@ def _parse_machine(text: str, notes: list[str], kind: str):
     trans: list[tuple[int, int, int]] = []
     seen: set[str] = set()
     number = _Numbers()
-    for row in _lines(text):
+    for row in rows:
         key = row[0]
         try:
             # most lines are transitions, then one label line per state
@@ -258,12 +250,23 @@ def _parse_machine(text: str, notes: list[str], kind: str):
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return machine, labels.get("bound", {}), codomain
+    bounds = labels.get("bound", {})
+    if not bounds and codomain is None:
+        return machine, None
+    if codomain is None:
+        raise FormatError("bound lines need a codomain line")
+    # the bound states are in range, so a full count covers them all
+    n = len(table)
+    if len(bounds) < n:
+        q = next(q for q in range(n) if q not in bounds)
+        raise FormatError(f"missing bound for state {q}")
+    ranks = tuple(map(bounds.__getitem__, range(n)))
+    return machine, RankedGuesser(guesser=machine, bound=ranks, codomain=codomain)
 
 
 def parse_automaton(text: str) -> tuple[ParitySet, list[str]]:
     notes: list[str] = []
-    return _parse_machine(text, notes, "automaton")[0], notes
+    return _parse_machine(_lines(text), notes, "automaton")[0], notes
 
 
 def _render(m: Machine, labels: list[str]) -> str:
@@ -284,19 +287,16 @@ def parse_guesser(text: str) -> tuple[MooreGuesser, Optional[RankedGuesser], lis
     """A guesser file; returns the ranked form too when bound lines and
     a codomain are present."""
     notes: list[str] = []
-    guesser, bounds, codomain = _parse_machine(text, notes, "guesser")
-    n = guesser.n_states
-    ranked = None
-    if bounds or codomain is not None:
-        if codomain is None:
-            raise FormatError("bound lines need a codomain line")
-        # the bound states are in range, so a full count covers them all
-        if len(bounds) < n:
-            q = next(q for q in range(n) if q not in bounds)
-            raise FormatError(f"missing bound for state {q}")
-        bound = tuple(map(bounds.__getitem__, range(n)))
-        ranked = RankedGuesser(guesser=guesser, bound=bound, codomain=codomain)
-    return guesser, ranked, notes
+    return *_parse_machine(_lines(text), notes, "guesser"), notes
+
+
+def parse_machine(text: str) -> tuple[Machine, list[str]]:
+    """A machine file of either kind: a guesser when some row starts
+    with `output`, an automaton otherwise."""
+    rows = _lines(text)
+    kind = "guesser" if any(row[0] == "output" for row in rows) else "automaton"
+    notes: list[str] = []
+    return _parse_machine(rows, notes, kind)[0], notes
 
 
 def render_guesser(
@@ -404,7 +404,13 @@ def parse_family(text: str, base_dir: str) -> tuple[OracleFamily, list[str]]:
     raise FormatError("missing or unknown family directive")
 
 
-def _dot(m: Machine, name: str, labels: list[str]) -> str:
+def to_dot(m: Machine) -> str:
+    """GraphViz rendering, labelled with a guesser's outputs or an
+    automaton's priorities."""
+    if isinstance(m, MooreGuesser):
+        name, labels = "guesser", [f"out={b}" for b in m.output]
+    else:
+        name, labels = "aut", [f"p={p}" for p in m.priority]
     out = [f"digraph {name} {{", "  rankdir=LR;", '  init [shape=point, label=""];']
     for q in range(m.n_states):
         out.append(f'  q{q} [shape=circle, label="q{q}\\n{labels[q]}"];')
@@ -418,13 +424,3 @@ def _dot(m: Machine, name: str, labels: list[str]) -> str:
             out.append(f'  q{q} -> q{nq} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def to_dot(s: ParitySet) -> str:
-    """GraphViz rendering with priorities as labels."""
-    return _dot(s, "aut", [f"p={p}" for p in s.priority])
-
-
-def guesser_to_dot(g: MooreGuesser) -> str:
-    """GraphViz rendering with outputs as labels."""
-    return _dot(g, "guesser", [f"out={b}" for b in g.output])

@@ -1,5 +1,8 @@
 """The literal references the tests compare the library against, each
-kept once and built from nothing it checks.
+kept once.  A reference is built from nothing it checks, though it
+still reads a few library parts that other tests check on their own;
+each item names the functions it runs, besides the data classes
+and the `_check_*` input checks.
 
 - The graph kernels the one-pass remainder trace and the refinement
   search `cycles.cycle_components` replaced: a component carries a
@@ -9,14 +12,17 @@ kept once and built from nothing it checks.
 - `literal_divergence_witness`, the guesser-set product search with
   one SCC pass for oscillating cycles and, for each opinion, the
   per-priority components of the wrong-side parity, the reference for
-  the single refinement search of `guesser.divergence_witness`.
+  the single refinement search of `guesser.divergence_witness`.  It
+  reads `space.product`, `strongly_connected_components` and
+  `cycles.shortest_word_path`.
 - `literal_remainder_chain`, the stage-by-stage iteration of the
   remainder chain on automaton states, the reference for the trace.
+  It reads the graph kernels above, so `strongly_connected_components`.
 - `literal_truncated_remainder`, the stage-by-stage iteration of the
   chain on the depth-d word tree, each node's extension classes read
   off its whole subtree (`_extension_classes`), kept as a `StageTree`:
   the reference for the ranks of the one bottom-up pass
-  `oracle._levels`.
+  `oracle._levels`.  It reads `space.words_up_to`.
 - `guesser_value`, the guesser's case split (`_guess_at`) at one word,
   run afresh on each of its prefixes with the stages the tree keeps,
   and `literal_guesser_value`, the same split with each stage rebuilt
@@ -24,10 +30,10 @@ kept once and built from nothing it checks.
   `oracle._levels` and of the walk in `oracle.cross_validate`.
 - `product_boolean`, the index-appearance-record boolean product, the
   reference for equivalence, emptiness, `open_subset` and
-  `open_union`.
+  `open_union`.  It reads `cycles.explore` and `space.complement`.
 - `literal_family_bits`, each oracle family's membership bit read
   one member at a time, the reference for the stream word
-  `OracleFamily.stream` builds.
+  `OracleFamily.stream` builds.  It reads `space.membership_up`.
 - `literal_canonical_up_words`, the enumeration that keeps a set of
   the words it has listed, the reference for the stream
   `space.up_words`.
@@ -36,9 +42,13 @@ kept once and built from nothing it checks.
   through a list of its words and an index dict, the references for
   the closed forms of `space.cylinder` and `space.compile_clopen`.
 - `literal_parse_machine` and `literal_parse_guesser`, the machine-file
-  reader that converts every number word with `int` and checks its
-  lines one at a time, the reference for the bulk checks and the
-  per-call number memo of `formats._parse_machine`.
+  reader that splits its lines itself (`literal_rows`), converts every
+  number word with `int` and checks its lines one at a time, the
+  reference for `formats._lines` and for the bulk checks and the
+  per-call number memo of `formats._parse_machine`.  It shares
+  `_check_arity`, `_once`, `_set_once`, `_bad_line`, the tables
+  `MACHINE_KINDS`, `LINE_WORDS` (through `_check_arity`) and
+  `SINGLE_VALUED`, and `ordinal.from_text` with the library.
 
 The file is named so that pytest does not collect it; the test modules
 import it by name.
@@ -64,7 +74,6 @@ from guessable.formats import (
     FormatError,
     _bad_line,
     _check_arity,
-    _lines,
     _once,
     _set_once,
 )
@@ -557,12 +566,22 @@ def _intersection(s: ParitySet, t: ParitySet) -> ParitySet:
 # -- machine files -----------------------------------------------------------
 
 
+def literal_rows(text: str) -> list[list[str]]:
+    """The words of each line of `text` that has any, each line cut at
+    its first `#`."""
+    rows = []
+    for line in text.splitlines():
+        words = line.split("#")[0].split()
+        if words:
+            rows.append(words)
+    return rows
+
+
 def literal_parse_machine(text: str, notes: list[str], kind: str):
     """Read a machine file of `kind`, refusing directives of other kinds.
-    Returns `(machine, bounds, codomain)`: the machine is the kind's
-    class, its table completed with a rejecting sink, `bounds` maps each
-    state with a `bound` line to its ordinal, the sink's included, and
-    `codomain` is None for an automaton."""
+    Returns the machine, the kind's class with its table completed with
+    a rejecting sink, and its ranked form when the file has `bound` or
+    `codomain` lines (None otherwise)."""
     label, sink_value, own, build = MACHINE_KINDS[kind]
     alphabet = n_states = codomain = None
     start = 0
@@ -570,7 +589,7 @@ def literal_parse_machine(text: str, notes: list[str], kind: str):
     labels = {key: {} for key in ("priority", "output", "bound") if key in own}
     trans: list[tuple[int, int, int]] = []
     seen: set[str] = set()
-    for row in _lines(text):
+    for row in literal_rows(text):
         key = row[0]
         try:
             # most lines are transitions
@@ -659,7 +678,16 @@ def literal_parse_machine(text: str, notes: list[str], kind: str):
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return machine, labels.get("bound", {}), codomain
+    bounds = labels.get("bound", {})
+    if not bounds and codomain is None:
+        return machine, None
+    if codomain is None:
+        raise FormatError("bound lines need a codomain line")
+    for q in range(len(table)):
+        if q not in bounds:
+            raise FormatError(f"missing bound for state {q}")
+    bound = tuple(bounds[q] for q in range(len(table)))
+    return machine, RankedGuesser(guesser=machine, bound=bound, codomain=codomain)
 
 
 def literal_parse_guesser(
@@ -668,15 +696,4 @@ def literal_parse_guesser(
     """A guesser file; returns the ranked form too when bound lines and
     a codomain are present."""
     notes: list[str] = []
-    guesser, bounds, codomain = literal_parse_machine(text, notes, "guesser")
-    n = guesser.n_states
-    ranked = None
-    if bounds or codomain is not None:
-        if codomain is None:
-            raise FormatError("bound lines need a codomain line")
-        for q in range(n):
-            if q not in bounds:
-                raise FormatError(f"missing bound for state {q}")
-        bound = tuple(bounds[q] for q in range(n))
-        ranked = RankedGuesser(guesser=guesser, bound=bound, codomain=codomain)
-    return guesser, ranked, notes
+    return *literal_parse_machine(text, notes, "guesser"), notes

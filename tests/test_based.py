@@ -3,7 +3,6 @@ import pytest
 from guessable.based_guessing import (
     CylinderFamily,
     ExplicitFamily,
-    NotEventuallyPeriodicError,
     cylinder_simulation,
     cylinders_family,
     explicit_family,
@@ -150,29 +149,37 @@ class TestLimsupLiminf:
         for w in up_words_100[:50]:
             assert limsup_liminf_check(fam, F_ONE, w)
 
-    def test_cylinders_rejected(self):
-        with pytest.raises(NotEventuallyPeriodicError):
-            limsup_liminf_check(cylinders_family(2), F_ONE, up("(0)"))
+    def test_cylinders_never_settle(self, up_words_100):
+        """Each one-hot block of the cylinder stream holds both bits."""
+        fam = cylinders_family(2)
+        assert fam.stream(up("0(1)")) == up("10(01)")
+        for w in up_words_100[:50]:
+            assert limsup_liminf_check(fam, F_ONE, w) is False
 
 
 class TestLimitAgreementImpliesLastBit:
     def test_implication_on_words(self, up_words_200):
+        """The limit check is the last-bit guesser's verdict: both say
+        the stream's period is constant and equal to the membership bit,
+        for an explicit family and for the cylinder family alike."""
         families = [
             explicit_family((), (F_ONE,)),
             explicit_family((F_EMPTY,), (F_NO11,)),
             explicit_family((), (F_ONE, F_FULL)),
             explicit_family((), (F_CYL1,)),
+            cylinders_family(2),
         ]
         sets = [F_ONE, F_NO11, F_FULL, F_CYL1]
         lb = last_bit_guesser()
-        hits = 0
+        hits = misses = 0
         for fam in families:
             for s in sets:
                 for w in up_words_200:
-                    if limsup_liminf_check(fam, s, w):
-                        assert verify_based(lb, fam, s, w)
-                        hits += 1
-        assert hits > 0
+                    agree = limsup_liminf_check(fam, s, w)
+                    assert agree == verify_based(lb, fam, s, w)
+                    hits += agree
+                    misses += not agree
+        assert hits > 0 and misses > 0
 
 
 class TestCylinderSimulation:

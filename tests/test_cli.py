@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from guessable import cli, formats, oracle
 from guessable.based_guessing import cylinder_simulation, last_bit_guesser
-from guessable.cli import main
-from guessable.fixtures import FIXTURES, OPEN_FACTOR_11, OPEN_ONE
+from guessable.cli import build_parser, main
+from guessable.fixtures import F_INF1, FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
     parse_automaton,
     parse_guesser,
@@ -13,8 +14,15 @@ from guessable.formats import (
     render_chain,
     render_guesser,
 )
-from guessable.guesser import constant_guesser, synthesize
-from guessable.space import compile_clopen, cylinder, equivalent
+from guessable.guesser import (
+    RankedGuesser,
+    constant_guesser,
+    flip_outputs,
+    synthesize,
+    verify_on_up,
+)
+from guessable.remainder import remainder_chain
+from guessable.space import UPWord, compile_clopen, cylinder, equivalent
 from test_fast_paths import counter_set
 
 
@@ -346,6 +354,96 @@ class TestExportDot:
         code, out, _ = run(capsys, ["export-dot", files["GS_ONE"]])
         assert code == 0
         assert "out=" in out
+
+    @pytest.mark.parametrize("name", ["F_ONE", "GS_NO11", "GS_ONE"])
+    def test_splits_the_file_once(self, files, capsys, monkeypatch, name):
+        split, calls = formats._lines, []
+
+        def counted(text):
+            calls.append(text)
+            return split(text)
+
+        monkeypatch.setattr(formats, "_lines", counted)
+        code, out, _ = run(capsys, ["export-dot", files[name]])
+        assert code == 0 and out.startswith("digraph")
+        assert len(calls) == 1
+
+    def test_output_is_unchanged(self, files, capsys, tmp_path):
+        """Every fixture automaton, plain and ranked guesser files, a
+        file completed with a sink and one of both kinds."""
+        c40 = synthesize(counter_set(40))
+        extra = {
+            "c40.guess": render_guesser(c40.guesser, c40),
+            "partial.aut": "alphabet 2\nstates 2\npriority 0 1\npriority 1 2\n"
+            "trans 0 1 1\ntrans 1 0 1\n",
+            "mixed.aut": render_automaton(F_INF1) + "output 0 1\n",
+        }
+        for name, text in extra.items():
+            (tmp_path / name).write_text(text)
+        names = sorted(FIXTURES) + ["GS_ONE", "GS_NO11", "CONST0", "LASTBIT", "BOUND5"]
+        paths = [files[name] for name in names] + [str(tmp_path / n) for n in extra]
+        h = hashlib.sha256()
+        for path in paths:
+            code, out, err = run(capsys, ["export-dot", path])
+            h.update(f"{code}\n{out}\0{err.replace(path, '<file>')}\0".encode())
+        assert h.hexdigest() == EXPORT_DOT_DIGEST
+
+
+# sha256 of the exit code, stdout and stderr of `export-dot` on the
+# files of `TestExportDot.test_output_is_unchanged`, taken when the
+# file's kind was found by a split of its own
+EXPORT_DOT_DIGEST = (
+    "0f34fe0e471598ebe2866763a50905295a60779d4dbe5ba34865b296592b6177"
+)
+
+
+class TestExitsOnPatchedFailures:
+    """Exit paths that no input reaches while the library is right."""
+
+    def test_witness_declares_a_zero_budget(self):
+        parser = build_parser()
+        assert parser.parse_args(["witness", "g", "s"]).budget == 0
+        with pytest.raises(SystemExit):
+            parser.parse_args(["witness", "g", "s", "--budget", "3"])
+
+    def test_failing_converted_guesser_exits_1(
+        self, files, tmp_path, capsys, monkeypatch
+    ):
+        convert = cli.chain_to_guesser
+
+        def flipped(chain):
+            ranked = convert(chain)
+            return RankedGuesser(
+                flip_outputs(ranked.guesser), ranked.bound, ranked.codomain
+            )
+
+        monkeypatch.setattr(cli, "chain_to_guesser", flipped)
+        path = tmp_path / "flipped.guess"
+        code, out, _ = run(capsys, [
+            "diff", "build", files["CHAIN"], "--emit", "guesser",
+            "--guesser-output", str(path),
+        ])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:3] == ["theta=2", f"guesser={path}", "bound_ok=true"]
+        assert len(lines) == 4 and lines[3].startswith("witness=")
+        literal = lines[3].removeprefix("witness=")
+        word = UPWord.from_literal(literal)
+        assert str(word) == literal
+        chain, _ = formats.parse_chain(Path(files["CHAIN"]).read_text(), files["DIR"])
+        guesser, ranked, _ = parse_guesser(path.read_text())
+        assert ranked == flipped(chain)
+        assert not verify_on_up(guesser, FIXTURES["F_NO11"], word)
+
+    def test_infinite_rank_fails_the_oracle_check(self, capsys, monkeypatch):
+        trace = remainder_chain(F_INF1)
+        monkeypatch.setattr(oracle, "remainder_chain", lambda automaton: trace)
+        code, out, _ = run(capsys, ["oracle", "check", "--k", "2", "--d", "1"])
+        assert code == 1
+        assert out == (
+            "tables_checked=4\nrank_agreement=pass\nguesser_agreement=pass\n"
+            "finite_rank=FAIL\n"
+        )
 
 
 class TestDeterminism:

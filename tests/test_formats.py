@@ -9,13 +9,13 @@ from guessable.based_guessing import CylinderFamily, ExplicitFamily
 from guessable.fixtures import F_NO11, F_ONE, FIXTURES, OPEN_FACTOR_11, OPEN_ONE
 from guessable.formats import (
     FormatError,
+    _lines,
     _parse_machine,
-    guesser_to_dot,
-    machine_kind,
     parse_automaton,
     parse_chain,
     parse_family,
     parse_guesser,
+    parse_machine,
     render_automaton,
     render_chain,
     render_guesser,
@@ -160,11 +160,16 @@ def _read_machine(parse, text: str, kind: str):
     return _outcome(lambda: (*parse(text, notes, kind), notes))
 
 
+def _library_machine(text: str, notes: list[str], kind: str):
+    """The library's machine reader on the rows `_lines` splits."""
+    return _parse_machine(_lines(text), notes, kind)
+
+
 @PROPERTY
 @given(mangled_machine_file())
 def test_machine_reader_matches_the_literal_reader(file):
     kind, text = file
-    assert _read_machine(_parse_machine, text, kind) == _read_machine(
+    assert _read_machine(_library_machine, text, kind) == _read_machine(
         literal_parse_machine, text, kind
     )
     if kind == "guesser":
@@ -201,12 +206,20 @@ def test_number_memo_lives_for_one_call():
     assert after - before <= 64 * 1024
 
 
-def test_machine_kind_reads_output_lines_only():
+def test_parse_machine_reads_output_lines_only():
+    """A file is a guesser when some row, comments stripped, starts with
+    `output`; the error a file gets shows the kind it was read as."""
     automaton = render_automaton(F_ONE)
-    assert machine_kind(automaton) == "automaton"
-    assert machine_kind(automaton + "# output 0 1\nbogus output\n") == "automaton"
-    assert machine_kind(render_guesser(synthesize(F_ONE).guesser)) == "guesser"
-    assert machine_kind("alphabet 2\r\n\toutput\f") == "guesser"
+    assert parse_machine(automaton) == parse_automaton(automaton)
+    assert parse_machine(automaton + "# output 0 1\n") == parse_automaton(automaton)
+    # a guesser would refuse the `priority` lines first
+    with pytest.raises(FormatError, match="^unknown directive 'bogus'$"):
+        parse_machine(automaton + "bogus output\n")
+    guesser = render_guesser(synthesize(F_ONE).guesser)
+    assert parse_machine(guesser) == parse_guesser(guesser)[::2]
+    # an automaton would refuse the `output` line as unknown
+    with pytest.raises(FormatError, match="^bad line 'output': list index"):
+        parse_machine("alphabet 2\r\n\toutput\f")
 
 
 class TestAutomatonFormat:
@@ -342,5 +355,5 @@ class TestDot:
         assert 'label="0"' in dot or 'label="0,1"' in dot
 
     def test_guesser_dot(self):
-        dot = guesser_to_dot(synthesize(F_ONE).guesser)
+        dot = to_dot(synthesize(F_ONE).guesser)
         assert "out=1" in dot and "out=0" in dot
